@@ -116,31 +116,34 @@ def frf_from_sine_dwell(runner, freqs, fit_cycles: int = 10) -> list[FrfPoint]:
     ]
 
 
-def bandwidth(frf: list[FrfPoint]) -> float | None:
+def crossing_bandwidth(freqs, mag_db, phase_deg) -> float | None:
     """First frequency at -3 dB below DC or -135 deg, whichever is lower.
 
-    The DC reference is the lowest measured point.  Linear interpolation
+    The DC reference is the lowest-frequency point.  Linear interpolation
     between grid points; None when neither criterion is crossed in range.
     """
-    if len(frf) < 2:
+    f = np.asarray(freqs, dtype=float)
+    if len(f) < 2:
         raise AnalysisError("need at least two FRF points")
-    f = np.array([p.frequency for p in frf])
     if np.any(np.diff(f) <= 0.0):
         raise AnalysisError("frequency grid must be strictly increasing")
-    mag = np.array([p.magnitude_db for p in frf])
-    ph = np.array([p.phase_deg for p in frf])
-    mag_th = mag[0] - 3.0
-    crossings = []
-    for i in range(1, len(f)):
-        if mag[i] <= mag_th < mag[i - 1]:
-            r = (mag[i - 1] - mag_th) / (mag[i - 1] - mag[i])
-            crossings.append(f[i - 1] + r * (f[i] - f[i - 1]))
-        if ph[i] <= -135.0 < ph[i - 1]:
-            r = (ph[i - 1] + 135.0) / (ph[i - 1] - ph[i])
-            crossings.append(f[i - 1] + r * (f[i] - f[i - 1]))
-    if mag[0] <= mag_th or ph[0] <= -135.0:
+    mag, ph = np.asarray(mag_db, dtype=float), np.asarray(phase_deg, dtype=float)
+    hit = (mag <= mag[0] - 3.0) | (ph <= -135.0)
+    if not hit.any():
+        return None
+    i = int(np.argmax(hit))
+    if i == 0:
         return float(f[0])
-    return float(min(crossings)) if crossings else None
+    # neither criterion holds at i - 1: interpolate each one that holds at i
+    r = min((a[i - 1] - th) / (a[i - 1] - a[i])
+            for a, th in ((mag, mag[0] - 3.0), (ph, -135.0)) if a[i] <= th)
+    return float(f[i - 1] + r * (f[i] - f[i - 1]))
+
+
+def bandwidth(frf: list[FrfPoint]) -> float | None:
+    """crossing_bandwidth of measured frequency-response points."""
+    return crossing_bandwidth([p.frequency for p in frf], [p.magnitude_db for p in frf],
+                              [p.phase_deg for p in frf])
 
 
 def step_metrics(trace, settle_fraction: float = 0.2) -> StepMetrics:

@@ -76,7 +76,7 @@ def cmd_synth(args) -> int:
     dc = synthesis.closed_loop_dc_gain(ss, gains)
     plant = Plant(params)
     pid_m, pid_s = cfg.pid_configs()
-    freqs = np.logspace(np.log10(0.05), np.log10(400.0), 3000)
+    freqs = controllers.DESIGN_FREQS
     gm_m = controllers.gain_margin_db(
         controllers.pid_loop_gain(plant, ss, pid_m, freqs, with_delay=False), freqs)
     gm_s = controllers.gain_margin_db(

@@ -94,7 +94,9 @@ class RunConfig:
         }
 
     def content_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
+        """Hash of the experiment; where its outputs go is not part of it."""
+        experiment = {k: v for k, v in self.to_dict().items() if k != "output_dir"}
+        blob = json.dumps(experiment, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
 

@@ -17,8 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import linalg
 
+from .analysis import crossing_bandwidth
 from .plant import Plant, StateSpace, TWO_PI
-from .synthesis import GainSet
+from .synthesis import GainSet, closed_loop_input, closed_loop_matrix
 
 CONTROL_DT = 1e-3   # 1 kHz loop rate
 SIM_DT = 1e-4       # 10 kHz plant substep
@@ -309,20 +310,40 @@ def make_controller(name: str, plant: Plant, gains: GainSet | None = None,
 
 # ---------------- linear-model frequency-domain tools ----------------
 
+# Frequency grid of the linear-model checks: calibration, bandwidth, gain margins.
+DESIGN_FREQS = np.logspace(math.log10(0.05), math.log10(400.0), 3000)
+DESIGN_FREQS.flags.writeable = False
+
+# Frequencies per stacked solve: a fixed block keeps the (block, n, n) work arrays
+# small, where one 3000-deep stack of the 15-state LQGI loop adds ~21 MB of peak memory.
+_SOLVE_BLOCK = 64
+
+
+def _plant_output_frf(freqs, M, b, row, tau: float) -> np.ndarray:
+    """row @ x[:n] with (sI - M) x = b at each s = j*2*pi*f, in stacks of _SOLVE_BLOCK.
+
+    The first n = len(row) states are the plant's; its input terms M[:n, n:]
+    and b[:n] carry the delay exp(-s*tau)."""
+    n = len(row)
+    s_all = 2j * np.pi * np.asarray(freqs, dtype=float)
+    out = np.empty(len(s_all), dtype=complex)
+    for lo in range(0, len(s_all), _SOLVE_BLOCK):
+        s = s_all[lo:lo + _SOLVE_BLOCK]
+        d = np.exp(-s * tau)
+        lhs = s[:, None, None] * np.eye(len(b)) - M
+        lhs[:, :n, n:] *= d[:, None, None]
+        rhs = np.broadcast_to(b, lhs.shape[:2]).astype(complex)
+        rhs[:, :n] *= d[:, None]
+        out[lo:lo + len(s)] = np.linalg.solve(lhs, rhs[..., None])[:, :n, 0] @ row
+    return out
+
+
 def pressure_command_frf(plant: Plant, ss: StateSpace, freqs, output: str = "slave",
                          with_delay: bool = True) -> np.ndarray:
     """Complex response of a pressure tap to the pressure command."""
-    row = ss.C_d if output == "slave" else ss.C[3:4]
-    n = ss.n
-    eye = np.eye(n)
-    out = np.empty(len(freqs), dtype=complex)
-    for i, f in enumerate(freqs):
-        w = 2j * math.pi * f
-        g = (row @ np.linalg.solve(w * eye - ss.A, ss.B))[0, 0] * plant.area_slave
-        if with_delay:
-            g *= np.exp(-w * plant.tau_delay)
-        out[i] = g
-    return out
+    row = ss.C_d[0] if output == "slave" else ss.C[3]
+    tau = plant.tau_delay if with_delay else 0.0
+    return _plant_output_frf(freqs, ss.A, ss.B[:, 0], row, tau) * plant.area_slave
 
 
 def _pid_c_of_jw(cfg: PidConfig, freqs) -> np.ndarray:
@@ -342,68 +363,62 @@ def pid_loop_gain(plant: Plant, ss: StateSpace, cfg: PidConfig, freqs,
     return _pid_c_of_jw(cfg, freqs) * g_tap
 
 
+def _tap_frfs(plant, ss, tap, freqs, with_delay):
+    """Slave-pressure and feedback-tap responses to the pressure command."""
+    g_slave = pressure_command_frf(plant, ss, freqs, "slave", with_delay)
+    return g_slave, (g_slave if tap == "slave" else
+                     pressure_command_frf(plant, ss, freqs, tap, with_delay))
+
+
+def _pid_closed_loop(cfg: PidConfig, freqs, g_slave, g_tap) -> np.ndarray:
+    c = _pid_c_of_jw(cfg, freqs)
+    return g_slave * c / (1.0 + c * g_tap)
+
+
 def pid_closed_loop_frf(plant: Plant, ss: StateSpace, cfg: PidConfig, freqs,
                         with_delay: bool = True) -> np.ndarray:
     """Slave-pressure tracking response of the PID loop on the linear model."""
-    g_slave = pressure_command_frf(plant, ss, freqs, output="slave", with_delay=with_delay)
-    g_tap = pressure_command_frf(plant, ss, freqs, output=cfg.feedback_tap,
-                                 with_delay=with_delay)
-    c = _pid_c_of_jw(cfg, freqs)
-    return g_slave * c / (1.0 + c * g_tap)
+    return _pid_closed_loop(cfg, freqs, *_tap_frfs(plant, ss, cfg.feedback_tap, freqs,
+                                                   with_delay))
 
 
 def gain_margin_db(loop: np.ndarray, freqs) -> float:
     """Classical gain margin from the -180 deg crossings of a loop response."""
     phase = np.unwrap(np.angle(loop)) * 180.0 / math.pi
     mag_db = 20.0 * np.log10(np.abs(loop))
+    a, b = phase[:len(freqs) - 1], phase[1:len(freqs)]
     gm = math.inf
-    for i in range(1, len(freqs)):
-        a, b = phase[i - 1], phase[i]
-        for k in range(4):
-            th = -180.0 - 360.0 * k
-            if (a > th >= b) or (b > th >= a):
-                frac = (a - th) / (a - b) if a != b else 0.0
-                m = mag_db[i - 1] + frac * (mag_db[i] - mag_db[i - 1])
-                gm = min(gm, -m)
+    for th in (-180.0, -540.0, -900.0, -1260.0):
+        i = np.flatnonzero(((a > th) & (th >= b)) | ((b > th) & (th >= a)))
+        m = mag_db[i] + (a[i] - th) / (a[i] - b[i]) * (mag_db[i + 1] - mag_db[i])
+        gm = min(gm, -m.max(initial=-math.inf))
     return gm
 
 
-def _first_crossing_bandwidth(freqs, resp: np.ndarray) -> float | None:
-    mag_db = 20.0 * np.log10(np.abs(resp))
-    phase = np.unwrap(np.angle(resp)) * 180.0 / math.pi
-    dc = mag_db[0]
-    for i in range(len(freqs)):
-        if mag_db[i] <= dc - 3.0 or phase[i] <= -135.0:
-            if i == 0:
-                return float(freqs[0])
-            # linear interpolation to the first criterion crossed
-            f0, f1 = freqs[i - 1], freqs[i]
-            cands = []
-            if mag_db[i] <= dc - 3.0 and mag_db[i - 1] > dc - 3.0:
-                r = (mag_db[i - 1] - (dc - 3.0)) / (mag_db[i - 1] - mag_db[i])
-                cands.append(f0 + r * (f1 - f0))
-            if phase[i] <= -135.0 and phase[i - 1] > -135.0:
-                r = (phase[i - 1] + 135.0) / (phase[i - 1] - phase[i])
-                cands.append(f0 + r * (f1 - f0))
-            return float(min(cands)) if cands else float(freqs[i])
-    return None
+def _pid_bandwidth(cfg: PidConfig, g_slave, g_tap) -> float | None:
+    """Closed-loop bandwidth from tap responses sampled on DESIGN_FREQS."""
+    resp = _pid_closed_loop(cfg, DESIGN_FREQS, g_slave, g_tap)
+    return crossing_bandwidth(DESIGN_FREQS, 20.0 * np.log10(np.abs(resp)),
+                              np.degrees(np.unwrap(np.angle(resp))))
 
 
 def linear_pid_bandwidth(plant: Plant, ss: StateSpace, cfg: PidConfig,
                          with_delay: bool = True) -> float | None:
-    freqs = np.logspace(math.log10(0.05), math.log10(400.0), 3000)
-    resp = pid_closed_loop_frf(plant, ss, cfg, freqs, with_delay=with_delay)
-    return _first_crossing_bandwidth(freqs, resp)
+    return _pid_bandwidth(cfg, *_tap_frfs(plant, ss, cfg.feedback_tap, DESIGN_FREQS,
+                                          with_delay))
 
 
 def calibrate_integral_gain(plant: Plant, ss: StateSpace, tap: str, target_hz: float,
                             kd: float = 0.0, with_delay: bool = True) -> float:
-    """Bisect the integral gain until the linear loop hits the target bandwidth."""
+    """Bisect the integral gain until the linear loop hits the target bandwidth.
+
+    The tap responses do not depend on the gain, so they are computed once.
+    """
+    g_slave, g_tap = _tap_frfs(plant, ss, tap, DESIGN_FREQS, with_delay)
     lo, hi = 1e-2, 5e3
     for _ in range(60):
         mid = math.sqrt(lo * hi)
-        cfg = PidConfig(kp=0.0, ki=mid, kd=kd, feedback_tap=tap)
-        bw = linear_pid_bandwidth(plant, ss, cfg, with_delay=with_delay)
+        bw = _pid_bandwidth(PidConfig(kp=0.0, ki=mid, kd=kd, feedback_tap=tap), g_slave, g_tap)
         if bw is not None and bw >= target_hz:
             hi = mid
         else:
@@ -431,28 +446,6 @@ def lqgi_closed_loop_frf(plant: Plant, ss: StateSpace, gains: GainSet, freqs,
     The clutch delay applies to the physical path into the plant but not
     to the estimator model, matching the implementation.
     """
-    A, B, C, C_d = ss.A, ss.B, ss.C, ss.C_d
-    L = gains.L
-    LC = L @ C
-    K_x = gains.K_x
-    k_i = gains.K_integral
-    out = np.empty(len(freqs), dtype=complex)
-    eye = np.eye(15, dtype=complex)
-    for i, f in enumerate(freqs):
-        w = 2j * math.pi * f
-        d = np.exp(-w * plant.tau_delay) if with_delay else 1.0
-        M = np.zeros((15, 15), dtype=complex)
-        M[0:7, 0:7] = A
-        M[0:7, 7:14] = -B @ K_x[None, :] * d
-        M[0:7, 14] = -B[:, 0] * k_i * d
-        M[7:14, 0:7] = LC
-        M[7:14, 7:14] = A - LC - B @ K_x[None, :]
-        M[7:14, 14] = -B[:, 0] * k_i
-        M[14, 7:14] = -C_d[0]
-        rhs = np.zeros(15, dtype=complex)
-        rhs[0:7] = B[:, 0] * gains.K_ff * d
-        rhs[7:14] = B[:, 0] * gains.K_ff
-        rhs[14] = 1.0
-        x = np.linalg.solve(w * eye - M, rhs)
-        out[i] = C_d[0] @ x[0:7]
-    return out
+    tau = plant.tau_delay if with_delay else 0.0
+    M, b = closed_loop_matrix(ss, gains), closed_loop_input(ss, gains)
+    return _plant_output_frf(freqs, M, b, ss.C_d[0], tau)

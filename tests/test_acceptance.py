@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import mrhydro as m
-from mrhydro.controllers import (DitherConfig, OpenLoopController,
+from mrhydro.controllers import (DESIGN_FREQS, DitherConfig, OpenLoopController,
                                  PID_MASTER_DEFAULT, PID_SLAVE_DEFAULT,
                                  gain_margin_db, linear_pid_bandwidth,
                                  pid_loop_gain)
@@ -128,7 +128,7 @@ def test_criterion_07_pid_calibration():
     ss = build_state_space(plant.params)
     bw_m = linear_pid_bandwidth(plant, ss, PID_MASTER_DEFAULT)
     bw_s = linear_pid_bandwidth(plant, ss, PID_SLAVE_DEFAULT)
-    freqs = np.logspace(math.log10(0.05), math.log10(400.0), 3000)
+    freqs = DESIGN_FREQS
     gm_m = gain_margin_db(pid_loop_gain(plant, ss, PID_MASTER_DEFAULT, freqs,
                                         with_delay=False), freqs)
     gm_s = gain_margin_db(pid_loop_gain(plant, ss, PID_SLAVE_DEFAULT, freqs,

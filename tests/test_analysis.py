@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from mrhydro.analysis import (AnalysisError, FrfPoint,
                               REFERENCE_RESULTS, RowResult, bandwidth,
-                              comparison_report, dither_smoothing, fit_sine,
+                              comparison_report, crossing_bandwidth, dither_smoothing, fit_sine,
                               frf_from_sine_dwell, identify_friction, lowpass,
                               step_metrics, torque_deviation)
 from mrhydro.plant import TWO_PI
@@ -129,6 +130,26 @@ class TestBandwidth:
         pts = synthetic_frf([10.0, 5.0], lambda f: 0.0, lambda f: 0.0)
         with pytest.raises(AnalysisError):
             bandwidth(pts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-8.0, 4.0), st.floats(-200.0, 0.0)),
+                    min_size=2, max_size=40))
+    def test_matches_pointwise_scan(self, samples):
+        # every interpolated crossing of either criterion, lowest one wins
+        f = np.arange(1.0, len(samples) + 1.0)
+        mag, ph = (np.array(col) for col in zip(*samples))
+        th = mag[0] - 3.0
+        crossings = []
+        for i in range(1, len(f)):
+            if mag[i] <= th < mag[i - 1]:
+                crossings.append(f[i - 1] + (mag[i - 1] - th) / (mag[i - 1] - mag[i]))
+            if ph[i] <= -135.0 < ph[i - 1]:
+                crossings.append(f[i - 1] + (ph[i - 1] + 135.0) / (ph[i - 1] - ph[i]))
+        if ph[0] <= -135.0:
+            expected = f[0]
+        else:
+            expected = min(crossings) if crossings else None
+        assert crossing_bandwidth(f, mag, ph) == expected
 
 
 def second_order_step(zeta, wn=50.0, dt=1e-4, t_end=3.0, pre=0.2):

@@ -44,6 +44,11 @@ class TestRunConfig:
         assert RunConfig().content_hash() == RunConfig().content_hash()
         assert RunConfig().content_hash() != RunConfig(seed=1).content_hash()
 
+    def test_hash_ignores_output_dir(self):
+        here, there = RunConfig(output_dir="a"), RunConfig(output_dir="b/c")
+        assert here.content_hash() == there.content_hash()
+        assert there.to_dict()["output_dir"] == "b/c"
+
     def test_pid_overrides_merge_with_defaults(self):
         cfg = RunConfig(pid_master={"ki": 55.0})
         master, slave = cfg.pid_configs()

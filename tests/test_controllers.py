@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mrhydro.controllers import (DitherConfig, LqgiController, OpenLoopController,
-                                 PidConfig, PidController, PID_MASTER_DEFAULT,
-                                 PID_SLAVE_DEFAULT, calibrate_pid_defaults,
+from mrhydro import controllers
+from mrhydro.controllers import (DESIGN_FREQS, DitherConfig, LqgiController,
+                                 OpenLoopController, PidConfig, PidController,
+                                 PID_MASTER_DEFAULT, PID_SLAVE_DEFAULT,
+                                 calibrate_integral_gain, calibrate_pid_defaults,
                                  dither_signal, gain_margin_db,
                                  linear_pid_bandwidth, lqgi_closed_loop_frf,
-                                 make_controller, pid_loop_gain)
+                                 make_controller, pid_loop_gain,
+                                 pressure_command_frf)
 from mrhydro.plant import Plant, PlantParams, build_state_space
 from mrhydro.synthesis import synthesize
 
@@ -255,10 +259,9 @@ class TestCalibration:
 
     def test_margins_at_defaults(self, plant):
         ss = build_state_space(plant.params)
-        freqs = np.logspace(math.log10(0.05), math.log10(400.0), 3000)
         for cfg in (PID_MASTER_DEFAULT, PID_SLAVE_DEFAULT):
-            gm = gain_margin_db(pid_loop_gain(plant, ss, cfg, freqs, with_delay=False),
-                                freqs)
+            gm = gain_margin_db(pid_loop_gain(plant, ss, cfg, DESIGN_FREQS,
+                                              with_delay=False), DESIGN_FREQS)
             assert gm >= 6.0
 
     def test_calibration_reproduces_defaults(self, plant):
@@ -267,7 +270,110 @@ class TestCalibration:
         assert master.ki == pytest.approx(PID_MASTER_DEFAULT.ki, rel=0.15)
         assert slave.ki == pytest.approx(PID_SLAVE_DEFAULT.ki, rel=0.15)
 
+    @pytest.mark.parametrize("with_delay", [True, False])
+    @pytest.mark.parametrize("cfg", [PID_MASTER_DEFAULT, PID_SLAVE_DEFAULT])
+    def test_gain_margin_matches_pointwise_scan(self, plant, cfg, with_delay):
+        ss = build_state_space(plant.params)
+        loop = pid_loop_gain(plant, ss, cfg, DESIGN_FREQS, with_delay=with_delay)
+        phase = np.unwrap(np.angle(loop)) * 180.0 / math.pi
+        mag_db = 20.0 * np.log10(np.abs(loop))
+        expected = math.inf
+        for i in range(1, len(loop)):
+            a, b = phase[i - 1], phase[i]
+            for th in (-180.0, -540.0, -900.0, -1260.0):
+                if (a > th >= b) or (b > th >= a):
+                    m = mag_db[i - 1] + (a - th) / (a - b) * (mag_db[i] - mag_db[i - 1])
+                    expected = min(expected, -m)
+        assert gain_margin_db(loop, DESIGN_FREQS) == expected
+
+    @pytest.mark.parametrize("with_delay", [True, False])
+    @pytest.mark.parametrize("tap, target, kd", [("master", 11.0, PID_MASTER_DEFAULT.kd),
+                                                 ("slave", 3.0, 0.0)])
+    def test_calibrated_gain_hits_target_bandwidth(self, plant, tap, target, kd,
+                                                   with_delay):
+        # the bisection reuses one plant FRF per tap; the public path recomputes it
+        ss = build_state_space(plant.params)
+        ki = calibrate_integral_gain(plant, ss, tap, target, kd=kd, with_delay=with_delay)
+        bw = linear_pid_bandwidth(plant, ss, PidConfig(kp=0.0, ki=ki, kd=kd, feedback_tap=tap),
+                                  with_delay=with_delay)
+        assert bw == pytest.approx(target, rel=1e-6)
+
     def test_lqgi_linear_frf_dc_unity(self, plant, gains):
         ss = build_state_space(plant.params)
         resp = lqgi_closed_loop_frf(plant, ss, gains, [0.01])
         assert abs(resp[0]) == pytest.approx(1.0, abs=1e-4)
+
+
+def reference_pressure_frf(plant, ss, freqs, output, with_delay):
+    """One linear solve per frequency, the definition of the tap response."""
+    row = ss.C_d[0] if output == "slave" else ss.C[3]
+    out = np.empty(len(freqs), dtype=complex)
+    for i, f in enumerate(freqs):
+        s = 2j * math.pi * f
+        g = row @ np.linalg.solve(s * np.eye(ss.n) - ss.A, ss.B[:, 0]) * plant.area_slave
+        out[i] = g * np.exp(-s * plant.tau_delay) if with_delay else g
+    return out
+
+
+def reference_lqgi_frf(plant, ss, gains, freqs, with_delay):
+    """Plant, estimator and integral state written out per frequency; the
+    clutch delay sits on the plant input only."""
+    A, B, C, C_d, L = ss.A, ss.B[:, 0], ss.C, ss.C_d[0], gains.L
+    K_x, k_i, K_ff = gains.K_x, gains.K_integral, gains.K_ff
+    out = np.empty(len(freqs), dtype=complex)
+    for i, f in enumerate(freqs):
+        s = 2j * math.pi * f
+        d = np.exp(-s * plant.tau_delay) if with_delay else 1.0
+        M = np.zeros((15, 15), dtype=complex)
+        M[0:7, 0:7] = A
+        M[0:7, 7:14] = -np.outer(B, K_x) * d
+        M[0:7, 14] = -B * k_i * d
+        M[7:14, 0:7] = L @ C
+        M[7:14, 7:14] = A - L @ C - np.outer(B, K_x)
+        M[7:14, 14] = -B * k_i
+        M[14, 7:14] = -C_d
+        rhs = np.concatenate((B * K_ff * d, B * K_ff, [1.0]))
+        out[i] = C_d @ np.linalg.solve(s * np.eye(15) - M, rhs)[0:7]
+    return out
+
+
+BLOCK = controllers._SOLVE_BLOCK
+
+
+class TestStackedFrf:
+    """The block-stacked solves against one plain solve per frequency."""
+
+    @pytest.fixture(scope="class")
+    def ss(self, plant):
+        return build_state_space(plant.params)
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3000])
+    @pytest.mark.parametrize("with_delay", [True, False])
+    @pytest.mark.parametrize("output", ["slave", "master"])
+    def test_pressure_frf_matches_per_frequency_solve(self, plant, ss, n, output,
+                                                      with_delay):
+        freqs = np.logspace(math.log10(0.05), math.log10(400.0), n)
+        np.testing.assert_allclose(
+            pressure_command_frf(plant, ss, freqs, output=output, with_delay=with_delay),
+            reference_pressure_frf(plant, ss, freqs, output, with_delay), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3000])
+    @pytest.mark.parametrize("with_delay", [True, False])
+    def test_lqgi_frf_matches_per_frequency_solve(self, plant, ss, gains, n, with_delay):
+        freqs = np.logspace(math.log10(0.05), math.log10(400.0), n)
+        np.testing.assert_allclose(
+            lqgi_closed_loop_frf(plant, ss, gains, freqs, with_delay=with_delay),
+            reference_lqgi_frf(plant, ss, gains, freqs, with_delay), rtol=1e-12, atol=0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(freqs=st.lists(st.floats(0.01, 1000.0), min_size=1, max_size=3 * BLOCK + 5)
+           .map(sorted),
+           output=st.sampled_from(["slave", "master"]), with_delay=st.booleans())
+    def test_random_grids_match_per_frequency_solve(self, plant, ss, gains, freqs, output,
+                                                    with_delay):
+        np.testing.assert_allclose(
+            pressure_command_frf(plant, ss, freqs, output=output, with_delay=with_delay),
+            reference_pressure_frf(plant, ss, freqs, output, with_delay), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            lqgi_closed_loop_frf(plant, ss, gains, freqs, with_delay=with_delay),
+            reference_lqgi_frf(plant, ss, gains, freqs, with_delay), rtol=1e-12, atol=0)
