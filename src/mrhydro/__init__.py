@@ -6,7 +6,7 @@ and LQGI state feedback, on an identified seventh-order nonlinear model.
 """
 from .plant import (FrictionParams, GeometryParams, MRClutchParams, Plant,
                     PlantError, PlantParams, PlantState, StateSpace,
-                    TransmissionParams, build_state_space)
+                    TransmissionParams, build_state_space, friction_pressure)
 from .synthesis import (CostWeights, GainSet, NoiseCovariances, SynthesisError,
                         care_residual, closed_loop_dc_gain, closed_loop_matrix,
                         kalman_gain, lqi_gains, solve_care, synthesize)
@@ -18,7 +18,7 @@ from .sim import (BACKDRIVE_AMPLITUDE_1HZ, FRF_GRID_DEFAULT, Scenario,
                   ScenarioError, SimTrace, backdrive_scenario,
                   calibrate_backdrive_amplitude, dwell_scenario,
                   friction_id_scenario, make_dwell_runner, measure_controller_row,
-                  read_trace_csv, run_backdrive, run_scenario, step_scenario)
+                  read_trace_csv, run_scenario, step_scenario)
 from .analysis import (ComparisonReport, DitherStudy, FrfPoint, FrictionIdResult,
                        RowResult, StepMetrics, bandwidth, comparison_report,
                        dither_smoothing, frf_from_sine_dwell, identify_friction,

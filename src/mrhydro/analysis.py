@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .plant import TWO_PI
+from .plant import TWO_PI, FrictionParams
 
 # Reference results for the five controller variants (measured on the
 # original bench; the 5 Hz torque-deviation column is simulation there
@@ -73,14 +73,12 @@ def fit_sine(t: np.ndarray, y: np.ndarray, freq: float):
 
 
 def lowpass(y: np.ndarray, cutoff_hz: float, dt: float, order: int = 1) -> np.ndarray:
-    """Causal first-order low-pass applied `order` times."""
+    """Causal first-order low-pass applied `order` times, each primed at its input's start."""
+    from scipy.signal import lfilter  # local: importing scipy.signal slows `import mrhydro`
     a = math.exp(-TWO_PI * cutoff_hz * dt)
-    out = np.asarray(y, dtype=float).copy()
+    out = np.asarray(y, dtype=float)
     for _ in range(order):
-        acc = out[0]
-        for i in range(len(out)):
-            acc = a * acc + (1.0 - a) * out[i]
-            out[i] = acc
+        out, _ = lfilter([1.0 - a], [1.0, -a], out, zi=[a * out[0]])
     return out
 
 
@@ -194,7 +192,8 @@ class FrictionIdResult:
     intercept: float  # speed-proportional (damping) share [Pa]
 
 
-def identify_friction(trace, n_steepness: float | None = None) -> FrictionIdResult:
+def identify_friction(trace,
+                      n_steepness: float = FrictionParams.n_steepness) -> FrictionIdResult:
     """Recover the friction coefficient from a ramped backdrive run.
 
     Per backdrive cycle: remove a linear trend from the master pressure,
@@ -207,8 +206,6 @@ def identify_friction(trace, n_steepness: float | None = None) -> FrictionIdResu
     sc = trace.scenario
     freq = sc.get("backdrive_freq", 1.0)
     t0 = sc.get("pre_hold", 0.0) + 1.0 / freq
-    if n_steepness is None:
-        n_steepness = 30.0
     period = 1.0 / freq
     loads, devs = [], []
     c = 0
@@ -321,7 +318,9 @@ class ComparisonReport:
         self.checks.clear()
         for (name, attr), (lo, hi) in _CELL_CHECKS.items():
             row = self.rows.get(name)
-            val = getattr(row, attr, None) if row else None
+            if row is None:
+                continue
+            val = getattr(row, attr)
             self.checks[f"{name}.{attr} in [{lo:.3g}, {hi:.3g}]"] = (
                 val is not None and lo <= val <= hi)
         r = {n: self.rows.get(n) for n in REFERENCE_RESULTS}

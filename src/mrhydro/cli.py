@@ -99,12 +99,8 @@ def cmd_run(args) -> int:
                                        "seed": cfg.seed})
     plant = Plant(cfg.plant_params())
     gains = _make_gains(cfg) if cfg.controller == "lqgi" else None
-    runner = sim.run_backdrive if scenario.kind == "backdrive" else sim.run_scenario
-    if scenario.kind == "chirp":
-        trace = sim.run_scenario(scenario, plant=plant)
-    else:
-        trace = runner(scenario, plant=plant, gains=gains,
-                       controller_kwargs=_controller_kwargs(cfg))
+    trace = sim.run_scenario(scenario, plant=plant, gains=gains,
+                             controller_kwargs=_controller_kwargs(cfg))
     name = f"trace_{scenario.kind}_{cfg.controller}_seed{cfg.seed}.csv"
     trace.to_csv(outdir / name)
     _write_config_echo(cfg, outdir)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import linalg
 
 from .analysis import crossing_bandwidth
-from .plant import Plant, StateSpace, TWO_PI
+from .plant import Plant, StateSpace, TWO_PI, friction_pressure
 from .synthesis import GainSet, closed_loop_input, closed_loop_matrix
 
 CONTROL_DT = 1e-3   # 1 kHz loop rate
@@ -93,8 +93,8 @@ class OpenLoopController:
     """Feedthrough reference conversion with optional friction compensation.
 
     The compensation estimates the screw friction pressure from the
-    measured master pressure and the filtered piston speed and adds it to
-    the command.  comp_steepness is the tanh slope of the estimate; it is
+    identified mu, the measured master pressure and the filtered piston
+    speed and adds it to the command.  comp_steepness is the tanh slope of the estimate; it is
     deliberately sharp so the estimate tracks the near-discontinuous
     stick-slip friction it has to cancel.
     """
@@ -117,7 +117,8 @@ class OpenLoopController:
         if self.friction_comp:
             _, v1, _, p_master, _ = meas
             v1f = self._v1_filter.step(v1)
-            p_cmd += self.plant.mu * max(p_master, 0.0) * math.tanh(self.comp_steepness * v1f)
+            p_cmd += friction_pressure(self.plant.params.friction.mu, p_master, v1f,
+                                       self.comp_steepness)
         p_cmd += dither_signal(t, p_desired, self.dither)
         force_req = self.plant.force_from_pressure(p_cmd)
         current, saturated = self.plant.current_from_force(force_req)

@@ -182,12 +182,21 @@ class PlantParams:
         return replace(self, friction=replace(self.friction, **changes))
 
 
+def friction_pressure(mu: float, p_master: float, v1: float, steepness: float) -> float:
+    """Ball-screw friction pressure: mu * max(P_M, 0) * tanh(steepness * v1).
+
+    Positive for positive piston speed: the loss the plant subtracts from
+    the clutch force, and what a compensator adds to its command.
+    """
+    return mu * max(p_master, 0.0) * math.tanh(steepness * v1)
+
+
 class PlantState:
     """Integration state: 7-vector plus the command delay line.
 
     The buffer holds past steady-force commands at the simulation step
-    size; its span must cover tau_delay.  push() enqueues the newest
-    command and returns the delayed one to feed the clutch lag.
+    size; tau_delay must be a whole number of steps.  push() enqueues the
+    newest command and returns the delayed one to feed the clutch lag.
     """
 
     __slots__ = ("x", "buffer", "_idx")
@@ -196,13 +205,13 @@ class PlantState:
         if dt <= 0.0:
             raise PlantError("dt must be > 0")
         n_delay = int(round(plant.tau_delay / dt))
-        if abs(n_delay * dt - plant.tau_delay) > 1e-9:
-            # delay realized to the nearest whole step
-            n_delay = max(n_delay, 0)
+        if abs(plant.tau_delay / dt - n_delay) > 1e-9:
+            raise PlantError(f"tau_delay {plant.tau_delay} s is not a whole number "
+                             f"of {dt} s steps")
         self.x = tuple(x0) if x0 is not None else (0.0,) * 7
         if x0 is not None and len(self.x) != 7:
             raise PlantError("state vector must have 7 entries")
-        self.buffer = [0.0] * max(n_delay, 0)
+        self.buffer = [0.0] * n_delay
         self._idx = 0
 
     def push(self, f_cmd: float) -> float:
@@ -284,10 +293,11 @@ class Plant:
         self.area_slave = g.area_slave
         self.r_pulley = g.r_pulley
         self.p_dc = g.p_dc
-        self.mu = p.friction.mu
-        self.n_steepness = p.friction.n_steepness
-        self.n_sign = p.friction.sign_regularization
-        self.friction_mode = p.friction.mode
+        f = p.friction
+        # the configured mode's friction law, picked once for derivative()
+        self.mu = 0.0 if f.mode == "off" else f.mu
+        self.friction_steepness = (f.sign_regularization if f.mode == "stick_slip_sign"
+                                   else f.n_steepness)
         self.force_per_torque = TWO_PI / g.screw_lead   # ideal screw [N per N.m]
         self.force_max = c.torque_max * self.force_per_torque
 
@@ -327,23 +337,6 @@ class Plant:
             else:
                 hi = mid
         return 0.5 * (lo + hi), saturated
-
-    # ---------------- friction ----------------
-
-    def friction_pressure(self, p_master: float, v1: float) -> float:
-        """Pressure deviation produced by ball-screw friction.
-
-        Positive for positive speed: the contribution that must be added
-        to a command to cancel the loss.
-        """
-        if p_master < 0.0:
-            raise PlantError("p_master must be >= 0")
-        mode = self.friction_mode
-        if mode == "off":
-            return 0.0
-        if mode == "stick_slip_sign":
-            return self.mu * p_master * math.tanh(self.n_sign * v1)
-        return self.mu * p_master * math.tanh(self.n_steepness * v1)
 
     # ---------------- pressure / torque / force conversions ----------------
 
@@ -396,14 +389,8 @@ class Plant:
         """
         x1, v1, x2, v2, x3, v3, fmr = state
         pm = self.k1 * (x1 - x2) / self.area_master
-        mode = self.friction_mode
-        if mode == "off":
-            ff = 0.0
-        elif mode == "stick_slip_sign":
-            ff = -self.mu * max(pm, 0.0) * math.tanh(self.n_sign * v1) * self.area_master
-        else:
-            ff = -self.mu * max(pm, 0.0) * math.tanh(self.n_steepness * v1) * self.area_master
-        a1 = (-self.k1 * x1 - self.b1 * v1 + self.k1 * x2 + fmr + ff) * self.inv_m1
+        ff = friction_pressure(self.mu, pm, v1, self.friction_steepness) * self.area_master
+        a1 = (-self.k1 * x1 - self.b1 * v1 + self.k1 * x2 + fmr - ff) * self.inv_m1
         a2 = (self.k1 * x1 - self.k12 * x2 - self.b2 * v2 + self.k2 * x3) * self.inv_m2
         if backdrive is None:
             d_x3 = v3
@@ -432,11 +419,3 @@ class Plant:
             state[j] + sixth * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
             for j in range(7)
         )
-
-    def mechanical_energy(self, state) -> float:
-        """Kinetic plus spring potential energy of the three-mass chain."""
-        x1, v1, x2, v2, x3, v3, _ = state
-        t = self.params.transmission
-        ke = 0.5 * (t.m1 * v1 * v1 + t.m2 * v2 * v2 + t.m3 * v3 * v3)
-        pe = 0.5 * (self.k1 * (x1 - x2) ** 2 + self.k2 * (x2 - x3) ** 2 + self.k3 * x3 * x3)
-        return ke + pe

@@ -60,10 +60,15 @@ class Scenario:
     ramp_torque_end: float | None = None  # ramp the command to this value
 
     # plant/engine overrides
-    friction_mode: str | None = None  # None keeps the plant's configured mode
+    friction_mode: str | None = None  # None: stick-slip for backdrive, else the plant's mode
     sim_dt: float = SIM_DT
     control_dt: float = CONTROL_DT
     record_every: int | None = None   # substeps per record; None = control rate
+
+    def __post_init__(self):
+        # prescribed motion keeps reversing the piston, where friction sticks
+        if self.kind == "backdrive" and self.friction_mode is None:
+            object.__setattr__(self, "friction_mode", "stick_slip_sign")
 
     def validate(self) -> None:
         if self.kind not in SCENARIO_KINDS:
@@ -98,6 +103,27 @@ class Scenario:
         return sc
 
 
+# SimTrace series -> CSV column names: one name for a 1-D series, one per
+# column for a 2-D one.  Drives the CSV header, writing and reading back.
+TRACE_SCHEMA = {
+    "t": "t [s]",
+    "state": ("x1 [m]", "v1 [m/s]", "x2 [m]", "v2 [m/s]", "x3 [m]", "v3 [m/s]",
+              "f_mr [N]"),
+    "meas": ("meas_x1 [m]", "meas_v1 [m/s]", "meas_x3 [m]", "meas_pm [Pa]",
+             "meas_ps [Pa]"),
+    "ref_torque": "ref_torque [N.m]",
+    "p_desired": "p_desired [Pa]",
+    "p_master": "p_master [Pa]",
+    "p_slave": "p_slave [Pa]",
+    "torque": "torque [N.m]",
+    "current": "current [A]",
+    "force_cmd": "force_cmd [N]",
+    "pressure_cmd": "pressure_cmd [Pa]",
+    "saturated": "saturated [-]",
+    "estimate": ("est_xi [Pa.s]",) + tuple(f"est_x{j} [-]" for j in range(1, 8)),
+}
+
+
 @dataclass
 class SimTrace:
     """Uniform-grid record of one run; all series share the time axis."""
@@ -121,29 +147,15 @@ class SimTrace:
     aborted: str | None = None
 
     def columns(self) -> dict:
-        cols = {
-            "t [s]": self.t,
-            "x1 [m]": self.state[:, 0], "v1 [m/s]": self.state[:, 1],
-            "x2 [m]": self.state[:, 2], "v2 [m/s]": self.state[:, 3],
-            "x3 [m]": self.state[:, 4], "v3 [m/s]": self.state[:, 5],
-            "f_mr [N]": self.state[:, 6],
-            "meas_x1 [m]": self.meas[:, 0], "meas_v1 [m/s]": self.meas[:, 1],
-            "meas_x3 [m]": self.meas[:, 2], "meas_pm [Pa]": self.meas[:, 3],
-            "meas_ps [Pa]": self.meas[:, 4],
-            "ref_torque [N.m]": self.ref_torque,
-            "p_desired [Pa]": self.p_desired,
-            "p_master [Pa]": self.p_master,
-            "p_slave [Pa]": self.p_slave,
-            "torque [N.m]": self.torque,
-            "current [A]": self.current,
-            "force_cmd [N]": self.force_cmd,
-            "pressure_cmd [Pa]": self.pressure_cmd,
-            "saturated [-]": self.saturated.astype(float),
-        }
-        if self.estimate is not None:
-            cols["est_xi [Pa.s]"] = self.estimate[:, 0]
-            for j in range(7):
-                cols[f"est_x{j + 1} [-]"] = self.estimate[:, j + 1]
+        cols = {}
+        for name, heads in TRACE_SCHEMA.items():
+            series = getattr(self, name)
+            if series is None:
+                continue
+            if isinstance(heads, str):
+                cols[heads] = np.asarray(series, dtype=float)
+            else:
+                cols.update((h, series[:, j]) for j, h in enumerate(heads))
         return cols
 
     def to_csv(self, path) -> None:
@@ -175,39 +187,21 @@ def read_trace_csv(path) -> SimTrace:
     if data.ndim == 1:
         data = data[None, :]
     col = {name: data[:, i] for i, name in enumerate(names)}
-    est = None
-    if "est_xi [Pa.s]" in col:
-        est = np.column_stack([col["est_xi [Pa.s]"]] +
-                              [col[f"est_x{j + 1} [-]"] for j in range(7)])
+    series = {}
+    for name, heads in TRACE_SCHEMA.items():
+        if isinstance(heads, str):
+            series[name] = col[heads]
+        elif heads[0] in col:
+            series[name] = np.column_stack([col[h] for h in heads])
+    series["saturated"] = series["saturated"] > 0.5
     meta = {"scenario": {}, "plant_hash": "", "seed": 0, "aborted": None}
     try:
         with open(f"{path}.meta.json") as fh:
             meta.update(json.load(fh))
     except FileNotFoundError:
         pass
-    return SimTrace(
-        t=col["t [s]"],
-        state=np.column_stack([col[k] for k in
-                               ("x1 [m]", "v1 [m/s]", "x2 [m]", "v2 [m/s]",
-                                "x3 [m]", "v3 [m/s]", "f_mr [N]")]),
-        meas=np.column_stack([col[k] for k in
-                              ("meas_x1 [m]", "meas_v1 [m/s]", "meas_x3 [m]",
-                               "meas_pm [Pa]", "meas_ps [Pa]")]),
-        ref_torque=col["ref_torque [N.m]"],
-        p_desired=col["p_desired [Pa]"],
-        p_master=col["p_master [Pa]"],
-        p_slave=col["p_slave [Pa]"],
-        torque=col["torque [N.m]"],
-        current=col["current [A]"],
-        force_cmd=col["force_cmd [N]"],
-        pressure_cmd=col["pressure_cmd [Pa]"],
-        saturated=col["saturated [-]"] > 0.5,
-        estimate=est,
-        scenario=meta["scenario"],
-        plant_hash=meta["plant_hash"],
-        seed=meta["seed"],
-        aborted=meta["aborted"],
-    )
+    return SimTrace(**series, scenario=meta["scenario"], plant_hash=meta["plant_hash"],
+                    seed=meta["seed"], aborted=meta["aborted"])
 
 
 def _reference(sc: Scenario):
@@ -369,21 +363,6 @@ def run_scenario(sc: Scenario, plant: Plant | None = None, controller=None,
     )
 
 
-def run_backdrive(sc: Scenario, plant: Plant | None = None, controller=None,
-                  gains=None, controller_kwargs: dict | None = None) -> SimTrace:
-    """Backdriving run; defaults the plant into stick-slip friction.
-
-    The prescribed third-mass sinusoid replaces its dynamics; the recorded
-    x3 equals the prescribed trajectory exactly.
-    """
-    if sc.kind != "backdrive":
-        raise ScenarioError("run_backdrive needs a backdrive scenario")
-    if sc.friction_mode is None:
-        sc = Scenario(**{**sc.to_dict(), "friction_mode": "stick_slip_sign"})
-    return run_scenario(sc, plant=plant, controller=controller, gains=gains,
-                        controller_kwargs=controller_kwargs)
-
-
 # ---------------- canned scenarios ----------------
 
 def step_scenario(controller: str = "open_loop", amplitude: float = 12.0,
@@ -393,11 +372,9 @@ def step_scenario(controller: str = "open_loop", amplitude: float = 12.0,
 
 
 def dwell_scenario(controller: str, freq_hz: float, amplitude: float = 2.0,
-                   offset: float = 10.0, cycles: int = 10, **kw) -> Scenario:
-    settle = max(0.6, 5.0 / freq_hz)
+                   offset: float = 10.0, **kw) -> Scenario:
     return Scenario(kind="sine_dwell", controller=controller, freq_hz=freq_hz,
-                    torque_amplitude=amplitude, torque_offset=offset,
-                    duration=settle + cycles / freq_hz, **kw)
+                    torque_amplitude=amplitude, torque_offset=offset, **kw)
 
 
 def backdrive_scenario(controller: str, torque_command: float = 0.0,
@@ -452,33 +429,40 @@ def measure_controller_row(name: str, plant: Plant | None = None, gains=None,
     the three backdrive torque-deviation cells.
 
     trace_hook(label, trace_or_points) receives every intermediate result
-    for persistence; pass None to discard them.
+    for persistence; pass None to discard them.  Fails closed: a scored run
+    that aborted raises ScenarioError naming it, after its hook call.
     """
     from .analysis import (RowResult, bandwidth, frf_from_sine_dwell,
                            step_metrics, torque_deviation)
     row = RowResult()
     hook = trace_hook if trace_hook is not None else (lambda label, obj: None)
 
+    def scored(label: str, trace: SimTrace) -> SimTrace:
+        if trace.aborted:
+            raise ScenarioError(f"run {label} aborted: {trace.aborted}")
+        return trace
+
     trace = run_scenario(step_scenario(name, seed=seed), plant=plant, gains=gains,
                          controller_kwargs=controller_kwargs)
     hook(f"step_{name}", trace)
-    metrics = step_metrics(trace)
+    metrics = step_metrics(scored(f"step_{name}", trace))
     row.rise_ms = metrics.rise_time_63
     row.overshoot = metrics.overshoot
 
     runner = make_dwell_runner(name, plant=plant, gains=gains, seed=seed,
                                controller_kwargs=controller_kwargs)
-    points = frf_from_sine_dwell(runner, frf_freqs)
+    points = frf_from_sine_dwell(lambda f: scored(f"dwell_{f:g}hz_{name}", runner(f)),
+                                 frf_freqs)
     hook(f"frf_{name}", points)
     row.bandwidth = bandwidth(points)
 
     for attr, freq, cmd in (("dev_1hz_0", 1.0, 0.0), ("dev_1hz_10", 1.0, 10.0),
                             ("dev_5hz_10", 5.0, 10.0)):
+        label = f"backdrive_{int(freq)}hz_{int(cmd)}nm_{name}"
         sc = backdrive_scenario(name, torque_command=cmd, freq=freq, seed=seed)
-        tr = run_backdrive(sc, plant=plant, gains=gains,
-                           controller_kwargs=controller_kwargs)
-        hook(f"backdrive_{int(freq)}hz_{int(cmd)}nm_{name}", tr)
-        setattr(row, attr, torque_deviation(tr))
+        tr = run_scenario(sc, plant=plant, gains=gains, controller_kwargs=controller_kwargs)
+        hook(label, tr)
+        setattr(row, attr, torque_deviation(scored(label, tr)))
     return row
 
 
@@ -493,8 +477,7 @@ def calibrate_backdrive_amplitude(plant: Plant | None = None, target: float = 0.
         plant = Plant()
 
     def deviation(amp: float) -> float:
-        sc = backdrive_scenario("open_loop", torque_command=0.0, freq=freq,
-                                amplitude=amp, friction_mode="stick_slip_sign")
+        sc = backdrive_scenario("open_loop", torque_command=0.0, freq=freq, amplitude=amp)
         tr = run_scenario(sc, plant=plant)
         mask = tr.t >= sc.pre_hold + 1.0 / freq
         return float(np.abs(tr.torque[mask] - sc.torque_command).max())

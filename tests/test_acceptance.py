@@ -194,10 +194,10 @@ def test_criterion_09_dither_smoothing():
     plant = Plant()
     t_cmd = plant.torque_from_pressure(1310e3)
     sc = m.backdrive_scenario("open_loop", torque_command=t_cmd, freq=1.0, cycles=4)
-    trace_off = m.run_backdrive(sc)
+    trace_off = m.run_scenario(sc)
     stick = Plant(PlantParams().with_friction(mode="stick_slip_sign"))
     dithered = OpenLoopController(stick, dither=DitherConfig(enabled=True))
-    trace_on = m.run_backdrive(sc, controller=dithered)
+    trace_on = m.run_scenario(sc, controller=dithered)
     study = m.dither_smoothing(trace_off, trace_on)
     ok = study.spread_ratio <= 0.5 and study.ripple_ratio <= 0.35
     assert verdict(9, "dither smoothing", ok,
@@ -209,13 +209,13 @@ def test_criterion_09_dither_smoothing():
 def test_criterion_10_numerical_hygiene(matrix):
     # step-halving convergence on the default scenario kinds
     worst = 0.0
-    for factory, runner in (
-        (lambda dt: m.step_scenario("open_loop", sim_dt=dt), m.run_scenario),
-        (lambda dt: m.dwell_scenario("open_loop", 10.0, sim_dt=dt), m.run_scenario),
-        (lambda dt: m.backdrive_scenario("open_loop", torque_command=10.0,
-                                         cycles=2, sim_dt=dt), m.run_backdrive),
+    for factory in (
+        lambda dt: m.step_scenario("open_loop", sim_dt=dt),
+        lambda dt: m.dwell_scenario("open_loop", 10.0, sim_dt=dt),
+        lambda dt: m.backdrive_scenario("open_loop", torque_command=10.0,
+                                        cycles=2, sim_dt=dt),
     ):
-        t1, t2 = runner(factory(1e-4)), runner(factory(5e-5))
+        t1, t2 = m.run_scenario(factory(1e-4)), m.run_scenario(factory(5e-5))
         n = min(len(t1.t), len(t2.t))
         diff = t1.p_slave[:n] - t2.p_slave[:n]
         rms = math.sqrt(float(np.mean(diff**2)))

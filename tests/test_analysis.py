@@ -252,6 +252,7 @@ class TestIdentifyFriction:
         tr = FakeTrace(t, p_master=p_m, state=state,
                        scenario={"backdrive_freq": freq, "pre_hold": 1.0})
         res = identify_friction(tr, n_steepness=n_steep)
+        assert identify_friction(tr) == res  # default slope is the plant's
         assert res.mu == pytest.approx(mu, abs=0.005)
         assert res.r_squared >= 0.99
         assert res.intercept == pytest.approx(4e3, rel=0.2)
@@ -313,6 +314,15 @@ class TestComparisonReport:
         text = report.render_text()
         assert "row absent" in text
 
+    def test_absent_row_has_no_cell_checks(self):
+        report = comparison_report({"open_loop": self.full_rows()["open_loop"]})
+        assert not any(label.startswith("lqgi.") for label in report.checks)
+        assert all(report.checks.values())
+
+    def test_present_row_with_missing_cell_fails(self):
+        report = comparison_report({"lqgi": RowResult(bandwidth=34.0)})
+        assert report.checks["lqgi.dev_5hz_10 in [1.2, 2.4]"] is False
+
     def test_unknown_row_rejected(self):
         with pytest.raises(AnalysisError):
             comparison_report({"pid_elbow": RowResult()})
@@ -334,3 +344,16 @@ class TestLowpass:
         y = np.sin(TWO_PI * 150.0 * t)
         out = lowpass(y, 20.0, 1e-3, order=2)
         assert np.abs(out[200:]).max() < 0.05
+
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    def test_matches_recursion(self, order):
+        # the first-order recursion, each pass primed at its input's start
+        y = np.random.default_rng(4).standard_normal(2000).cumsum()
+        a = math.exp(-TWO_PI * 20.0 * 1e-3)
+        ref = y.copy()
+        for _ in range(order):
+            acc = ref[0]
+            for i in range(len(ref)):
+                acc = a * acc + (1.0 - a) * ref[i]
+                ref[i] = acc
+        np.testing.assert_array_equal(lowpass(y, 20.0, 1e-3, order=order), ref)

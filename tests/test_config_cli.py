@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from mrhydro import sim
+from mrhydro.analysis import REFERENCE_RESULTS, RowResult
 from mrhydro.cli import main
 from mrhydro.config import ConfigError, RunConfig, load_run_config
 
@@ -120,12 +122,21 @@ class TestCliFrf:
 
 
 class TestCliReport:
-    def test_single_row_subset(self, tmp_path, capsys):
+    def test_single_row_subset(self, tmp_path, capsys, monkeypatch):
+        # the report layout only; the acceptance matrix measures real rows
+        measured = []
+
+        def fake_row(name, **kw):
+            measured.append(name)
+            return RowResult(*REFERENCE_RESULTS[name])
+
+        monkeypatch.setattr(sim, "measure_controller_row", fake_row)
         rc = main(["report", "--only", "open_loop", "--out-dir", str(tmp_path)])
-        assert rc == 0
+        assert rc == 0 and measured == ["open_loop"]
         text = (tmp_path / "comparison.txt").read_text()
         assert "Open-loop (baseline)" in text
         assert "row absent" in text  # other rows not measured
+        assert "[FAIL] lqgi." not in text
         csv = (tmp_path / "comparison.csv").read_text()
         assert csv.splitlines()[0] == "controller,metric,measured,reference"
 

@@ -4,12 +4,22 @@ import numpy as np
 import pytest
 
 from mrhydro.plant import (FRICTION_MODES, Plant, PlantError, PlantParams,
-                           PlantState, TransmissionParams, build_state_space)
+                           PlantState, TransmissionParams, build_state_space,
+                           friction_pressure)
 
 
 @pytest.fixture(scope="module")
 def plant():
     return Plant()
+
+
+def mechanical_energy(plant, state) -> float:
+    """Kinetic plus spring potential energy of the three-mass chain."""
+    x1, v1, x2, v2, x3, v3, _ = state
+    t = plant.params.transmission
+    ke = 0.5 * (t.m1 * v1 * v1 + t.m2 * v2 * v2 + t.m3 * v3 * v3)
+    pe = 0.5 * (t.k1 * (x1 - x2) ** 2 + t.k2 * (x2 - x3) ** 2 + t.k3 * x3 * x3)
+    return ke + pe
 
 
 # polynomial oracle: direct evaluation of the static-curve coefficients
@@ -59,31 +69,45 @@ class TestClutchStatics:
 
 
 class TestFriction:
-    def test_zero_speed_zero_friction(self, plant):
-        assert plant.friction_pressure(5e5, 0.0) == 0.0
+    def test_zero_speed_zero_friction(self):
+        assert friction_pressure(0.14, 5e5, 0.0, 30.0) == 0.0
 
-    def test_saturation_level(self, plant):
-        assert plant.friction_pressure(1.0e6, 10.0) == pytest.approx(1.4e5, rel=1e-9)
-        assert plant.friction_pressure(1.0e6, -10.0) == pytest.approx(-1.4e5, rel=1e-9)
+    def test_saturation_level(self):
+        assert friction_pressure(0.14, 1.0e6, 10.0, 30.0) == pytest.approx(1.4e5, rel=1e-9)
+        assert friction_pressure(0.14, 1.0e6, -10.0, 30.0) == pytest.approx(-1.4e5, rel=1e-9)
 
-    def test_oddness(self, plant):
+    def test_oddness(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             p = float(rng.uniform(0.0, 3e6))
             v = float(rng.uniform(-0.2, 0.2))
-            assert plant.friction_pressure(p, -v) == pytest.approx(
-                -plant.friction_pressure(p, v), abs=1e-12)
+            assert friction_pressure(0.14, p, -v, 30.0) == pytest.approx(
+                -friction_pressure(0.14, p, v, 30.0), abs=1e-12)
+
+    def test_negative_pressure_clamps_to_zero(self):
+        assert friction_pressure(0.14, -1.0, 0.1, 30.0) == 0.0
 
     def test_modes(self):
         off = Plant(PlantParams().with_friction(mode="off"))
-        assert off.friction_pressure(1e6, 0.05) == 0.0
+        assert off.mu == 0.0
         sign = Plant(PlantParams().with_friction(mode="stick_slip_sign"))
         # regularized sign: saturated well before the smooth mode is
-        assert sign.friction_pressure(1e6, 0.01) == pytest.approx(0.14e6, rel=1e-3)
+        assert friction_pressure(sign.mu, 1e6, 0.01, sign.friction_steepness) == \
+            pytest.approx(0.14e6, rel=1e-3)
+        smooth = Plant()
+        assert (smooth.mu, smooth.friction_steepness) == (0.14, 30.0)
 
-    def test_negative_pressure_rejected(self, plant):
-        with pytest.raises(PlantError):
-            plant.friction_pressure(-1.0, 0.1)
+    @pytest.mark.parametrize("mode", ["smooth_tanh", "stick_slip_sign"])
+    def test_derivative_subtracts_friction_force(self, mode):
+        plant = Plant(PlantParams().with_friction(mode=mode))
+        off = Plant(PlantParams().with_friction(mode="off"))
+        state = (1e-3, 2e-3, 0.0, 0.0, 0.0, 0.0, 300.0)
+        p_master = plant.master_pressure(state)
+        loss = friction_pressure(0.14, p_master, state[1], plant.friction_steepness)
+        a1 = plant.derivative(state, 0.0)[1]
+        a1_free = off.derivative(state, 0.0)[1]
+        assert a1_free - a1 == pytest.approx(loss * plant.area_master * plant.inv_m1,
+                                             rel=1e-9)
 
 
 class TestConversions:
@@ -216,10 +240,10 @@ class TestDynamics:
         params = PlantParams().with_friction(mode="off")
         plant = Plant(params)
         state = (1e-3, 0.0, -0.5e-3, 0.0, 0.2e-3, 0.0, 0.0)
-        energy = plant.mechanical_energy(state)
+        energy = mechanical_energy(plant, state)
         for _ in range(20000):
             state = plant.rk4_step(state, 1e-4, 0.0)
-            e_next = plant.mechanical_energy(state)
+            e_next = mechanical_energy(plant, state)
             assert e_next <= energy * (1.0 + 1e-12) + 1e-15
             energy = e_next
 
@@ -276,6 +300,15 @@ class TestPlantState:
         outs = [ps.push(float(i + 1)) for i in range(3 * n)]
         assert outs[:n] == [0.0] * n
         assert outs[n:2 * n] == [float(i + 1) for i in range(n)]
+
+    def test_default_delay_ratios(self, plant):
+        assert len(PlantState(plant, 1e-4).buffer) == 20
+        assert len(PlantState(plant, 5e-5).buffer) == 40
+
+    def test_fractional_delay_rejected(self, plant):
+        # 2 ms is 6.67 steps of 0.3 ms: refuse rather than round the delay
+        with pytest.raises(PlantError, match="whole number"):
+            PlantState(plant, 3e-4)
 
     def test_zero_delay_passthrough(self):
         from dataclasses import replace

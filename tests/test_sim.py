@@ -8,8 +8,9 @@ from scipy.signal import cont2discrete
 from mrhydro.controllers import Command
 from mrhydro.plant import Plant, PlantParams, build_state_space
 from mrhydro.sim import (BACKDRIVE_AMPLITUDE_1HZ, Scenario, ScenarioError,
-                         backdrive_scenario, read_trace_csv,
-                         run_backdrive, run_scenario, step_scenario)
+                         backdrive_scenario, dwell_scenario, measure_controller_row,
+                         read_trace_csv, run_scenario, step_scenario)
+from mrhydro.synthesis import synthesize
 
 
 class TestEquilibrium:
@@ -82,7 +83,7 @@ class TestDelayRealization:
 class TestBackdrive:
     def test_prescribed_motion_exact(self):
         sc = backdrive_scenario("open_loop", torque_command=5.0, freq=2.0, cycles=3)
-        tr = run_backdrive(sc)
+        tr = run_scenario(sc)
         w = 2 * math.pi * sc.backdrive_freq
         active = tr.t >= sc.pre_hold
         expect = sc.backdrive_amplitude * np.sin(w * (tr.t[active] - sc.pre_hold))
@@ -91,7 +92,7 @@ class TestBackdrive:
     def test_zero_amplitude_reduces_to_hold(self):
         sc = backdrive_scenario("open_loop", torque_command=10.0, freq=1.0,
                                 cycles=2, amplitude=0.0)
-        tr = run_backdrive(sc)
+        tr = run_scenario(sc)
         tail = slice(-500, None)
         assert np.abs(tr.torque[tail] - 10.0).max() < 0.15
 
@@ -102,12 +103,14 @@ class TestBackdrive:
 
     def test_stick_slip_mode_applied(self):
         sc = backdrive_scenario("open_loop")
-        tr = run_backdrive(sc)
+        tr = run_scenario(sc)
         assert tr.scenario["friction_mode"] == "stick_slip_sign"
 
-    def test_wrong_kind_rejected(self):
-        with pytest.raises(ScenarioError):
-            run_backdrive(step_scenario("open_loop"))
+    def test_friction_default_lives_in_scenario(self):
+        assert Scenario(kind="backdrive").friction_mode == "stick_slip_sign"
+        assert backdrive_scenario("lqgi", friction_mode="off").friction_mode == "off"
+        assert step_scenario("open_loop").friction_mode is None
+        assert dwell_scenario("open_loop", 5.0).friction_mode is None
 
 
 class TestReproducibility:
@@ -135,10 +138,7 @@ class TestStepHalving:
                                       sim_dt=dt),
     ])
     def test_halving_within_tolerance(self, factory):
-        tr1 = run_scenario(factory(1e-4)) if factory(1e-4).kind != "backdrive" \
-            else run_backdrive(factory(1e-4))
-        tr2 = run_scenario(factory(5e-5)) if factory(5e-5).kind != "backdrive" \
-            else run_backdrive(factory(5e-5))
+        tr1, tr2 = run_scenario(factory(1e-4)), run_scenario(factory(5e-5))
         n = min(len(tr1.t), len(tr2.t))
         diff = tr1.p_slave[:n] - tr2.p_slave[:n]
         rms = math.sqrt(float(np.mean(diff**2)))
@@ -172,6 +172,20 @@ class TestAbort:
         assert 0 < len(tr.t) < 1001
 
 
+class TestMeasureRow:
+    def test_aborted_run_raises_with_its_label(self):
+        # a sign-flipped estimator gain trips the LQGI estimate guard near the
+        # end of the step run, leaving enough of a trace to score
+        gains = synthesize()
+        broken = replace(gains, L=gains.L * -1e-3)
+        seen = []
+        with pytest.raises(ScenarioError, match="step_lqgi aborted"):
+            measure_controller_row("lqgi", gains=broken, frf_freqs=(5.0, 10.0),
+                                   trace_hook=lambda label, obj: seen.append(obj))
+        assert len(seen) == 1 and seen[0].aborted is not None
+        assert seen[0].t[-1] > 1.0
+
+
 class TestTraceIO:
     def test_csv_round_trip(self, tmp_path):
         sc = step_scenario("lqgi", settle=0.2, noise=True, seed=5)
@@ -194,6 +208,27 @@ class TestTraceIO:
         header = path.read_text().splitlines()[0]
         assert header.startswith("t [s],x1 [m],")
         assert "p_slave [Pa]" in header and "torque [N.m]" in header
+
+    def test_lqgi_header_frozen(self, tmp_path):
+        tr = run_scenario(step_scenario("lqgi", settle=0.2))
+        path = tmp_path / "t.csv"
+        tr.to_csv(path)
+        assert path.read_text().splitlines()[0] == (
+            "t [s],x1 [m],v1 [m/s],x2 [m],v2 [m/s],x3 [m],v3 [m/s],f_mr [N],"
+            "meas_x1 [m],meas_v1 [m/s],meas_x3 [m],meas_pm [Pa],meas_ps [Pa],"
+            "ref_torque [N.m],p_desired [Pa],p_master [Pa],p_slave [Pa],"
+            "torque [N.m],current [A],force_cmd [N],pressure_cmd [Pa],saturated [-],"
+            "est_xi [Pa.s],est_x1 [-],est_x2 [-],est_x3 [-],est_x4 [-],est_x5 [-],"
+            "est_x6 [-],est_x7 [-]")
+
+    def test_round_trip_without_estimate(self, tmp_path):
+        tr = run_scenario(step_scenario("pid_slave", settle=0.2))
+        path = tmp_path / "t.csv"
+        tr.to_csv(path)
+        again = read_trace_csv(path)
+        assert again.estimate is None
+        np.testing.assert_array_equal(again.meas, tr.meas)
+        np.testing.assert_array_equal(again.saturated, tr.saturated)
 
 
 class TestScenarioValidation:
