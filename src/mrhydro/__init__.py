@@ -17,7 +17,7 @@ from .controllers import (Command, ControllerFault, DitherConfig, LqgiController
 from .sim import (BACKDRIVE_AMPLITUDE_1HZ, FRF_GRID_DEFAULT, Scenario,
                   ScenarioError, SimTrace, backdrive_scenario,
                   calibrate_backdrive_amplitude, dwell_scenario,
-                  friction_id_scenario, make_dwell_runner, measure_controller_row,
+                  friction_id_scenario, measure_controller_row,
                   read_trace_csv, run_scenario, step_scenario)
 from .analysis import (ComparisonReport, DitherStudy, FrfPoint, FrictionIdResult,
                        RowResult, StepMetrics, bandwidth, comparison_report,

@@ -51,7 +51,6 @@ class FrfPoint:
 
 @dataclass
 class StepMetrics:
-    bandwidth: float | None   # [Hz]; filled from the FRF sweep
     rise_time_63: float       # [ms]
     overshoot: float          # [%]
     final_value: float        # [N.m]
@@ -165,23 +164,23 @@ def step_metrics(trace, settle_fraction: float = 0.2) -> StepMetrics:
     reliable = abs(prev_tail - final) <= 0.02 * abs(final) if final != 0.0 else False
     above = np.nonzero(y >= 0.63 * final)[0]
     if len(above) == 0 or final <= 0.0:
-        return StepMetrics(None, math.nan, math.nan, final, reliable=False)
+        return StepMetrics(math.nan, math.nan, final, reliable=False)
     rise_ms = float(t[above[0]] * 1e3)
     overshoot = max(0.0, (float(np.max(y)) - final) / final * 100.0)
-    return StepMetrics(None, rise_ms, overshoot, final, reliable=reliable)
+    return StepMetrics(rise_ms, overshoot, final, reliable=reliable)
 
 
-def torque_deviation(trace, t_command: float | None = None) -> float:
+def _first_cycle_end(scenario: dict) -> float:
+    """Start of a backdrive run's scored window: the first motion cycle is excluded."""
+    return scenario.get("pre_hold", 0.0) + 1.0 / scenario.get("backdrive_freq", 1.0)
+
+
+def torque_deviation(trace) -> float:
     """Peak |delivered - commanded| torque, first backdrive cycle excluded."""
-    sc = trace.scenario
-    if t_command is None:
-        t_command = sc.get("torque_command", 0.0)
-    freq = sc.get("backdrive_freq", 1.0)
-    start = sc.get("pre_hold", 0.0) + 1.0 / freq
-    mask = trace.t >= start
+    mask = trace.t >= _first_cycle_end(trace.scenario)
     if not np.any(mask):
         raise AnalysisError("trace shorter than one backdrive cycle")
-    return float(np.abs(trace.torque[mask] - t_command).max())
+    return float(np.abs(trace.torque[mask] - trace.scenario.get("torque_command", 0.0)).max())
 
 
 @dataclass
@@ -203,10 +202,8 @@ def identify_friction(trace,
     damping contribution is speed-constant across cycles and lands in the
     intercept.
     """
-    sc = trace.scenario
-    freq = sc.get("backdrive_freq", 1.0)
-    t0 = sc.get("pre_hold", 0.0) + 1.0 / freq
-    period = 1.0 / freq
+    t0 = _first_cycle_end(trace.scenario)
+    period = 1.0 / trace.scenario.get("backdrive_freq", 1.0)
     loads, devs = [], []
     c = 0
     while True:
@@ -264,20 +261,15 @@ def dither_smoothing(trace_off, trace_on, band_speed: float = 0.5e-3,
     on the dithered run.
     """
     def spread(trace):
-        sc = trace.scenario
-        freq = sc.get("backdrive_freq", 1.0)
-        start = sc.get("pre_hold", 0.0) + 1.0 / freq
         dt = float(trace.t[1] - trace.t[0])
         pm = lowpass(trace.p_master, filter_hz, dt)
+        start = _first_cycle_end(trace.scenario)
         m = (trace.t >= start) & (np.abs(trace.state[:, 5]) <= band_speed)
         if not np.any(m):
             raise AnalysisError("no samples inside the reversal band")
         return float(pm[m].max() - pm[m].min())
 
-    sc = trace_on.scenario
-    freq = sc.get("backdrive_freq", 1.0)
-    start = sc.get("pre_hold", 0.0) + 1.0 / freq
-    m = trace_on.t >= start
+    m = trace_on.t >= _first_cycle_end(trace_on.scenario)
     amp_m, *_ = fit_sine(trace_on.t[m], trace_on.p_master[m], dither_freq)
     amp_s, *_ = fit_sine(trace_on.t[m], trace_on.p_slave[m], dither_freq)
     return DitherStudy(spread_off=spread(trace_off), spread_on=spread(trace_on),

@@ -116,10 +116,11 @@ def cmd_frf(args) -> int:
     plant = Plant(cfg.plant_params())
     gains = _make_gains(cfg) if cfg.controller == "lqgi" else None
     freqs = args.freqs if args.freqs else FRF_GRID_DEFAULT
-    runner = sim.make_dwell_runner(cfg.controller, plant=plant, gains=gains,
-                                   seed=cfg.seed,
-                                   controller_kwargs=_controller_kwargs(cfg))
-    points = analysis.frf_from_sine_dwell(runner, freqs)
+    kwargs = _controller_kwargs(cfg)
+    points = analysis.frf_from_sine_dwell(
+        lambda f: sim.run_scenario(sim.dwell_scenario(cfg.controller, f, seed=cfg.seed),
+                                   plant=plant, gains=gains, controller_kwargs=kwargs),
+        freqs)
     bw = analysis.bandwidth(points)
     path = outdir / f"frf_{cfg.controller}.csv"
     _write_frf_csv(path, points)

@@ -64,15 +64,9 @@ class RunConfig:
         return _build(DitherConfig, self.dither, "dither")
 
     def pid_configs(self) -> tuple[PidConfig, PidConfig]:
-        master_kw = {**PID_MASTER_DEFAULT.__dict__, **self.pid_master}
-        slave_kw = {**PID_SLAVE_DEFAULT.__dict__, **self.pid_slave}
-        bad_m = set(self.pid_master) - set(PidConfig.__dataclass_fields__)
-        bad_s = set(self.pid_slave) - set(PidConfig.__dataclass_fields__)
-        if bad_m:
-            raise ConfigError(f"unknown key(s) in pid_master: {sorted(bad_m)}")
-        if bad_s:
-            raise ConfigError(f"unknown key(s) in pid_slave: {sorted(bad_s)}")
-        return PidConfig(**master_kw), PidConfig(**slave_kw)
+        return (_build(PidConfig, {**PID_MASTER_DEFAULT.__dict__, **self.pid_master},
+                       "pid_master"),
+                _build(PidConfig, {**PID_SLAVE_DEFAULT.__dict__, **self.pid_slave}, "pid_slave"))
 
     def cost_weights(self) -> CostWeights:
         return _build(CostWeights, self.weights, "weights")

@@ -84,10 +84,6 @@ class _LowPass:
             self.y = self.alpha * self.y + (1.0 - self.alpha) * u
         return self.y
 
-    def reset(self) -> None:
-        self.y = 0.0
-        self.primed = False
-
 
 class OpenLoopController:
     """Feedthrough reference conversion with optional friction compensation.
@@ -108,9 +104,6 @@ class OpenLoopController:
         self.comp_steepness = comp_steepness
         self.dt = dt
         self._v1_filter = _LowPass(v1_filter_hz, dt)
-
-    def reset(self) -> None:
-        self._v1_filter.reset()
 
     def step(self, t: float, p_desired: float, meas) -> Command:
         p_cmd = p_desired
@@ -171,11 +164,6 @@ class PidController:
         self.integral = 0.0
         self._prev_fb = None
         self._dfilt = _LowPass(config.deriv_filter_hz, dt)
-
-    def reset(self) -> None:
-        self.integral = 0.0
-        self._prev_fb = None
-        self._dfilt.reset()
 
     def step(self, t: float, p_desired: float, meas) -> Command:
         cfg = self.config
@@ -246,11 +234,6 @@ class LqgiController:
             xi_clamp = 2.0 * plant.force_max / ki_mag
         self.xi_clamp = xi_clamp
         self.estimate_guard = estimate_guard
-        self.x_hat = np.zeros(7)
-        self.x_i = 0.0
-        self._u_prev = 0.0
-
-    def reset(self) -> None:
         self.x_hat = np.zeros(7)
         self.x_i = 0.0
         self._u_prev = 0.0
@@ -374,13 +357,6 @@ def _tap_frfs(plant, ss, tap, freqs, with_delay):
 def _pid_closed_loop(cfg: PidConfig, freqs, g_slave, g_tap) -> np.ndarray:
     c = _pid_c_of_jw(cfg, freqs)
     return g_slave * c / (1.0 + c * g_tap)
-
-
-def pid_closed_loop_frf(plant: Plant, ss: StateSpace, cfg: PidConfig, freqs,
-                        with_delay: bool = True) -> np.ndarray:
-    """Slave-pressure tracking response of the PID loop on the linear model."""
-    return _pid_closed_loop(cfg, freqs, *_tap_frfs(plant, ss, cfg.feedback_tap, freqs,
-                                                   with_delay))
 
 
 def gain_margin_db(loop: np.ndarray, freqs) -> float:

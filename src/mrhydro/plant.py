@@ -192,25 +192,22 @@ def friction_pressure(mu: float, p_master: float, v1: float, steepness: float) -
 
 
 class PlantState:
-    """Integration state: 7-vector plus the command delay line.
+    """Command delay line of the integration.
 
     The buffer holds past steady-force commands at the simulation step
     size; tau_delay must be a whole number of steps.  push() enqueues the
     newest command and returns the delayed one to feed the clutch lag.
     """
 
-    __slots__ = ("x", "buffer", "_idx")
+    __slots__ = ("buffer", "_idx")
 
-    def __init__(self, plant: "Plant", dt: float, x0=None):
+    def __init__(self, plant: "Plant", dt: float):
         if dt <= 0.0:
             raise PlantError("dt must be > 0")
         n_delay = int(round(plant.tau_delay / dt))
         if abs(plant.tau_delay / dt - n_delay) > 1e-9:
             raise PlantError(f"tau_delay {plant.tau_delay} s is not a whole number "
                              f"of {dt} s steps")
-        self.x = tuple(x0) if x0 is not None else (0.0,) * 7
-        if x0 is not None and len(self.x) != 7:
-            raise PlantError("state vector must have 7 entries")
         self.buffer = [0.0] * n_delay
         self._idx = 0
 

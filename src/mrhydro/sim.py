@@ -14,9 +14,11 @@ from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
+from . import analysis
 from .plant import Plant, PlantState, TWO_PI
 from .controllers import (CONTROL_DT, SIM_DT, Command, ControllerFault,
                           LqgiController, make_controller)
+from .synthesis import NoiseCovariances
 
 # 1 Hz backdrive displacement amplitude reproducing the published baseline
 # torque deviation of 0.60 N.m at zero commanded torque (open loop, no
@@ -63,7 +65,6 @@ class Scenario:
     friction_mode: str | None = None  # None: stick-slip for backdrive, else the plant's mode
     sim_dt: float = SIM_DT
     control_dt: float = CONTROL_DT
-    record_every: int | None = None   # substeps per record; None = control rate
 
     def __post_init__(self):
         # prescribed motion keeps reversing the piston, where friction sticks
@@ -104,7 +105,8 @@ class Scenario:
 
 
 # SimTrace series -> CSV column names: one name for a 1-D series, one per
-# column for a 2-D one.  Drives the CSV header, writing and reading back.
+# column for a 2-D one.  Orders the columns of the recorded table and of
+# the CSV; the estimate columns are present only for LQGI runs.
 TRACE_SCHEMA = {
     "t": "t [s]",
     "state": ("x1 [m]", "v1 [m/s]", "x2 [m]", "v2 [m/s]", "x3 [m]", "v3 [m/s]",
@@ -179,29 +181,41 @@ class SimTrace:
             fh.write("\n")
 
 
+def _table_heads(with_estimate: bool) -> list:
+    """CSV column names of a trace table, in TRACE_SCHEMA order."""
+    return [h for name, heads in TRACE_SCHEMA.items() if with_estimate or name != "estimate"
+            for h in ((heads,) if isinstance(heads, str) else heads)]
+
+
+def _split_table(table: np.ndarray, names: list) -> dict:
+    """SimTrace series as column views of a table whose columns are named by names."""
+    index = {h: j for j, h in enumerate(names)}
+    series = {}
+    for name, heads in TRACE_SCHEMA.items():
+        if isinstance(heads, str):
+            series[name] = table[:, index[heads]]
+        elif heads[0] in index:
+            j = index[heads[0]]
+            if tuple(names[j:j + len(heads)]) != heads:
+                raise ValueError(f"trace columns of '{name}' are not in schema order")
+            series[name] = table[:, j:j + len(heads)]
+    series["saturated"] = series["saturated"] > 0.5
+    return series
+
+
 def read_trace_csv(path) -> SimTrace:
     """Rebuild a SimTrace from its CSV (and meta sidecar when present)."""
     with open(path) as fh:
         names = fh.readline().strip().split(",")
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    if data.ndim == 1:
-        data = data[None, :]
-    col = {name: data[:, i] for i, name in enumerate(names)}
-    series = {}
-    for name, heads in TRACE_SCHEMA.items():
-        if isinstance(heads, str):
-            series[name] = col[heads]
-        elif heads[0] in col:
-            series[name] = np.column_stack([col[h] for h in heads])
-    series["saturated"] = series["saturated"] > 0.5
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     meta = {"scenario": {}, "plant_hash": "", "seed": 0, "aborted": None}
     try:
         with open(f"{path}.meta.json") as fh:
             meta.update(json.load(fh))
     except FileNotFoundError:
         pass
-    return SimTrace(**series, scenario=meta["scenario"], plant_hash=meta["plant_hash"],
-                    seed=meta["seed"], aborted=meta["aborted"])
+    return SimTrace(**_split_table(data, names), scenario=meta["scenario"],
+                    plant_hash=meta["plant_hash"], seed=meta["seed"], aborted=meta["aborted"])
 
 
 def _reference(sc: Scenario):
@@ -256,46 +270,27 @@ def run_scenario(sc: Scenario, plant: Plant | None = None, controller=None,
 
     dt = sc.sim_dt
     ticks_per_ctrl = int(round(sc.control_dt / dt))
-    record_every = sc.record_every if sc.record_every is not None else ticks_per_ctrl
     duration = sc.total_duration()
     n_sub = int(round(duration / dt))
-    n_rec = n_sub // record_every + 1
+    n_rec = n_sub // ticks_per_ctrl + 1   # one record per control tick
 
     rng = np.random.default_rng(sc.seed)
     # sensor noise: [x1, v1, x3, P_M] variances from the estimator design,
     # slave transducer assumed identical to the master one
-    stds = np.array([math.sqrt(v) for v in (3.6e-9, 1e-6, 2.5e-11, 5.6e5, 5.6e5)])
-    n_ticks = n_sub // ticks_per_ctrl + 1
-    noise = rng.standard_normal((n_ticks, 5)) * stds if sc.noise else None
+    r_diag = NoiseCovariances.r_diag
+    stds = np.sqrt(r_diag + r_diag[3:])
+    noise = rng.standard_normal((n_rec, 5)) * stds if sc.noise else None
 
     ref = _reference(sc)
     backdrive = _backdrive_profile(sc) if sc.kind == "backdrive" else None
     chirp_rate = (sc.chirp_f1 - sc.chirp_f0) / (2.0 * duration)
 
     ps_state = PlantState(plant, dt)
-    state = ps_state.x
+    state = (0.0,) * 7
     is_lqgi = isinstance(controller, LqgiController)
-
-    t_arr = np.zeros(n_rec)
-    state_arr = np.zeros((n_rec, 7))
-    meas_arr = np.zeros((n_rec, 5))
-    ref_arr = np.zeros(n_rec)
-    pdes_arr = np.zeros(n_rec)
-    pm_arr = np.zeros(n_rec)
-    psl_arr = np.zeros(n_rec)
-    tq_arr = np.zeros(n_rec)
-    cur_arr = np.zeros(n_rec)
-    force_arr = np.zeros(n_rec)
-    pcmd_arr = np.zeros(n_rec)
-    sat_arr = np.zeros(n_rec, dtype=bool)
-    est_arr = np.zeros((n_rec, 8)) if is_lqgi else None
-
-    cmd = Command(current=0.0, force=0.0, pressure_cmd=0.0, saturated=False)
-    meas = (0.0, 0.0, 0.0, 0.0, 0.0)
-    p_desired = 0.0
-    r_now = 0.0
+    heads = _table_heads(is_lqgi)
+    table = np.zeros((n_rec, len(heads)))
     i_rec = 0
-    tick = 0
     aborted = None
 
     try:
@@ -306,7 +301,7 @@ def run_scenario(sc: Scenario, plant: Plant | None = None, controller=None,
                 ps = plant.slave_pressure(state)
                 meas = (state[0], state[1], state[4], pm, ps)
                 if noise is not None:
-                    nz = noise[tick]
+                    nz = noise[i_rec]
                     meas = (meas[0] + nz[0], meas[1] + nz[1], meas[2] + nz[2],
                             meas[3] + nz[3], meas[4] + nz[4])
                 r_now = ref(t)
@@ -321,24 +316,11 @@ def run_scenario(sc: Scenario, plant: Plant | None = None, controller=None,
                 else:
                     p_desired, _ = plant.pressure_from_torque(r_now)
                     cmd = controller.step(t, p_desired, meas)
-                tick += 1
-            if i % record_every == 0:
-                t_arr[i_rec] = t
-                state_arr[i_rec] = state
-                meas_arr[i_rec] = meas
-                ref_arr[i_rec] = r_now
-                pdes_arr[i_rec] = p_desired
-                pm_arr[i_rec] = plant.master_pressure(state)
-                ps_now = plant.slave_pressure(state)
-                psl_arr[i_rec] = ps_now
-                tq_arr[i_rec] = plant.torque_from_pressure(ps_now)
-                cur_arr[i_rec] = cmd.current
-                force_arr[i_rec] = cmd.force
-                pcmd_arr[i_rec] = cmd.pressure_cmd
-                sat_arr[i_rec] = cmd.saturated
-                if is_lqgi:
-                    est_arr[i_rec, 0] = controller.x_i
-                    est_arr[i_rec, 1:] = controller.x_hat
+                # one row, values in TRACE_SCHEMA order
+                row = (t, *state, *meas, r_now, p_desired, pm, ps,
+                       plant.torque_from_pressure(ps), cmd.current, cmd.force,
+                       cmd.pressure_cmd, cmd.saturated)
+                table[i_rec] = row + (controller.x_i, *controller.x_hat) if is_lqgi else row
                 i_rec += 1
             if i == n_sub:
                 break
@@ -350,17 +332,8 @@ def run_scenario(sc: Scenario, plant: Plant | None = None, controller=None,
     except (FloatingPointError, ControllerFault, OverflowError) as exc:
         aborted = f"{type(exc).__name__}: {exc}"
 
-    sl = slice(0, i_rec)
-    return SimTrace(
-        t=t_arr[sl], state=state_arr[sl], meas=meas_arr[sl],
-        ref_torque=ref_arr[sl], p_desired=pdes_arr[sl],
-        p_master=pm_arr[sl], p_slave=psl_arr[sl], torque=tq_arr[sl],
-        current=cur_arr[sl], force_cmd=force_arr[sl], pressure_cmd=pcmd_arr[sl],
-        saturated=sat_arr[sl],
-        estimate=est_arr[sl] if est_arr is not None else None,
-        scenario=sc.to_dict(), plant_hash=plant.params.content_hash(),
-        seed=sc.seed, aborted=aborted,
-    )
+    return SimTrace(**_split_table(table[:i_rec], heads), scenario=sc.to_dict(),
+                    plant_hash=plant.params.content_hash(), seed=sc.seed, aborted=aborted)
 
 
 # ---------------- canned scenarios ----------------
@@ -405,19 +378,6 @@ def friction_id_scenario(duration: float = 60.0, peak_speed: float = 5e-3,
                     friction_mode="smooth_tanh")
 
 
-def make_dwell_runner(controller_name: str, plant: Plant | None = None,
-                      gains=None, amplitude: float = 2.0, offset: float = 10.0,
-                      noise: bool = False, seed: int = 0,
-                      controller_kwargs: dict | None = None):
-    """Runner callable for analysis.frf_from_sine_dwell."""
-    def runner(freq_hz: float) -> SimTrace:
-        sc = dwell_scenario(controller_name, freq_hz, amplitude=amplitude,
-                            offset=offset, noise=noise, seed=seed)
-        return run_scenario(sc, plant=plant, gains=gains,
-                            controller_kwargs=controller_kwargs)
-    return runner
-
-
 FRF_GRID_DEFAULT = tuple(float(f) for f in np.logspace(0.0, 2.0, 13))
 
 
@@ -432,9 +392,7 @@ def measure_controller_row(name: str, plant: Plant | None = None, gains=None,
     for persistence; pass None to discard them.  Fails closed: a scored run
     that aborted raises ScenarioError naming it, after its hook call.
     """
-    from .analysis import (RowResult, bandwidth, frf_from_sine_dwell,
-                           step_metrics, torque_deviation)
-    row = RowResult()
+    row = analysis.RowResult()
     hook = trace_hook if trace_hook is not None else (lambda label, obj: None)
 
     def scored(label: str, trace: SimTrace) -> SimTrace:
@@ -442,27 +400,31 @@ def measure_controller_row(name: str, plant: Plant | None = None, gains=None,
             raise ScenarioError(f"run {label} aborted: {trace.aborted}")
         return trace
 
-    trace = run_scenario(step_scenario(name, seed=seed), plant=plant, gains=gains,
-                         controller_kwargs=controller_kwargs)
-    hook(f"step_{name}", trace)
-    metrics = step_metrics(scored(f"step_{name}", trace))
+    def run(sc: Scenario) -> SimTrace:
+        return run_scenario(sc, plant=plant, gains=gains, controller_kwargs=controller_kwargs)
+
+    def hooked(label: str, sc: Scenario) -> SimTrace:
+        trace = run(sc)
+        hook(label, trace)
+        return scored(label, trace)
+
+    # each trace is scored in the expression that runs it, so no finished
+    # trace stays alive while the next run records
+    metrics = analysis.step_metrics(hooked(f"step_{name}", step_scenario(name, seed=seed)))
     row.rise_ms = metrics.rise_time_63
     row.overshoot = metrics.overshoot
 
-    runner = make_dwell_runner(name, plant=plant, gains=gains, seed=seed,
-                               controller_kwargs=controller_kwargs)
-    points = frf_from_sine_dwell(lambda f: scored(f"dwell_{f:g}hz_{name}", runner(f)),
-                                 frf_freqs)
+    points = analysis.frf_from_sine_dwell(
+        lambda f: scored(f"dwell_{f:g}hz_{name}", run(dwell_scenario(name, f, seed=seed))),
+        frf_freqs)
     hook(f"frf_{name}", points)
-    row.bandwidth = bandwidth(points)
+    row.bandwidth = analysis.bandwidth(points)
 
     for attr, freq, cmd in (("dev_1hz_0", 1.0, 0.0), ("dev_1hz_10", 1.0, 10.0),
                             ("dev_5hz_10", 5.0, 10.0)):
-        label = f"backdrive_{int(freq)}hz_{int(cmd)}nm_{name}"
         sc = backdrive_scenario(name, torque_command=cmd, freq=freq, seed=seed)
-        tr = run_scenario(sc, plant=plant, gains=gains, controller_kwargs=controller_kwargs)
-        hook(label, tr)
-        setattr(row, attr, torque_deviation(scored(label, tr)))
+        label = f"backdrive_{int(freq)}hz_{int(cmd)}nm_{name}"
+        setattr(row, attr, analysis.torque_deviation(hooked(label, sc)))
     return row
 
 
@@ -478,9 +440,7 @@ def calibrate_backdrive_amplitude(plant: Plant | None = None, target: float = 0.
 
     def deviation(amp: float) -> float:
         sc = backdrive_scenario("open_loop", torque_command=0.0, freq=freq, amplitude=amp)
-        tr = run_scenario(sc, plant=plant)
-        mask = tr.t >= sc.pre_hold + 1.0 / freq
-        return float(np.abs(tr.torque[mask] - sc.torque_command).max())
+        return analysis.torque_deviation(run_scenario(sc, plant=plant))
 
     lo, hi = 0.1e-3, 12e-3
     for _ in range(40):

@@ -24,8 +24,11 @@ class TestRunConfig:
             RunConfig(plant={"friction": {"bogus": 1}}).validate()
         with pytest.raises(ConfigError, match="slope"):
             RunConfig(dither={"slope": 0.1}).validate()
-        with pytest.raises(ConfigError, match="kq"):
-            RunConfig(pid_master={"kq": 1.0}).validate()
+
+    @pytest.mark.parametrize("section", ["pid_master", "pid_slave"])
+    def test_unknown_pid_key_named(self, section):
+        with pytest.raises(ConfigError, match=rf"^unknown key\(s\) in {section}: \['kq'\]$"):
+            RunConfig(**{section: {"kq": 1.0}}).validate()
 
     def test_unknown_controller_rejected(self):
         with pytest.raises(ConfigError, match="pid_elbow"):

@@ -1,0 +1,51 @@
+"""Golden traces: every 100th row of every trace column of short seeded runs.
+
+The rows in golden_traces.json pin the values and the column order of the
+trace table.  Regenerate them only after an intended change of results:
+
+    PYTHONPATH=src python tests/test_golden_traces.py
+"""
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mrhydro.controllers import CONTROLLER_NAMES
+from mrhydro.sim import Scenario, backdrive_scenario, run_scenario, step_scenario
+
+GOLDEN = Path(__file__).with_name("golden_traces.json")
+STRIDE = 100
+
+RUNS = {f"step_{name}": step_scenario(name, settle=0.2, noise=True, seed=11)
+        for name in CONTROLLER_NAMES}
+RUNS["chirp"] = Scenario(kind="chirp", duration=0.5)
+RUNS["backdrive_5hz"] = backdrive_scenario("pid_master", torque_command=10.0, freq=5.0,
+                                           cycles=2)
+
+
+def sampled_columns(sc: Scenario) -> dict:
+    tr = run_scenario(sc)
+    return {"n_rows": len(tr.t),
+            "columns": {h: col[::STRIDE].tolist() for h, col in tr.columns().items()}}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("label", list(RUNS))
+def test_run_reproduces_golden_rows(golden, label):
+    want = golden[label]
+    got = sampled_columns(RUNS[label])
+    assert got["n_rows"] == want["n_rows"]
+    assert list(got["columns"]) == list(want["columns"])
+    for head, values in want["columns"].items():
+        np.testing.assert_allclose(got["columns"][head], values, rtol=1e-12, atol=0.0,
+                                   err_msg=head)
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps({label: sampled_columns(sc) for label, sc in RUNS.items()},
+                                 indent=1) + "\n")

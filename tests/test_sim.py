@@ -8,8 +8,9 @@ from scipy.signal import cont2discrete
 from mrhydro.controllers import Command
 from mrhydro.plant import Plant, PlantParams, build_state_space
 from mrhydro.sim import (BACKDRIVE_AMPLITUDE_1HZ, Scenario, ScenarioError,
-                         backdrive_scenario, dwell_scenario, measure_controller_row,
-                         read_trace_csv, run_scenario, step_scenario)
+                         backdrive_scenario, calibrate_backdrive_amplitude,
+                         dwell_scenario, measure_controller_row, read_trace_csv,
+                         run_scenario, step_scenario)
 from mrhydro.synthesis import synthesize
 
 
@@ -32,7 +33,7 @@ class TestLinearOracle:
         # discretized simulation of the linear model within 0.5% RMS
         params = PlantParams().with_friction(mode="off")
         plant = Plant(params)
-        sc = step_scenario("open_loop", amplitude=12.0, record_every=1)
+        sc = step_scenario("open_loop", amplitude=12.0, control_dt=1e-4)
         tr = run_scenario(sc, plant=plant)
 
         ss = build_state_space(params)
@@ -67,7 +68,7 @@ class TestDelayRealization:
         params = PlantParams().with_friction(mode="off")
         params = replace(params, clutch=replace(params.clutch, omega_c=2e4))
         plant = Plant(params)
-        sc = Scenario(kind="chirp", duration=2.0, record_every=1)
+        sc = Scenario(kind="chirp", duration=2.0, control_dt=1e-4)
         tr = run_scenario(sc, plant=plant)
         # command change active at index i; force increment over [i, i+1)
         # sits at diff index i, so the peak lag is the delay bin count
@@ -105,6 +106,11 @@ class TestBackdrive:
         sc = backdrive_scenario("open_loop")
         tr = run_scenario(sc)
         assert tr.scenario["friction_mode"] == "stick_slip_sign"
+
+    def test_calibrated_amplitude_near_shipped_value(self):
+        # a coarse 1 mm bisection still brackets the shipped 1 Hz amplitude
+        amp = calibrate_backdrive_amplitude(tol=1.0)
+        assert amp == pytest.approx(BACKDRIVE_AMPLITUDE_1HZ, abs=1e-3)
 
     def test_friction_default_lives_in_scenario(self):
         assert Scenario(kind="backdrive").friction_mode == "stick_slip_sign"
@@ -220,6 +226,16 @@ class TestTraceIO:
             "torque [N.m],current [A],force_cmd [N],pressure_cmd [Pa],saturated [-],"
             "est_xi [Pa.s],est_x1 [-],est_x2 [-],est_x3 [-],est_x4 [-],est_x5 [-],"
             "est_x6 [-],est_x7 [-]")
+
+    def test_scrambled_series_columns_rejected(self, tmp_path):
+        tr = run_scenario(step_scenario("open_loop", settle=0.2))
+        path = tmp_path / "t.csv"
+        tr.to_csv(path)
+        lines = path.read_text().splitlines()
+        lines[0] = lines[0].replace("x1 [m],v1 [m/s]", "v1 [m/s],x1 [m]", 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="'state'"):
+            read_trace_csv(path)
 
     def test_round_trip_without_estimate(self, tmp_path):
         tr = run_scenario(step_scenario("pid_slave", settle=0.2))
