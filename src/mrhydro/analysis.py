@@ -91,9 +91,8 @@ def frf_from_sine_dwell(runner, freqs, fit_cycles: int = 10) -> list[FrfPoint]:
     freqs = list(freqs)
     if any(f <= 0.0 or f > 200.0 for f in freqs):
         raise AnalysisError("dwell frequencies must lie in (0, 200] Hz")
-    raw = []
-    for f in freqs:
-        trace = runner(f)
+
+    def fit(f: float, trace) -> tuple:
         t_end = trace.t[-1]
         window = trace.t >= t_end - fit_cycles / f
         t = trace.t[window]
@@ -101,10 +100,11 @@ def frf_from_sine_dwell(runner, freqs, fit_cycles: int = 10) -> list[FrfPoint]:
         amp_r, ph_r, _, _ = fit_sine(t, trace.p_desired[window], f)
         if amp_r <= 0.0:
             raise AnalysisError(f"dwell at {f} Hz has no reference excitation")
-        gain = amp_y / amp_r
-        phase = ph_y - ph_r
-        flagged = res_y > 0.10 * max(amp_y, 1e-12)
-        raw.append((f, gain, phase, flagged))
+        return f, amp_y / amp_r, ph_y - ph_r, res_y > 0.10 * max(amp_y, 1e-12)
+
+    # each trace is fitted in the expression that runs it, so no finished
+    # trace stays alive while the next dwell records
+    raw = [fit(f, runner(f)) for f in freqs]
     phases = np.unwrap([p for _, _, p, _ in raw])
     return [
         FrfPoint(frequency=f, magnitude_db=20.0 * math.log10(g),

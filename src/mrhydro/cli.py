@@ -154,6 +154,10 @@ def _measure_row(name: str, cfg: RunConfig, plant: Plant, gains,
 
 def cmd_report(args) -> int:
     cfg = _resolve(args)
+    if cfg.scenario:
+        # the matrix runs its own fixed scenarios
+        raise ConfigError(f"report ignores scenario key(s) {sorted(cfg.scenario)}; "
+                          "remove the 'scenario' section")
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     only = args.only.split(",") if args.only else list(analysis.REFERENCE_RESULTS)

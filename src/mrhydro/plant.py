@@ -63,6 +63,8 @@ class MRClutchParams:
             raise PlantError("clutch dynamics must have tau_delay >= 0, omega_c > 0")
         if self.torque_max <= 0.0 or self.current_max <= 0.0:
             raise PlantError("clutch limits must be positive")
+        if self.poly_c0 < 0.0:
+            raise PlantError("remnant torque poly_c0 must be >= 0")
         # strictly increasing static curve on the usable current range
         for i in np.linspace(0.0, self.current_max, 200):
             d = (3.0 * self.poly_c3 * i + 2.0 * self.poly_c2) * i + self.poly_c1
@@ -188,7 +190,8 @@ def friction_pressure(mu: float, p_master: float, v1: float, steepness: float) -
     Positive for positive piston speed: the loss the plant subtracts from
     the clutch force, and what a compensator adds to its command.
     """
-    return mu * max(p_master, 0.0) * math.tanh(steepness * v1)
+    # equals max(p_master, 0.0), for -0.0 and NaN too, without the builtin call
+    return mu * (0.0 if p_master < 0.0 else p_master) * math.tanh(steepness * v1)
 
 
 class PlantState:
@@ -326,10 +329,13 @@ class Plant:
             return 0.0, saturated
         if torque >= self.mr_torque_from_current(c.current_max):
             return c.current_max, True
+        # the bracket stays inside [0, current_max] and 0 < torque <= torque_max,
+        # so the rating clamp of mr_torque_from_current cannot change a comparison
+        c3, c2, c1, c0 = c.poly_c3, c.poly_c2, c.poly_c1, c.poly_c0
         lo, hi = 0.0, c.current_max
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if self.mr_torque_from_current(mid) < torque:
+            if ((c3 * mid + c2) * mid + c1) * mid + c0 < torque:
                 lo = mid
             else:
                 hi = mid
@@ -375,44 +381,67 @@ class Plant:
 
     # ---------------- dynamics ----------------
 
-    def derivative(self, state, f_cmd_delayed: float, backdrive=None, t: float = 0.0):
+    def derivative(self, state, f_cmd_delayed: float, motion=None):
         """Time derivative of the 7-state vector.
 
         state: (x1, v1, x2, v2, x3, v3, f_mr) floats.
         f_cmd_delayed: commanded steady clutch force already delayed by
         tau_delay (the caller owns the delay buffer).
-        backdrive: None for free output, else a callable t -> (x3, v3, a3)
-        prescribing the third mass; its rows replace the m3 dynamics.
+        motion: None for free output, else the prescribed third-mass
+        (v3, a3) at this instant; it replaces the m3 dynamics.
         """
         x1, v1, x2, v2, x3, v3, fmr = state
         pm = self.k1 * (x1 - x2) / self.area_master
         ff = friction_pressure(self.mu, pm, v1, self.friction_steepness) * self.area_master
         a1 = (-self.k1 * x1 - self.b1 * v1 + self.k1 * x2 + fmr - ff) * self.inv_m1
         a2 = (self.k1 * x1 - self.k12 * x2 - self.b2 * v2 + self.k2 * x3) * self.inv_m2
-        if backdrive is None:
+        if motion is None:
             d_x3 = v3
             a3 = (self.k2 * x2 - self.k23 * x3 - self.b3 * v3) * self.inv_m3
         else:
-            _, v3p, a3p = backdrive(t)
-            d_x3 = v3p
-            a3 = a3p
+            d_x3, a3 = motion
         d_fmr = self.omega_c * (f_cmd_delayed - fmr)
         if fmr != fmr or a1 != a1:  # NaN guard
             raise FloatingPointError("non-finite plant state")
         return (v1, a1, v2, a2, d_x3, a3, d_fmr)
 
     def rk4_step(self, state, dt: float, f_cmd_delayed: float, backdrive=None, t: float = 0.0):
-        """One classical fixed-step integration step."""
-        d = self.derivative
-        k1 = d(state, f_cmd_delayed, backdrive, t)
-        s2 = tuple(state[j] + 0.5 * dt * k1[j] for j in range(7))
-        k2 = d(s2, f_cmd_delayed, backdrive, t + 0.5 * dt)
-        s3 = tuple(state[j] + 0.5 * dt * k2[j] for j in range(7))
-        k3 = d(s3, f_cmd_delayed, backdrive, t + 0.5 * dt)
-        s4 = tuple(state[j] + dt * k3[j] for j in range(7))
-        k4 = d(s4, f_cmd_delayed, backdrive, t + dt)
+        """One classical fixed-step integration step from t to t + dt.
+
+        backdrive: None for free output, else a callable t -> (x3, v3, a3)
+        prescribing the third mass.  It is sampled once each at t, t + dt/2
+        and t + dt, and the returned x3, v3 are its values at t + dt.
+        """
+        deriv = self.derivative
+        h = 0.5 * dt
+        if backdrive is None:
+            m_start = m_mid = m_end = None
+        else:
+            _, v, acc = backdrive(t)
+            m_start = (v, acc)
+            _, v, acc = backdrive(t + h)
+            m_mid = (v, acc)
+            x3_end, v3_end, acc = backdrive(t + dt)
+            m_end = (v3_end, acc)
+        # a, b, c, d: the four stage slopes k1..k4, component by component
+        s0, s1, s2, s3, s4, s5, s6 = state
+        a0, a1, a2, a3, a4, a5, a6 = deriv(state, f_cmd_delayed, m_start)
+        b0, b1, b2, b3, b4, b5, b6 = deriv(
+            (s0 + h * a0, s1 + h * a1, s2 + h * a2, s3 + h * a3, s4 + h * a4, s5 + h * a5,
+             s6 + h * a6), f_cmd_delayed, m_mid)
+        c0, c1, c2, c3, c4, c5, c6 = deriv(
+            (s0 + h * b0, s1 + h * b1, s2 + h * b2, s3 + h * b3, s4 + h * b4, s5 + h * b5,
+             s6 + h * b6), f_cmd_delayed, m_mid)
+        d0, d1, d2, d3, d4, d5, d6 = deriv(
+            (s0 + dt * c0, s1 + dt * c1, s2 + dt * c2, s3 + dt * c3, s4 + dt * c4,
+             s5 + dt * c5, s6 + dt * c6), f_cmd_delayed, m_end)
         sixth = dt / 6.0
-        return tuple(
-            state[j] + sixth * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
-            for j in range(7)
-        )
+        if backdrive is None:
+            x3_end = s4 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4)
+            v3_end = s5 + sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5)
+        return (s0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
+                s1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+                s2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+                s3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+                x3_end, v3_end,
+                s6 + sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6))

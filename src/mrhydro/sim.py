@@ -241,12 +241,14 @@ def _backdrive_profile(sc: Scenario):
     amp = sc.backdrive_amplitude
     w = TWO_PI * sc.backdrive_freq
     t0 = sc.pre_hold
+    v_amp, a_amp = amp * w, -amp * w * w
 
     def profile(t):
         if t < t0:
             return 0.0, 0.0, 0.0
         ph = w * (t - t0)
-        return amp * math.sin(ph), amp * w * math.cos(ph), -amp * w * w * math.sin(ph)
+        sin_ph = math.sin(ph)
+        return amp * sin_ph, v_amp * math.cos(ph), a_amp * sin_ph
 
     return profile
 
@@ -285,7 +287,8 @@ def run_scenario(sc: Scenario, plant: Plant | None = None, controller=None,
     backdrive = _backdrive_profile(sc) if sc.kind == "backdrive" else None
     chirp_rate = (sc.chirp_f1 - sc.chirp_f0) / (2.0 * duration)
 
-    ps_state = PlantState(plant, dt)
+    push = PlantState(plant, dt).push
+    rk4_step = plant.rk4_step
     state = (0.0,) * 7
     is_lqgi = isinstance(controller, LqgiController)
     heads = _table_heads(is_lqgi)
@@ -324,11 +327,7 @@ def run_scenario(sc: Scenario, plant: Plant | None = None, controller=None,
                 i_rec += 1
             if i == n_sub:
                 break
-            f_delayed = ps_state.push(cmd.force)
-            state = plant.rk4_step(state, dt, f_delayed, backdrive, t)
-            if backdrive is not None:
-                x3p, v3p, _ = backdrive(t + dt)
-                state = state[:4] + (x3p, v3p) + state[6:]
+            state = rk4_step(state, dt, push(cmd.force), backdrive, t)
     except (FloatingPointError, ControllerFault, OverflowError) as exc:
         aborted = f"{type(exc).__name__}: {exc}"
 

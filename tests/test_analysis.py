@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -86,6 +87,23 @@ class TestFrfFromSineDwell:
     def test_out_of_range_frequency_rejected(self):
         with pytest.raises(AnalysisError):
             frf_from_sine_dwell(first_order_runner(64.0), [250.0])
+
+    def test_previous_trace_released_before_next_dwell(self):
+        # two dwell tables must never be alive at once
+        previous = []
+
+        def runner(freq):
+            if previous:
+                assert previous[-1]() is None, "previous dwell trace still alive"
+            t = np.arange(0.0, 1.0, 1e-3)
+            u = 1e5 + 2e4 * np.sin(TWO_PI * freq * t)
+            trace = FakeTrace(t, p_slave=0.5 * u, p_desired=u)
+            previous.append(weakref.ref(trace))
+            return trace
+
+        points = frf_from_sine_dwell(runner, [10.0, 20.0, 40.0])
+        assert len(previous) == 3
+        assert all(p.magnitude_db == pytest.approx(20 * math.log10(0.5)) for p in points)
 
 
 def synthetic_frf(freqs, mag_fun, phase_fun):

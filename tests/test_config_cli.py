@@ -146,3 +146,16 @@ class TestCliReport:
     def test_unknown_subset_rejected(self, tmp_path):
         rc = main(["report", "--only", "nope", "--out-dir", str(tmp_path)])
         assert rc == 2
+
+    def test_scenario_section_rejected(self, tmp_path, capsys, monkeypatch):
+        # the matrix runs fixed scenarios; an override would be silently dropped
+        monkeypatch.setattr(sim, "measure_controller_row",
+                            lambda name, **kw: pytest.fail("report measured a row"))
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"scenario": {"backdrive_freq": 2.0}}))
+        out = tmp_path / "out"
+        rc = main(["--config", str(cfgfile), "report", "--only", "open_loop",
+                   "--out-dir", str(out)])
+        assert rc == 2
+        assert "backdrive_freq" in capsys.readouterr().err
+        assert not out.exists()

@@ -22,6 +22,9 @@ RUNS = {f"step_{name}": step_scenario(name, settle=0.2, noise=True, seed=11)
 RUNS["chirp"] = Scenario(kind="chirp", duration=0.5)
 RUNS["backdrive_5hz"] = backdrive_scenario("pid_master", torque_command=10.0, freq=5.0,
                                            cycles=2)
+# the friction compensator in stick-slip friction
+RUNS["backdrive_1hz_stick_slip_friction_comp"] = backdrive_scenario(
+    "friction_comp", torque_command=10.0, freq=1.0, cycles=2, friction_mode="stick_slip_sign")
 
 
 def sampled_columns(sc: Scenario) -> dict:

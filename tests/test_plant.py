@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mrhydro.plant import (FRICTION_MODES, Plant, PlantError, PlantParams,
+from mrhydro.plant import (FRICTION_MODES, MRClutchParams, Plant, PlantError, PlantParams,
                            PlantState, TransmissionParams, build_state_space,
                            friction_pressure)
 
@@ -25,6 +27,66 @@ def mechanical_energy(plant, state) -> float:
 # polynomial oracle: direct evaluation of the static-curve coefficients
 def poly_torque(i, c3=-0.015, c2=0.104, c1=0.225, c0=0.044):
     return ((c3 * i + c2) * i + c1) * i + c0
+
+
+def reference_current_from_torque(plant, torque):
+    """The 60-step bisection through the range-checked, clamped static curve."""
+    c = plant.params.clutch
+    saturated = torque > c.torque_max
+    torque = min(torque, c.torque_max)
+    if torque <= c.poly_c0:
+        return 0.0, saturated
+    if torque >= plant.mr_torque_from_current(c.current_max):
+        return c.current_max, True
+    lo, hi = 0.0, c.current_max
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if plant.mr_torque_from_current(mid) < torque:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), saturated
+
+
+def reference_rk4_step(plant, state, dt, f_cmd, profile=None, t=0.0):
+    """Stage-by-stage RK4 over Plant.derivative, the profile sampled per stage.
+
+    With a prescribed motion the stepped x3, v3 are replaced by the
+    profile's values at t + dt.
+    """
+    def slope(s, at):
+        if profile is None:
+            return plant.derivative(s, f_cmd)
+        _, v3, a3 = profile(at)
+        return plant.derivative(s, f_cmd, (v3, a3))
+
+    k1 = slope(state, t)
+    s2 = tuple(state[j] + 0.5 * dt * k1[j] for j in range(7))
+    k2 = slope(s2, t + 0.5 * dt)
+    s3 = tuple(state[j] + 0.5 * dt * k2[j] for j in range(7))
+    k3 = slope(s3, t + 0.5 * dt)
+    s4 = tuple(state[j] + dt * k3[j] for j in range(7))
+    k4 = slope(s4, t + dt)
+    sixth = dt / 6.0
+    out = tuple(state[j] + sixth * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
+                for j in range(7))
+    if profile is not None:
+        x3, v3, _ = profile(t + dt)
+        out = out[:4] + (x3, v3) + out[6:]
+    return out
+
+
+def sine_motion(amp=1.5e-3, freq=5.0, t0=0.02):
+    """Prescribed (x3, v3, a3), at rest until t0."""
+    w = 2.0 * math.pi * freq
+
+    def profile(t):
+        if t < t0:
+            return 0.0, 0.0, 0.0
+        ph = w * (t - t0)
+        return amp * math.sin(ph), amp * w * math.cos(ph), -amp * w * w * math.sin(ph)
+
+    return profile
 
 
 class TestClutchStatics:
@@ -66,6 +128,35 @@ class TestClutchStatics:
     def test_over_rating_saturates_with_flag(self, plant):
         current, saturated = plant.current_from_torque(2.5)
         assert saturated and current == 3.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 1.1 * MRClutchParams.torque_max))
+    def test_inversion_equals_bisection_through_static_curve(self, plant, torque):
+        assert plant.current_from_torque(torque) == reference_current_from_torque(plant, torque)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.044, 1.25, exclude_min=True))
+    def test_inversion_round_trip(self, plant, torque):
+        # (poly_c0, max reachable = T(current_max) = 1.25 N.m]
+        assert plant.mr_torque_from_current(3.0) == pytest.approx(1.25, abs=1e-15)
+        current, _ = plant.current_from_torque(torque)
+        assert plant.mr_torque_from_current(current) == pytest.approx(torque, abs=1e-12)
+
+    @pytest.mark.parametrize("torque_max", [2.0, 1.0])
+    def test_saturation_flag_at_and_above_rating(self, torque_max):
+        params = PlantParams()
+        plant = Plant(replace(params, clutch=replace(params.clutch, torque_max=torque_max)))
+        for torque in (torque_max, 1.1 * torque_max, 10.0):
+            assert plant.current_from_torque(torque) == (3.0, True)
+        # the top of the clamped static curve: the rating or T(current_max) = 1.25 N.m
+        top = min(torque_max, 1.25)
+        assert plant.current_from_torque(top) == (3.0, True)
+        current, saturated = plant.current_from_torque(top - 1e-6)
+        assert not saturated and current < 3.0
+
+    def test_negative_remnant_torque_rejected(self):
+        with pytest.raises(PlantError, match="poly_c0"):
+            MRClutchParams(poly_c0=-0.01).validate()
 
 
 class TestFriction:
@@ -247,6 +338,22 @@ class TestDynamics:
             assert e_next <= energy * (1.0 + 1e-12) + 1e-15
             energy = e_next
 
+    @pytest.mark.parametrize("mode", FRICTION_MODES)
+    @pytest.mark.parametrize("prescribed", [False, True], ids=["free", "backdrive"])
+    def test_rk4_step_equals_stagewise_reference(self, mode, prescribed):
+        plant = Plant(PlantParams().with_friction(mode=mode))
+        profile = sine_motion() if prescribed else None
+        state = ref = (0.0,) * 7
+        dt = 1e-4
+        for i in range(2500):
+            t = i * dt
+            f_cmd = 900.0 + 400.0 * math.sin(2.0 * math.pi * 7.0 * t)
+            state = plant.rk4_step(state, dt, f_cmd, profile, t)
+            ref = reference_rk4_step(plant, ref, dt, f_cmd, profile, t)
+            assert state == ref, f"step {i}"
+        # the friction term was live: piston moving under line pressure
+        assert ref[1] != 0.0 and plant.master_pressure(ref) > 0.0
+
     def test_nan_state_raises(self, plant):
         with pytest.raises(FloatingPointError):
             plant.derivative((math.nan,) * 7, 0.0)
@@ -311,7 +418,6 @@ class TestPlantState:
             PlantState(plant, 3e-4)
 
     def test_zero_delay_passthrough(self):
-        from dataclasses import replace
         params = PlantParams()
         params = replace(params, clutch=replace(params.clutch, tau_delay=0.0))
         plant = Plant(params)
