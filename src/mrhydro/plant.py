@@ -195,23 +195,26 @@ def friction_pressure(mu: float, p_master: float, v1: float, steepness: float) -
 
 
 class PlantState:
-    """Command delay line of the integration.
+    """Command delay line of the integration, one entry per control tick.
 
-    The buffer holds past steady-force commands at the simulation step
-    size; tau_delay must be a whole number of steps.  push() enqueues the
-    newest command and returns the delayed one to feed the clutch lag.
+    tau_delay must be a whole number n_delay = q*tpc + r of dt steps, where
+    tpc is the number of steps per control tick.  The buffer holds the last
+    q tick commands; push() enqueues tick j's command and returns tick
+    j - q's.  The first `split` = r steps of tick j see tick j - q - 1's
+    command instead, the one push() returned a tick earlier.
     """
 
-    __slots__ = ("buffer", "_idx")
+    __slots__ = ("buffer", "split", "_idx")
 
-    def __init__(self, plant: "Plant", dt: float):
+    def __init__(self, plant: "Plant", dt: float, ticks_per_ctrl: int = 1):
         if dt <= 0.0:
             raise PlantError("dt must be > 0")
         n_delay = int(round(plant.tau_delay / dt))
         if abs(plant.tau_delay / dt - n_delay) > 1e-9:
             raise PlantError(f"tau_delay {plant.tau_delay} s is not a whole number "
                              f"of {dt} s steps")
-        self.buffer = [0.0] * n_delay
+        q, self.split = divmod(n_delay, ticks_per_ctrl)
+        self.buffer = [0.0] * q
         self._idx = 0
 
     def push(self, f_cmd: float) -> float:
@@ -300,6 +303,10 @@ class Plant:
                                    else f.n_steepness)
         self.force_per_torque = TWO_PI / g.screw_lead   # ideal screw [N per N.m]
         self.force_max = c.torque_max * self.force_per_torque
+        # top of the static curve before the rating clamp
+        i_max = c.current_max
+        self.torque_reach = ((c.poly_c3 * i_max + c.poly_c2) * i_max + c.poly_c1) * i_max \
+            + c.poly_c0
 
     # ---------------- clutch statics ----------------
 
@@ -314,20 +321,21 @@ class Plant:
     def current_from_torque(self, torque: float) -> tuple[float, bool]:
         """Invert the static curve on its monotone branch.
 
-        Returns (current, saturated).  Torque above the reachable maximum
-        maps to current_max with the flag set; torque at or below the
-        remnant maps to zero current.
+        Returns (current, saturated).  Torque at or above the rating maps
+        to the current delivering the rating, and torque at or above the
+        reachable maximum T(current_max) to current_max, both with the
+        flag set; torque at or below the remnant maps to zero current.
         """
         c = self.params.clutch
         if torque < 0.0:
             raise PlantError("torque must be >= 0")
         saturated = False
-        if torque > c.torque_max:
+        if torque >= c.torque_max:
             torque = c.torque_max
             saturated = True
         if torque <= c.poly_c0:
             return 0.0, saturated
-        if torque >= self.mr_torque_from_current(c.current_max):
+        if torque >= self.torque_reach:
             return c.current_max, True
         # the bracket stays inside [0, current_max] and 0 < torque <= torque_max,
         # so the rating clamp of mr_torque_from_current cannot change a comparison
@@ -401,47 +409,56 @@ class Plant:
         else:
             d_x3, a3 = motion
         d_fmr = self.omega_c * (f_cmd_delayed - fmr)
-        if fmr != fmr or a1 != a1:  # NaN guard
-            raise FloatingPointError("non-finite plant state")
         return (v1, a1, v2, a2, d_x3, a3, d_fmr)
 
-    def rk4_step(self, state, dt: float, f_cmd_delayed: float, backdrive=None, t: float = 0.0):
-        """One classical fixed-step integration step from t to t + dt.
+    def rk4_step(self, state, dt: float, f_cmd_delayed: float, backdrive=None,
+                 i0: int = 0, n: int = 1):
+        """Classical fixed-step integration over steps i0 .. i0 + n - 1.
 
-        backdrive: None for free output, else a callable t -> (x3, v3, a3)
-        prescribing the third mass.  It is sampled once each at t, t + dt/2
-        and t + dt, and the returned x3, v3 are its values at t + dt.
+        Step i runs from t = i*dt to t + dt; all n steps see the one held
+        delayed command.  backdrive: None for free output, else a callable
+        t -> (x3, v3, a3) prescribing the third mass.  Each step samples it
+        once each at t, t + dt/2 and t + dt, and the returned x3, v3 are its
+        values at t + dt.  Raises FloatingPointError when the state reached
+        is not finite.
         """
         deriv = self.derivative
         h = 0.5 * dt
-        if backdrive is None:
-            m_start = m_mid = m_end = None
-        else:
-            _, v, acc = backdrive(t)
-            m_start = (v, acc)
-            _, v, acc = backdrive(t + h)
-            m_mid = (v, acc)
-            x3_end, v3_end, acc = backdrive(t + dt)
-            m_end = (v3_end, acc)
-        # a, b, c, d: the four stage slopes k1..k4, component by component
-        s0, s1, s2, s3, s4, s5, s6 = state
-        a0, a1, a2, a3, a4, a5, a6 = deriv(state, f_cmd_delayed, m_start)
-        b0, b1, b2, b3, b4, b5, b6 = deriv(
-            (s0 + h * a0, s1 + h * a1, s2 + h * a2, s3 + h * a3, s4 + h * a4, s5 + h * a5,
-             s6 + h * a6), f_cmd_delayed, m_mid)
-        c0, c1, c2, c3, c4, c5, c6 = deriv(
-            (s0 + h * b0, s1 + h * b1, s2 + h * b2, s3 + h * b3, s4 + h * b4, s5 + h * b5,
-             s6 + h * b6), f_cmd_delayed, m_mid)
-        d0, d1, d2, d3, d4, d5, d6 = deriv(
-            (s0 + dt * c0, s1 + dt * c1, s2 + dt * c2, s3 + dt * c3, s4 + dt * c4,
-             s5 + dt * c5, s6 + dt * c6), f_cmd_delayed, m_end)
         sixth = dt / 6.0
-        if backdrive is None:
-            x3_end = s4 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4)
-            v3_end = s5 + sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5)
-        return (s0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
-                s1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
-                s2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
-                s3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
-                x3_end, v3_end,
-                s6 + sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6))
+        m_start = m_mid = m_end = None
+        s0, s1, s2, s3, s4, s5, s6 = state
+        for i in range(i0, i0 + n):
+            if backdrive is not None:
+                t = i * dt
+                _, v, acc = backdrive(t)
+                m_start = (v, acc)
+                _, v, acc = backdrive(t + h)
+                m_mid = (v, acc)
+                x3_end, v3_end, acc = backdrive(t + dt)
+                m_end = (v3_end, acc)
+            # a, b, c, d: the four stage slopes k1..k4, component by component
+            a0, a1, a2, a3, a4, a5, a6 = deriv((s0, s1, s2, s3, s4, s5, s6), f_cmd_delayed,
+                                               m_start)
+            b0, b1, b2, b3, b4, b5, b6 = deriv(
+                (s0 + h * a0, s1 + h * a1, s2 + h * a2, s3 + h * a3, s4 + h * a4, s5 + h * a5,
+                 s6 + h * a6), f_cmd_delayed, m_mid)
+            c0, c1, c2, c3, c4, c5, c6 = deriv(
+                (s0 + h * b0, s1 + h * b1, s2 + h * b2, s3 + h * b3, s4 + h * b4, s5 + h * b5,
+                 s6 + h * b6), f_cmd_delayed, m_mid)
+            d0, d1, d2, d3, d4, d5, d6 = deriv(
+                (s0 + dt * c0, s1 + dt * c1, s2 + dt * c2, s3 + dt * c3, s4 + dt * c4,
+                 s5 + dt * c5, s6 + dt * c6), f_cmd_delayed, m_end)
+            s0 += sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
+            s1 += sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+            s2 += sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+            s3 += sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
+            if backdrive is None:
+                s4 += sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4)
+                s5 += sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5)
+            else:
+                s4, s5 = x3_end, v3_end
+            s6 += sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6)
+        out = (s0, s1, s2, s3, s4, s5, s6)
+        if not all(map(math.isfinite, out)):
+            raise FloatingPointError("non-finite plant state")
+        return out

@@ -1,10 +1,12 @@
 """Fixed-step nonlinear time-domain simulation engine.
 
 Scenarios cover blocked-output reference tracking (step, sine dwell,
-current chirp) and prescribed-motion backdriving.  The plant integrates
-with classical fourth-order steps at 10 kHz; controllers run at 1 kHz
-with the command held between ticks; the clutch pure delay is realized by
-a command ring buffer at the substep size.
+current chirp) and prescribed-motion backdriving.  Controllers run at
+1 kHz with the command held between ticks.  The clutch pure delay is a
+ring buffer of tick commands, so the delayed command is constant over
+each tick, or over its two pieces when the delay is not a whole number of
+ticks.  The plant integrates each piece with classical fourth-order steps
+at 10 kHz in one Plant.rk4_step call.
 """
 from __future__ import annotations
 
@@ -266,9 +268,14 @@ def run_scenario(sc: Scenario, plant: Plant | None = None, controller=None,
         plant = Plant()
     if sc.friction_mode is not None:
         plant = Plant(plant.params.with_friction(mode=sc.friction_mode))
-    if sc.kind != "chirp" and controller is None:
-        controller = make_controller(sc.controller, plant, gains=gains,
-                                     **(controller_kwargs or {}))
+    if sc.kind != "chirp":
+        if controller is None:
+            controller = make_controller(sc.controller, plant, gains=gains, dt=sc.control_dt,
+                                         **(controller_kwargs or {}))
+        elif not math.isclose(getattr(controller, "dt", sc.control_dt), sc.control_dt,
+                              rel_tol=1e-9):
+            raise ScenarioError(f"controller runs at dt={controller.dt} s, "
+                                f"scenario at control_dt={sc.control_dt} s")
 
     dt = sc.sim_dt
     ticks_per_ctrl = int(round(sc.control_dt / dt))
@@ -287,9 +294,11 @@ def run_scenario(sc: Scenario, plant: Plant | None = None, controller=None,
     backdrive = _backdrive_profile(sc) if sc.kind == "backdrive" else None
     chirp_rate = (sc.chirp_f1 - sc.chirp_f0) / (2.0 * duration)
 
-    push = PlantState(plant, dt).push
+    delay = PlantState(plant, dt, ticks_per_ctrl)
+    push, split = delay.push, delay.split
     rk4_step = plant.rk4_step
     state = (0.0,) * 7
+    f_delayed = 0.0
     is_lqgi = isinstance(controller, LqgiController)
     heads = _table_heads(is_lqgi)
     table = np.zeros((n_rec, len(heads)))
@@ -297,37 +306,44 @@ def run_scenario(sc: Scenario, plant: Plant | None = None, controller=None,
     aborted = None
 
     try:
-        for i in range(n_sub + 1):
+        for i in range(0, n_sub + 1, ticks_per_ctrl):
             t = i * dt
-            if i % ticks_per_ctrl == 0:
-                pm = plant.master_pressure(state)
-                ps = plant.slave_pressure(state)
-                meas = (state[0], state[1], state[4], pm, ps)
-                if noise is not None:
-                    nz = noise[i_rec]
-                    meas = (meas[0] + nz[0], meas[1] + nz[1], meas[2] + nz[2],
-                            meas[3] + nz[3], meas[4] + nz[4])
-                r_now = ref(t)
-                if sc.kind == "chirp":
-                    phase = sc.chirp_f0 * t + chirp_rate * t * t
-                    current = sc.chirp_i_offset + sc.chirp_i_amplitude * math.sin(TWO_PI * phase)
-                    current = min(max(current, 0.0), plant.params.clutch.current_max)
-                    cmd = Command(current=current,
-                                  force=plant.clutch_force_from_current(current),
-                                  pressure_cmd=0.0, saturated=False)
-                    p_desired = 0.0
-                else:
-                    p_desired, _ = plant.pressure_from_torque(r_now)
-                    cmd = controller.step(t, p_desired, meas)
-                # one row, values in TRACE_SCHEMA order
-                row = (t, *state, *meas, r_now, p_desired, pm, ps,
-                       plant.torque_from_pressure(ps), cmd.current, cmd.force,
-                       cmd.pressure_cmd, cmd.saturated)
-                table[i_rec] = row + (controller.x_i, *controller.x_hat) if is_lqgi else row
-                i_rec += 1
+            pm = plant.master_pressure(state)
+            ps = plant.slave_pressure(state)
+            meas = (state[0], state[1], state[4], pm, ps)
+            if noise is not None:
+                nz = noise[i_rec]
+                meas = (meas[0] + nz[0], meas[1] + nz[1], meas[2] + nz[2],
+                        meas[3] + nz[3], meas[4] + nz[4])
+            r_now = ref(t)
+            if sc.kind == "chirp":
+                phase = sc.chirp_f0 * t + chirp_rate * t * t
+                current = sc.chirp_i_offset + sc.chirp_i_amplitude * math.sin(TWO_PI * phase)
+                current = min(max(current, 0.0), plant.params.clutch.current_max)
+                cmd = Command(current=current,
+                              force=plant.clutch_force_from_current(current),
+                              pressure_cmd=0.0, saturated=False)
+                p_desired = 0.0
+            else:
+                p_desired, _ = plant.pressure_from_torque(r_now)
+                cmd = controller.step(t, p_desired, meas)
+            # one row, values in TRACE_SCHEMA order
+            row = (t, *state, *meas, r_now, p_desired, pm, ps,
+                   plant.torque_from_pressure(ps), cmd.current, cmd.force,
+                   cmd.pressure_cmd, cmd.saturated)
+            table[i_rec] = row + (controller.x_i, *controller.x_hat) if is_lqgi else row
+            i_rec += 1
             if i == n_sub:
                 break
-            state = rk4_step(state, dt, push(cmd.force), backdrive, t)
+            # the tick's steps, the last tick's possibly fewer: the first
+            # `split` see the previous tick's delayed command
+            n = min(ticks_per_ctrl, n_sub - i)
+            k = min(split, n)
+            f_before, f_delayed = f_delayed, push(cmd.force)
+            if k:
+                state = rk4_step(state, dt, f_before, backdrive, i, k)
+            if k < n:
+                state = rk4_step(state, dt, f_delayed, backdrive, i + k, n - k)
     except (FloatingPointError, ControllerFault, OverflowError) as exc:
         aborted = f"{type(exc).__name__}: {exc}"
 

@@ -198,6 +198,13 @@ class TestLqgi:
             for k in range(100):
                 ctrl.step(k * DT, 1e6, (1.0, 1.0, 1.0, 1e6, 1e6))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_estimate_raises(self, plant, gains, bad):
+        from mrhydro.controllers import ControllerFault
+        ctrl = LqgiController(plant, gains)
+        with pytest.raises(ControllerFault):
+            ctrl.step(0.0, 1e6, (0.0, 0.0, 0.0, bad, 0.0))
+
     def test_integral_clamp(self, plant, gains):
         ctrl = LqgiController(plant, gains, dither=DitherConfig(enabled=False),
                               xi_clamp=1.0)

@@ -32,11 +32,11 @@ def poly_torque(i, c3=-0.015, c2=0.104, c1=0.225, c0=0.044):
 def reference_current_from_torque(plant, torque):
     """The 60-step bisection through the range-checked, clamped static curve."""
     c = plant.params.clutch
-    saturated = torque > c.torque_max
+    saturated = torque >= c.torque_max
     torque = min(torque, c.torque_max)
     if torque <= c.poly_c0:
         return 0.0, saturated
-    if torque >= plant.mr_torque_from_current(c.current_max):
+    if torque >= poly_torque(c.current_max, c.poly_c3, c.poly_c2, c.poly_c1, c.poly_c0):
         return c.current_max, True
     lo, hi = 0.0, c.current_max
     for _ in range(60):
@@ -146,13 +146,15 @@ class TestClutchStatics:
     def test_saturation_flag_at_and_above_rating(self, torque_max):
         params = PlantParams()
         plant = Plant(replace(params, clutch=replace(params.clutch, torque_max=torque_max)))
-        for torque in (torque_max, 1.1 * torque_max, 10.0):
-            assert plant.current_from_torque(torque) == (3.0, True)
-        # the top of the clamped static curve: the rating or T(current_max) = 1.25 N.m
+        # the top of the clamped static curve: the rating or T(current_max) = 1.25 N.m,
+        # delivered by 3 A, or by 2.45 A at a 1 N.m rating
         top = min(torque_max, 1.25)
-        assert plant.current_from_torque(top) == (3.0, True)
+        i_top = 3.0 if torque_max == 2.0 else 2.4523292534211194
+        assert poly_torque(i_top) == pytest.approx(top, abs=1e-12)
+        for torque in (top, torque_max, 1.1 * torque_max, 10.0):
+            assert plant.current_from_torque(torque) == (i_top, True)
         current, saturated = plant.current_from_torque(top - 1e-6)
-        assert not saturated and current < 3.0
+        assert not saturated and current < i_top
 
     def test_negative_remnant_torque_rejected(self):
         with pytest.raises(PlantError, match="poly_c0"):
@@ -348,15 +350,40 @@ class TestDynamics:
         for i in range(2500):
             t = i * dt
             f_cmd = 900.0 + 400.0 * math.sin(2.0 * math.pi * 7.0 * t)
-            state = plant.rk4_step(state, dt, f_cmd, profile, t)
+            state = plant.rk4_step(state, dt, f_cmd, profile, i)
             ref = reference_rk4_step(plant, ref, dt, f_cmd, profile, t)
             assert state == ref, f"step {i}"
         # the friction term was live: piston moving under line pressure
         assert ref[1] != 0.0 and plant.master_pressure(ref) > 0.0
 
+    @pytest.mark.parametrize("mode", FRICTION_MODES)
+    @pytest.mark.parametrize("prescribed", [False, True], ids=["free", "backdrive"])
+    def test_multistep_call_equals_single_steps(self, mode, prescribed):
+        # pieces of 7 and 8 steps, as 15-step ticks split by a delay of 7 mod 15
+        # steps; the piece over steps 195..201 crosses the motion start (t0 = 0.02 s)
+        plant = Plant(PlantParams().with_friction(mode=mode))
+        profile = sine_motion() if prescribed else None
+        state = ref = (0.0,) * 7
+        dt = 1e-4
+        i = 0
+        while i < 2500:
+            n = 7 if i % 15 == 0 else 8
+            f_cmd = 900.0 + 400.0 * math.sin(2.0 * math.pi * 7.0 * i * dt)
+            state = plant.rk4_step(state, dt, f_cmd, profile, i, n)
+            for j in range(i, i + n):
+                ref = reference_rk4_step(plant, ref, dt, f_cmd, profile, j * dt)
+            assert state == ref, f"piece from step {i}"
+            i += n
+        assert ref[1] != 0.0 and plant.master_pressure(ref) > 0.0
+
     def test_nan_state_raises(self, plant):
         with pytest.raises(FloatingPointError):
-            plant.derivative((math.nan,) * 7, 0.0)
+            plant.rk4_step((math.nan,) * 7, 1e-4, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_inf_state_raises(self, plant, bad):
+        with pytest.raises(FloatingPointError):
+            plant.rk4_step((0.0, 0.0, 0.0, 0.0, bad, 0.0, 0.0), 1e-4, 0.0, n=3)
 
 
 class TestParams:
@@ -423,3 +450,24 @@ class TestPlantState:
         plant = Plant(params)
         ps = PlantState(plant, 1e-4)
         assert ps.push(42.0) == 42.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 20), st.integers(0, 60))
+    def test_tick_line_equals_step_ring(self, ticks_per_ctrl, n_delay):
+        # the per-step commands of each tick, as run_scenario feeds them to the
+        # plant, against a ring buffer pushed once per step
+        dt = 1e-4
+        params = PlantParams()
+        plant = Plant(replace(params, clutch=replace(params.clutch, tau_delay=n_delay * dt)))
+        line = PlantState(plant, dt, ticks_per_ctrl)
+        ring = [0.0] * n_delay
+        f_delayed = 0.0
+        for j in range(n_delay // ticks_per_ctrl + 3):
+            f_cmd = float(j + 1)
+            f_before, f_delayed = f_delayed, line.push(f_cmd)
+            got = [f_before] * line.split + [f_delayed] * (ticks_per_ctrl - line.split)
+            want = []
+            for _ in range(ticks_per_ctrl):
+                ring.append(f_cmd)
+                want.append(ring.pop(0))
+            assert got == want, f"tick {j}"

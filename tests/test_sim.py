@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.signal import cont2discrete
 
-from mrhydro.controllers import Command
+from mrhydro.controllers import Command, make_controller
 from mrhydro.plant import Plant, PlantParams, build_state_space
 from mrhydro.sim import (BACKDRIVE_AMPLITUDE_1HZ, Scenario, ScenarioError,
                          backdrive_scenario, calibrate_backdrive_amplitude,
@@ -263,3 +263,21 @@ class TestScenarioValidation:
     def test_round_trip(self):
         sc = backdrive_scenario("lqgi", torque_command=10.0, freq=5.0)
         assert Scenario.from_dict(sc.to_dict()) == sc
+
+
+class TestControlRate:
+    @pytest.mark.parametrize("name", ["pid_master", "lqgi"])
+    def test_control_dt_reaches_the_controller(self, name):
+        # the factory-built controller discretizes at the scenario's rate
+        plant = Plant()
+        sc = step_scenario(name, settle=0.2, control_dt=2e-3)
+        built = run_scenario(sc, plant=plant)
+        supplied = run_scenario(sc, plant=plant, controller=make_controller(name, plant, dt=2e-3))
+        assert np.array_equal(built.p_slave, supplied.p_slave)
+        assert np.array_equal(built.current, supplied.current)
+
+    def test_controller_at_another_rate_rejected(self):
+        plant = Plant()
+        sc = step_scenario("pid_master", settle=0.2, control_dt=2e-3)
+        with pytest.raises(ScenarioError, match="control_dt"):
+            run_scenario(sc, plant=plant, controller=make_controller("pid_master", plant))
