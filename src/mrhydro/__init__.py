@@ -5,8 +5,8 @@ with friction compensation, collocated and non-collocated pressure PID,
 and LQGI state feedback, on an identified seventh-order nonlinear model.
 """
 from .plant import (FrictionParams, GeometryParams, MRClutchParams, Plant,
-                    PlantError, PlantParams, PlantState, StateSpace,
-                    TransmissionParams, build_state_space, friction_pressure)
+                    PlantError, PlantParams, StateSpace, TransmissionParams,
+                    build_state_space, friction_pressure)
 from .synthesis import (CostWeights, GainSet, NoiseCovariances, SynthesisError,
                         care_residual, closed_loop_dc_gain, closed_loop_matrix,
                         kalman_gain, lqi_gains, solve_care, synthesize)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .controllers import (CONTROLLER_NAMES, DitherConfig, PidConfig,
                           PID_MASTER_DEFAULT, PID_SLAVE_DEFAULT)
@@ -79,13 +79,7 @@ class RunConfig:
         return _build(NoiseCovariances, data, "noise_cov")
 
     def to_dict(self) -> dict:
-        return {
-            "plant": self.plant, "controller": self.controller,
-            "dither": self.dither, "pid_master": self.pid_master,
-            "pid_slave": self.pid_slave, "weights": self.weights,
-            "noise_cov": self.noise_cov, "scenario": self.scenario,
-            "output_dir": self.output_dir, "seed": self.seed,
-        }
+        return asdict(self)
 
     def content_hash(self) -> str:
         """Hash of the experiment; where its outputs go is not part of it."""

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import linalg
 
 from .analysis import crossing_bandwidth
-from .plant import Plant, StateSpace, TWO_PI, friction_pressure
+from .plant import Plant, StateSpace, TWO_PI, build_state_space, friction_pressure
 from .synthesis import GainSet, closed_loop_input, closed_loop_matrix
 
 CONTROL_DT = 1e-3   # 1 kHz loop rate
@@ -64,6 +64,21 @@ class Command:
     force: float            # realized steady clutch force [N]
     pressure_cmd: float     # pre-conversion pressure command [Pa]
     saturated: bool
+
+
+def _anti_windup(u: float, u_max: float, du: float) -> tuple[bool, bool]:
+    """Conditional integration of a command u limited to [0, u_max].
+
+    Returns (saturated, integrate).  Past a limit the integrator holds
+    unless du, which has the sign of the command change integrating would
+    cause, points back inside; otherwise recovery would deadlock.  A du of
+    zero or NaN holds.
+    """
+    if u < 0.0:
+        return True, du > 0.0
+    if u > u_max:
+        return True, du < 0.0
+    return False, True
 
 
 class _LowPass:
@@ -179,21 +194,18 @@ class PidController:
         d_term = -cfg.kd * self._dfilt.step(d_raw)
 
         p_cmd = self.plant.p_dc + cfg.kp * error + self.integral + d_term
-        # conditional integration on the feedback command's own limits (the
-        # zero-mean dither is added afterwards); error pointing back out of
-        # saturation still integrates, otherwise recovery would deadlock
-        force_fb = self.plant.force_from_pressure(p_cmd)
-        hit_limit = force_fb < 0.0 or force_fb > self.plant.force_max
-        unwinds = (force_fb > self.plant.force_max and error < 0.0) or \
-                  (force_fb < 0.0 and error > 0.0)
-        if not hit_limit or unwinds:
+        # anti-windup on the feedback command's own limits; the zero-mean
+        # dither is added afterwards
+        saturated, integrate = _anti_windup(self.plant.force_from_pressure(p_cmd),
+                                            self.plant.force_max, error)
+        if integrate:
             self.integral += cfg.ki * error * self.dt
         p_cmd += dither_signal(t, p_desired, self.dither)
         force_req = self.plant.force_from_pressure(p_cmd)
         current, _ = self.plant.current_from_force(force_req)
         force = self.plant.clutch_force_from_current(current)
         return Command(current=current, force=force, pressure_cmd=p_cmd,
-                       saturated=hit_limit)
+                       saturated=saturated)
 
 
 class LqgiController:
@@ -208,14 +220,12 @@ class LqgiController:
     """
 
     def __init__(self, plant: Plant, gains: GainSet, dt: float = CONTROL_DT,
-                 dither: DitherConfig | None = None, ss: StateSpace | None = None,
-                 xi_clamp: float | None = None, estimate_guard: float = 1e12):
-        from .plant import build_state_space
+                 dither: DitherConfig | None = None):
         self.plant = plant
         self.gains = gains
         self.dt = dt
         self.dither = dither if dither is not None else DitherConfig()
-        model = ss if ss is not None else build_state_space(plant.params)
+        model = build_state_space(plant.params)
         self.C_d = model.C_d[0]
         A, B, C, L = model.A, model.B, model.C, gains.L
         m = np.zeros((12, 12))
@@ -229,11 +239,8 @@ class LqgiController:
         self._k_i = gains.K_integral
         self._k_x = gains.K_x
         self._k_ff = gains.K_ff
-        if xi_clamp is None:
-            ki_mag = max(abs(self._k_i), 1e-12)
-            xi_clamp = 2.0 * plant.force_max / ki_mag
-        self.xi_clamp = xi_clamp
-        self.estimate_guard = estimate_guard
+        self.xi_clamp = 2.0 * plant.force_max / max(abs(self._k_i), 1e-12)
+        self.estimate_guard = 1e12
         self.x_hat = np.zeros(7)
         self.x_i = 0.0
         self._u_prev = 0.0
@@ -247,13 +254,10 @@ class LqgiController:
 
         u = -self._k_i * self.x_i - float(self._k_x @ self.x_hat) + self._k_ff * p_desired
         # anti-windup decided on the feedback command alone; the zero-mean
-        # dither is superposed afterwards and may clip on its own crests.
-        # Error pointing back out of saturation still integrates.
+        # dither is superposed afterwards and may clip on its own crests
         err_i = p_desired - ps_hat
-        hit_limit = u < 0.0 or u > self.plant.force_max
-        du = -self._k_i * err_i  # command change the integration would cause
-        unwinds = (u > self.plant.force_max and du < 0.0) or (u < 0.0 and du > 0.0)
-        if not hit_limit or unwinds:
+        saturated, integrate = _anti_windup(u, self.plant.force_max, -self._k_i * err_i)
+        if integrate:
             self.x_i += err_i * self.dt
             self.x_i = min(max(self.x_i, -self.xi_clamp), self.xi_clamp)
         force_req = u + dither_signal(t, p_desired, self.dither) * self.plant.area_slave
@@ -262,7 +266,7 @@ class LqgiController:
         self._u_prev = force
         return Command(current=current, force=force,
                        pressure_cmd=force_req / self.plant.area_slave,
-                       saturated=hit_limit)
+                       saturated=saturated)
 
 
 def make_controller(name: str, plant: Plant, gains: GainSet | None = None,

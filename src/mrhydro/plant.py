@@ -194,39 +194,6 @@ def friction_pressure(mu: float, p_master: float, v1: float, steepness: float) -
     return mu * (0.0 if p_master < 0.0 else p_master) * math.tanh(steepness * v1)
 
 
-class PlantState:
-    """Command delay line of the integration, one entry per control tick.
-
-    tau_delay must be a whole number n_delay = q*tpc + r of dt steps, where
-    tpc is the number of steps per control tick.  The buffer holds the last
-    q tick commands; push() enqueues tick j's command and returns tick
-    j - q's.  The first `split` = r steps of tick j see tick j - q - 1's
-    command instead, the one push() returned a tick earlier.
-    """
-
-    __slots__ = ("buffer", "split", "_idx")
-
-    def __init__(self, plant: "Plant", dt: float, ticks_per_ctrl: int = 1):
-        if dt <= 0.0:
-            raise PlantError("dt must be > 0")
-        n_delay = int(round(plant.tau_delay / dt))
-        if abs(plant.tau_delay / dt - n_delay) > 1e-9:
-            raise PlantError(f"tau_delay {plant.tau_delay} s is not a whole number "
-                             f"of {dt} s steps")
-        q, self.split = divmod(n_delay, ticks_per_ctrl)
-        self.buffer = [0.0] * q
-        self._idx = 0
-
-    def push(self, f_cmd: float) -> float:
-        """Enqueue a command; return the command delayed by the buffer span."""
-        if not self.buffer:
-            return f_cmd
-        delayed = self.buffer[self._idx]
-        self.buffer[self._idx] = f_cmd
-        self._idx = (self._idx + 1) % len(self.buffer)
-        return delayed
-
-
 @dataclass(frozen=True)
 class StateSpace:
     """Linear design model: x = [x1 v1 x2 v2 x3 v3 F_MR], u = F_MRs.

@@ -3,21 +3,24 @@
 Scenarios cover blocked-output reference tracking (step, sine dwell,
 current chirp) and prescribed-motion backdriving.  Controllers run at
 1 kHz with the command held between ticks.  The clutch pure delay is a
-ring buffer of tick commands, so the delayed command is constant over
-each tick, or over its two pieces when the delay is not a whole number of
-ticks.  The plant integrates each piece with classical fourth-order steps
-at 10 kHz in one Plant.rk4_step call.
+deque of tick commands in run_scenario, so the delayed command is constant
+over each tick, or over its two pieces when the delay is not a whole
+number of ticks.  The plant integrates each piece with classical
+fourth-order steps at 10 kHz in one Plant.rk4_step call.  A run stops at
+its last whole control tick, so a duration that is not a multiple of
+control_dt ends the trace at the tick before it.
 """
 from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
 from . import analysis
-from .plant import Plant, PlantState, TWO_PI
+from .plant import Plant, PlantError, TWO_PI
 from .controllers import (CONTROL_DT, SIM_DT, Command, ControllerFault,
                           LqgiController, make_controller)
 from .synthesis import NoiseCovariances
@@ -266,6 +269,11 @@ def run_scenario(sc: Scenario, plant: Plant | None = None, controller=None,
     sc.validate()
     if plant is None:
         plant = Plant()
+    dt = sc.sim_dt
+    n_delay = int(round(plant.tau_delay / dt))
+    if abs(plant.tau_delay / dt - n_delay) > 1e-9:
+        raise PlantError(f"tau_delay {plant.tau_delay} s is not a whole number "
+                         f"of {dt} s steps")
     if sc.friction_mode is not None:
         plant = Plant(plant.params.with_friction(mode=sc.friction_mode))
     if sc.kind != "chirp":
@@ -277,11 +285,9 @@ def run_scenario(sc: Scenario, plant: Plant | None = None, controller=None,
             raise ScenarioError(f"controller runs at dt={controller.dt} s, "
                                 f"scenario at control_dt={sc.control_dt} s")
 
-    dt = sc.sim_dt
     ticks_per_ctrl = int(round(sc.control_dt / dt))
     duration = sc.total_duration()
-    n_sub = int(round(duration / dt))
-    n_rec = n_sub // ticks_per_ctrl + 1   # one record per control tick
+    n_rec = int(round(duration / dt)) // ticks_per_ctrl + 1   # one row per whole tick
 
     rng = np.random.default_rng(sc.seed)
     # sensor noise: [x1, v1, x3, P_M] variances from the estimator design,
@@ -294,25 +300,35 @@ def run_scenario(sc: Scenario, plant: Plant | None = None, controller=None,
     backdrive = _backdrive_profile(sc) if sc.kind == "backdrive" else None
     chirp_rate = (sc.chirp_f1 - sc.chirp_f0) / (2.0 * duration)
 
-    delay = PlantState(plant, dt, ticks_per_ctrl)
-    push, split = delay.push, delay.split
+    # the clutch delay of n_delay = q * ticks_per_ctrl + split steps: after
+    # tick j's command is appended, line[0] holds tick j - q - 1's command
+    # and line[1] tick j - q's, both 0 before the run
+    q, split = divmod(n_delay, ticks_per_ctrl)
+    line = deque([0.0] * (q + 2), maxlen=q + 2)
     rk4_step = plant.rk4_step
     state = (0.0,) * 7
-    f_delayed = 0.0
     is_lqgi = isinstance(controller, LqgiController)
     heads = _table_heads(is_lqgi)
     table = np.zeros((n_rec, len(heads)))
-    i_rec = 0
+    n_rows = n_rec
     aborted = None
 
     try:
-        for i in range(0, n_sub + 1, ticks_per_ctrl):
+        for j in range(n_rec):
+            i = j * ticks_per_ctrl
+            if j:
+                # the previous tick's steps: the first `split` see line[0], the rest line[1]
+                i0 = i - ticks_per_ctrl
+                if split:
+                    state = rk4_step(state, dt, line[0], backdrive, i0, split)
+                state = rk4_step(state, dt, line[1], backdrive, i0 + split,
+                                 ticks_per_ctrl - split)
             t = i * dt
             pm = plant.master_pressure(state)
             ps = plant.slave_pressure(state)
             meas = (state[0], state[1], state[4], pm, ps)
             if noise is not None:
-                nz = noise[i_rec]
+                nz = noise[j]
                 meas = (meas[0] + nz[0], meas[1] + nz[1], meas[2] + nz[2],
                         meas[3] + nz[3], meas[4] + nz[4])
             r_now = ref(t)
@@ -331,23 +347,13 @@ def run_scenario(sc: Scenario, plant: Plant | None = None, controller=None,
             row = (t, *state, *meas, r_now, p_desired, pm, ps,
                    plant.torque_from_pressure(ps), cmd.current, cmd.force,
                    cmd.pressure_cmd, cmd.saturated)
-            table[i_rec] = row + (controller.x_i, *controller.x_hat) if is_lqgi else row
-            i_rec += 1
-            if i == n_sub:
-                break
-            # the tick's steps, the last tick's possibly fewer: the first
-            # `split` see the previous tick's delayed command
-            n = min(ticks_per_ctrl, n_sub - i)
-            k = min(split, n)
-            f_before, f_delayed = f_delayed, push(cmd.force)
-            if k:
-                state = rk4_step(state, dt, f_before, backdrive, i, k)
-            if k < n:
-                state = rk4_step(state, dt, f_delayed, backdrive, i + k, n - k)
+            table[j] = row + (controller.x_i, *controller.x_hat) if is_lqgi else row
+            line.append(cmd.force)
     except (FloatingPointError, ControllerFault, OverflowError) as exc:
         aborted = f"{type(exc).__name__}: {exc}"
+        n_rows = j   # rows 0 .. j - 1 are complete
 
-    return SimTrace(**_split_table(table[:i_rec], heads), scenario=sc.to_dict(),
+    return SimTrace(**_split_table(table[:n_rows], heads), scenario=sc.to_dict(),
                     plant_hash=plant.params.content_hash(), seed=sc.seed, aborted=aborted)
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import linalg
@@ -103,16 +103,8 @@ class GainSet:
             "K": [float(v) for v in np.ravel(self.K)],
             "K_ff": float(self.K_ff),
             "L": [[float(v) for v in row] for row in np.asarray(self.L)],
-            "weights": {
-                "rho": self.weights.rho,
-                "rho_i": self.weights.rho_i,
-                "pressure_scale": self.weights.pressure_scale,
-            },
-            "noise": {
-                "r_diag": list(self.noise.r_diag),
-                "rho_l": self.noise.rho_l,
-                "d_diag": list(self.noise.d_diag),
-            },
+            "weights": asdict(self.weights),
+            "noise": asdict(self.noise),
             "plant_hash": self.plant_hash,
         }
         with open(path, "w") as fh:

@@ -89,6 +89,17 @@ class TestOpenLoop:
         assert ctrl.step(0.0, p_over, (0.0,) * 5).saturated
 
 
+def test_anti_windup_rule_decisions():
+    # the rule written out: integrate inside the limits, or past one when the
+    # integration points back inside; signed zeros, infinities and NaN included
+    values = (-1.0, -0.0, 0.0, 0.5, 1.0, 2.0, math.inf, -math.inf, math.nan)
+    for u in values:
+        for du in values:
+            hit = u < 0.0 or u > 1.0
+            unwinds = (u > 1.0 and du < 0.0) or (u < 0.0 and du > 0.0)
+            assert controllers._anti_windup(u, 1.0, du) == (hit, not hit or unwinds), (u, du)
+
+
 class TestPid:
     def test_zero_error_zero_integrator_feedthrough_only(self, plant):
         ctrl = PidController(plant, PID_SLAVE_DEFAULT, dither=DitherConfig(enabled=False))
@@ -139,6 +150,22 @@ class TestPid:
             fb = cmd.pressure_cmd
         assert fb == pytest.approx(p_ok, rel=0.01)
 
+    @pytest.mark.parametrize("limit", ["upper", "lower"])
+    @pytest.mark.parametrize("unwinds", [False, True])
+    def test_anti_windup_at_force_limits(self, plant, limit, unwinds):
+        cfg = PidConfig(kp=0.0, ki=10.0, kd=0.0, feedback_tap="slave")
+        ctrl = PidController(plant, cfg, dither=DitherConfig(enabled=False))
+        p_limit = plant.force_max / plant.area_slave
+        p_cmd = 2.0 * p_limit if limit == "upper" else -p_limit
+        # integrating pushes the command further out unless it unwinds
+        outward = 1.0 if limit == "upper" else -1.0
+        error = 1e4 * outward * (-1.0 if unwinds else 1.0)
+        ctrl.integral = p_cmd - plant.p_dc
+        cmd = ctrl.step(0.0, error, (0.0, 0.0, 0.0, 0.0, 0.0))
+        assert cmd.saturated
+        expected = p_cmd - plant.p_dc + (cfg.ki * error * DT if unwinds else 0.0)
+        assert ctrl.integral == expected
+
     def test_bad_tap_rejected(self, plant):
         with pytest.raises(ValueError):
             PidController(plant, PidConfig(kp=0, ki=1, kd=0, feedback_tap="elbow"))
@@ -176,8 +203,7 @@ class TestLqgi:
         params = PlantParams().with_friction(mode="off")
         params = replace(params, clutch=replace(params.clutch, tau_delay=0.0))
         lin = Plant(params)
-        ss = build_state_space(params)
-        ctrl = LqgiController(lin, gains, dither=DitherConfig(enabled=False), ss=ss)
+        ctrl = LqgiController(lin, gains, dither=DitherConfig(enabled=False))
         ctrl.x_hat = np.array([1e-3, 0.0, -1e-3, 0.0, 5e-4, 0.0, 100.0])
         state = (0.0,) * 7
         errs = []
@@ -193,7 +219,8 @@ class TestLqgi:
 
     def test_divergence_guard(self, plant, gains):
         from mrhydro.controllers import ControllerFault
-        ctrl = LqgiController(plant, gains, estimate_guard=1e-6)
+        ctrl = LqgiController(plant, gains)
+        ctrl.estimate_guard = 1e-6
         with pytest.raises(ControllerFault):
             for k in range(100):
                 ctrl.step(k * DT, 1e6, (1.0, 1.0, 1.0, 1e6, 1e6))
@@ -206,11 +233,29 @@ class TestLqgi:
             ctrl.step(0.0, 1e6, (0.0, 0.0, 0.0, bad, 0.0))
 
     def test_integral_clamp(self, plant, gains):
-        ctrl = LqgiController(plant, gains, dither=DitherConfig(enabled=False),
-                              xi_clamp=1.0)
+        ctrl = LqgiController(plant, gains, dither=DitherConfig(enabled=False))
+        ctrl.xi_clamp = 1.0
         for k in range(2000):
             ctrl.step(k * DT, plant.p_dc + 1e5, (0.0, 0.0, 0.0, plant.p_dc, plant.p_dc))
         assert abs(ctrl.x_i) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("limit", ["upper", "lower"])
+    @pytest.mark.parametrize("unwinds", [False, True])
+    def test_anti_windup_at_force_limits(self, plant, gains, limit, unwinds):
+        # zero measurements keep the estimate at zero, so the integrated error
+        # is p_desired and the feedback command -k_i * x_i + k_ff * p_desired
+        ctrl = LqgiController(plant, gains, dither=DitherConfig(enabled=False))
+        ctrl.xi_clamp = math.inf
+        k_i = gains.K_integral
+        u = 2.0 * plant.force_max if limit == "upper" else -plant.force_max
+        # integrating pushes the command further out unless it unwinds
+        outward = 1.0 if limit == "upper" else -1.0
+        p_desired = 1e4 * outward * math.copysign(1.0, -k_i) * (-1.0 if unwinds else 1.0)
+        x_i0 = (u - gains.K_ff * p_desired) / -k_i
+        ctrl.x_i = x_i0
+        cmd = ctrl.step(0.0, p_desired, (0.0, 0.0, 0.0, 0.0, 0.0))
+        assert cmd.saturated
+        assert ctrl.x_i == (x_i0 + p_desired * DT if unwinds else x_i0)
 
 
 class TestDeterminism:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mrhydro.plant import (FRICTION_MODES, MRClutchParams, Plant, PlantError, PlantParams,
-                           PlantState, TransmissionParams, build_state_space,
-                           friction_pressure)
+                           TransmissionParams, build_state_space, friction_pressure)
+from mrhydro.sim import Scenario
 
 
 @pytest.fixture(scope="module")
@@ -422,52 +422,25 @@ class TestParams:
         assert set(FRICTION_MODES) == {"smooth_tanh", "stick_slip_sign", "off"}
 
 
+
 class TestPlantState:
-    def test_delay_buffer_spans_tau(self, plant):
-        dt = 1e-4
-        ps = PlantState(plant, dt)
-        assert len(ps.buffer) * dt == pytest.approx(plant.tau_delay)
+    """The actuator's input delay, tau_delay, as run_scenario applies it."""
 
-    def test_push_delays_by_buffer_span(self, plant):
-        ps = PlantState(plant, 1e-4)
-        n = len(ps.buffer)
-        outs = [ps.push(float(i + 1)) for i in range(3 * n)]
-        assert outs[:n] == [0.0] * n
-        assert outs[n:2 * n] == [float(i + 1) for i in range(n)]
+    def test_delay_buffer_spans_tau(self, plant_inputs):
+        # the first command reaches the plant tau_delay / sim_dt steps late
+        for sim_dt, tau in ((1e-4, 3e-3), (1e-4, 5e-4), (5e-5, 1e-3)):
+            n_delay = round(tau / sim_dt)
+            sc = Scenario(kind="step", duration=0.01, sim_dt=sim_dt)
+            steps, _ = plant_inputs(sc, n_delay)
+            assert steps[:n_delay] == [0.0] * n_delay
+            assert steps[n_delay] == 1.0
+            assert n_delay * sim_dt == pytest.approx(tau)
 
-    def test_default_delay_ratios(self, plant):
-        assert len(PlantState(plant, 1e-4).buffer) == 20
-        assert len(PlantState(plant, 5e-5).buffer) == 40
-
-    def test_fractional_delay_rejected(self, plant):
-        # 2 ms is 6.67 steps of 0.3 ms: refuse rather than round the delay
-        with pytest.raises(PlantError, match="whole number"):
-            PlantState(plant, 3e-4)
-
-    def test_zero_delay_passthrough(self):
-        params = PlantParams()
-        params = replace(params, clutch=replace(params.clutch, tau_delay=0.0))
-        plant = Plant(params)
-        ps = PlantState(plant, 1e-4)
-        assert ps.push(42.0) == 42.0
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 20), st.integers(0, 60))
-    def test_tick_line_equals_step_ring(self, ticks_per_ctrl, n_delay):
-        # the per-step commands of each tick, as run_scenario feeds them to the
-        # plant, against a ring buffer pushed once per step
-        dt = 1e-4
-        params = PlantParams()
-        plant = Plant(replace(params, clutch=replace(params.clutch, tau_delay=n_delay * dt)))
-        line = PlantState(plant, dt, ticks_per_ctrl)
-        ring = [0.0] * n_delay
-        f_delayed = 0.0
-        for j in range(n_delay // ticks_per_ctrl + 3):
-            f_cmd = float(j + 1)
-            f_before, f_delayed = f_delayed, line.push(f_cmd)
-            got = [f_before] * line.split + [f_delayed] * (ticks_per_ctrl - line.split)
-            want = []
-            for _ in range(ticks_per_ctrl):
-                ring.append(f_cmd)
-                want.append(ring.pop(0))
-            assert got == want, f"tick {j}"
+    def test_default_delay_ratios(self, plant_inputs):
+        # the default 2 ms delay is 20 steps at 10 kHz and 40 at 20 kHz
+        for sim_dt, n_delay in ((1e-4, 20), (5e-5, 40)):
+            sc = Scenario(kind="step", duration=0.01, sim_dt=sim_dt)
+            steps, _ = plant_inputs(sc)
+            assert steps[:n_delay] == [0.0] * n_delay
+            assert steps[n_delay] == 1.0
+            assert n_delay * sim_dt == pytest.approx(Plant().tau_delay)

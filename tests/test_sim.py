@@ -3,10 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.signal import cont2discrete
 
 from mrhydro.controllers import Command, make_controller
-from mrhydro.plant import Plant, PlantParams, build_state_space
+from mrhydro.plant import Plant, PlantError, PlantParams, build_state_space
 from mrhydro.sim import (BACKDRIVE_AMPLITUDE_1HZ, Scenario, ScenarioError,
                          backdrive_scenario, calibrate_backdrive_amplitude,
                          dwell_scenario, measure_controller_row, read_trace_csv,
@@ -79,6 +80,52 @@ class TestDelayRealization:
         dt = tr.t[1] - tr.t[0]
         assert lags[int(np.argmax(score))] * dt == pytest.approx(plant.tau_delay,
                                                                  abs=1e-12)
+
+
+def _tick_scenario(ticks_per_ctrl: int, n_ticks: int) -> Scenario:
+    """A step run of n_ticks whole ticks of ticks_per_ctrl 0.1 ms steps."""
+    control_dt = ticks_per_ctrl * 1e-4
+    return Scenario(kind="step", duration=n_ticks * control_dt, control_dt=control_dt)
+
+
+class TestDelayLine:
+    def test_commands_arrive_tau_late(self, plant_inputs):
+        steps, _ = plant_inputs(_tick_scenario(10, 8))
+        assert steps[20:] == [float(s // 10 + 1) for s in range(len(steps) - 20)]
+
+    def test_fractional_delay_rejected(self):
+        # 2 ms is 6.67 steps of 0.3 ms: refuse rather than round the delay
+        sc = Scenario(kind="step", duration=0.03, sim_dt=3e-4, control_dt=3e-4)
+        with pytest.raises(PlantError, match="whole number"):
+            run_scenario(sc)
+
+    def test_zero_delay_passthrough(self, plant_inputs):
+        # each tick's steps see that tick's own command
+        steps, _ = plant_inputs(_tick_scenario(10, 4), n_delay=0)
+        assert steps == [float(s // 10 + 1) for s in range(40)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 20), st.integers(0, 60))
+    def test_tick_line_equals_step_ring(self, plant_inputs, ticks_per_ctrl, n_delay):
+        # the per-step commands run_scenario feeds the plant against a ring
+        # buffer pushed once per step
+        n_ticks = n_delay // ticks_per_ctrl + 3
+        steps, _ = plant_inputs(_tick_scenario(ticks_per_ctrl, n_ticks), n_delay)
+        ring = [0.0] * n_delay
+        want = []
+        for s in range(n_ticks * ticks_per_ctrl):
+            ring.append(float(s // ticks_per_ctrl + 1))
+            want.append(ring.pop(0))
+        assert steps == want
+
+    def test_no_step_past_last_row(self, plant_inputs):
+        # 0.7 s is 466.67 ticks of 1.5 ms: the trace ends at tick 466 and the
+        # plant is not integrated past it
+        sc = Scenario(kind="step", duration=0.7, control_dt=1.5e-3)
+        steps, trace = plant_inputs(sc)
+        assert len(trace.t) == 467
+        assert len(steps) == 466 * 15
+        assert trace.t[-1] == pytest.approx(0.699, abs=1e-12)
 
 
 class TestBackdrive:
