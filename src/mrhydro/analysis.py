@@ -15,11 +15,19 @@ import numpy as np
 
 from .plant import TWO_PI, FrictionParams
 
-# Reference results for the five controller variants (measured on the
-# original bench; the 5 Hz torque-deviation column is simulation there
-# too).  Columns: bandwidth [Hz], 63% rise time [ms], overshoot [%],
-# 1 Hz torque deviation at 0 and 10 N.m command, 5 Hz deviation at
-# 10 N.m [N.m].
+# The comparison table's columns: RowResult attribute, header label, unit.
+REPORT_COLUMNS = (
+    ("bandwidth", "Bandwidth", "[Hz]"),
+    ("rise_ms", "Rise 63%", "[ms]"),
+    ("overshoot", "Overshoot", "[%]"),
+    ("dev_1hz_0", "1Hz dev @0", "[N.m]"),
+    ("dev_1hz_10", "1Hz dev @10", "[N.m]"),
+    ("dev_5hz_10", "5Hz dev @10", "[N.m]"),
+)
+
+# Reference results for the five controller variants, one value per
+# REPORT_COLUMNS entry (measured on the original bench; the 5 Hz
+# torque-deviation column is simulation there too).
 REFERENCE_RESULTS = {
     "open_loop":     (25.0, 16.6, 34.0, 0.60, 2.4, 4.2),
     "friction_comp": (25.0, 15.8, 38.0, 0.38, 1.2, 5.0),
@@ -35,6 +43,11 @@ ROW_LABELS = {
     "pid_slave": "Slave pressure PID",
     "lqgi": "State feedback LQGI",
 }
+
+FIT_CYCLES = 10               # trailing steady cycles of a dwell that its sine fits use
+SETTLE_FRACTION = 0.2         # trailing share of a step response that sets its final value
+REVERSAL_BAND_SPEED = 0.5e-3  # backdrive speed bound of a motion reversal [m/s]
+SPREAD_FILTER_HZ = 50.0       # low-pass on the master pressure before its reversal spread
 
 
 class AnalysisError(ValueError):
@@ -71,20 +84,18 @@ def fit_sine(t: np.ndarray, y: np.ndarray, freq: float):
     return amp, phase, coef[2], float(np.sqrt(np.mean(resid**2)))
 
 
-def lowpass(y: np.ndarray, cutoff_hz: float, dt: float, order: int = 1) -> np.ndarray:
-    """Causal first-order low-pass applied `order` times, each primed at its input's start."""
+def lowpass(y: np.ndarray, cutoff_hz: float, dt: float) -> np.ndarray:
+    """Causal first-order low-pass, primed at its input's start."""
     from scipy.signal import lfilter  # local: importing scipy.signal slows `import mrhydro`
     a = math.exp(-TWO_PI * cutoff_hz * dt)
-    out = np.asarray(y, dtype=float)
-    for _ in range(order):
-        out, _ = lfilter([1.0 - a], [1.0, -a], out, zi=[a * out[0]])
-    return out
+    y = np.asarray(y, dtype=float)
+    return lfilter([1.0 - a], [1.0, -a], y, zi=[a * y[0]])[0]
 
 
-def frf_from_sine_dwell(runner, freqs, fit_cycles: int = 10) -> list[FrfPoint]:
+def frf_from_sine_dwell(runner, freqs) -> list[FrfPoint]:
     """Measure the tracking frequency response one dwell at a time.
 
-    runner(freq) must return a trace of at least fit_cycles steady cycles
+    runner(freq) must return a trace of at least FIT_CYCLES steady cycles
     of sinusoidal desired pressure; gain and phase come from sinusoid fits
     to the slave and desired pressures over the trailing window.
     """
@@ -94,7 +105,7 @@ def frf_from_sine_dwell(runner, freqs, fit_cycles: int = 10) -> list[FrfPoint]:
 
     def fit(f: float, trace) -> tuple:
         t_end = trace.t[-1]
-        window = trace.t >= t_end - fit_cycles / f
+        window = trace.t >= t_end - FIT_CYCLES / f
         t = trace.t[window]
         amp_y, ph_y, _, res_y = fit_sine(t, trace.p_slave[window], f)
         amp_r, ph_r, _, _ = fit_sine(t, trace.p_desired[window], f)
@@ -143,11 +154,11 @@ def bandwidth(frf: list[FrfPoint]) -> float | None:
                               [p.phase_deg for p in frf])
 
 
-def step_metrics(trace, settle_fraction: float = 0.2) -> StepMetrics:
+def step_metrics(trace) -> StepMetrics:
     """Rise time and overshoot of a single-step torque trace.
 
     The step instant is read from the reference series; the final value is
-    the mean over the trailing settle_fraction of the post-step window.
+    the mean over the trailing SETTLE_FRACTION of the post-step window.
     """
     ref = trace.ref_torque
     changes = np.nonzero(np.diff(ref) != 0.0)[0]
@@ -158,7 +169,7 @@ def step_metrics(trace, settle_fraction: float = 0.2) -> StepMetrics:
     y = trace.torque[i0:]
     if t[-1] < 0.5:
         raise AnalysisError("need at least 0.5 s of post-step window")
-    n_tail = max(int(len(y) * settle_fraction), 1)
+    n_tail = max(int(len(y) * SETTLE_FRACTION), 1)
     final = float(np.mean(y[-n_tail:]))
     prev_tail = float(np.mean(y[-2 * n_tail:-n_tail]))
     reliable = abs(prev_tail - final) <= 0.02 * abs(final) if final != 0.0 else False
@@ -170,17 +181,27 @@ def step_metrics(trace, settle_fraction: float = 0.2) -> StepMetrics:
     return StepMetrics(rise_ms, overshoot, final, reliable=reliable)
 
 
-def _first_cycle_end(scenario: dict) -> float:
+def _scenario_values(trace, *keys) -> list:
+    """The trace's scenario record at keys; AnalysisError names any it lacks."""
+    missing = [k for k in keys if k not in trace.scenario]
+    if missing:
+        raise AnalysisError(f"trace scenario record lacks {missing}")
+    return [trace.scenario[k] for k in keys]
+
+
+def _first_cycle_end(trace) -> float:
     """Start of a backdrive run's scored window: the first motion cycle is excluded."""
-    return scenario.get("pre_hold", 0.0) + 1.0 / scenario.get("backdrive_freq", 1.0)
+    pre_hold, freq = _scenario_values(trace, "pre_hold", "backdrive_freq")
+    return pre_hold + 1.0 / freq
 
 
 def torque_deviation(trace) -> float:
     """Peak |delivered - commanded| torque, first backdrive cycle excluded."""
-    mask = trace.t >= _first_cycle_end(trace.scenario)
+    mask = trace.t >= _first_cycle_end(trace)
     if not np.any(mask):
         raise AnalysisError("trace shorter than one backdrive cycle")
-    return float(np.abs(trace.torque[mask] - trace.scenario.get("torque_command", 0.0)).max())
+    (command,) = _scenario_values(trace, "torque_command")
+    return float(np.abs(trace.torque[mask] - command).max())
 
 
 @dataclass
@@ -191,19 +212,19 @@ class FrictionIdResult:
     intercept: float  # speed-proportional (damping) share [Pa]
 
 
-def identify_friction(trace,
-                      n_steepness: float = FrictionParams.n_steepness) -> FrictionIdResult:
+def identify_friction(trace) -> FrictionIdResult:
     """Recover the friction coefficient from a ramped backdrive run.
 
     Per backdrive cycle: remove a linear trend from the master pressure,
     take half the peak-to-peak deviation as the friction pressure, and
-    normalize the cycle's load by tanh of the measured peak piston speed.
+    normalize the cycle's load by tanh of the measured peak piston speed,
+    at the plant's default smooth-friction slope FrictionParams.n_steepness.
     A linear fit of deviation against normalized load gives mu; the
     damping contribution is speed-constant across cycles and lands in the
     intercept.
     """
-    t0 = _first_cycle_end(trace.scenario)
-    period = 1.0 / trace.scenario.get("backdrive_freq", 1.0)
+    t0 = _first_cycle_end(trace)
+    period = 1.0 / trace.scenario["backdrive_freq"]
     loads, devs = [], []
     c = 0
     while True:
@@ -221,7 +242,7 @@ def identify_friction(trace,
         resid = trace.p_master[m] - X @ coef
         p_nominal = coef[0] + coef[1] * 0.5 * period
         v_peak = float(np.percentile(np.abs(trace.state[m, 1]), 98))
-        loads.append(p_nominal * math.tanh(n_steepness * v_peak))
+        loads.append(p_nominal * math.tanh(FrictionParams.n_steepness * v_peak))
         devs.append(0.5 * (resid.max() - resid.min()))
     if len(loads) < 5:
         raise AnalysisError("need at least five full cycles to identify friction")
@@ -251,27 +272,28 @@ class DitherStudy:
         return self.ripple_slave / self.ripple_master if self.ripple_master > 0.0 else math.inf
 
 
-def dither_smoothing(trace_off, trace_on, band_speed: float = 0.5e-3,
-                     filter_hz: float = 50.0, dither_freq: float = 150.0) -> DitherStudy:
+def dither_smoothing(trace_off, trace_on) -> DitherStudy:
     """Quantify friction smoothing around motion reversals.
 
     Spread = max - min of the low-passed master pressure over samples where
-    the prescribed backdrive speed is within the band, first cycle
-    excluded.  Ripple amplitudes come from dither-frequency sinusoid fits
-    on the dithered run.
+    the prescribed backdrive speed is within the reversal band, first cycle
+    excluded.  Ripple amplitudes come from sinusoid fits at the default
+    dither frequency on the dithered run.
     """
+    from .controllers import DitherConfig  # local: controllers imports analysis
+
     def spread(trace):
         dt = float(trace.t[1] - trace.t[0])
-        pm = lowpass(trace.p_master, filter_hz, dt)
-        start = _first_cycle_end(trace.scenario)
-        m = (trace.t >= start) & (np.abs(trace.state[:, 5]) <= band_speed)
+        pm = lowpass(trace.p_master, SPREAD_FILTER_HZ, dt)
+        start = _first_cycle_end(trace)
+        m = (trace.t >= start) & (np.abs(trace.state[:, 5]) <= REVERSAL_BAND_SPEED)
         if not np.any(m):
             raise AnalysisError("no samples inside the reversal band")
         return float(pm[m].max() - pm[m].min())
 
-    m = trace_on.t >= _first_cycle_end(trace_on.scenario)
-    amp_m, *_ = fit_sine(trace_on.t[m], trace_on.p_master[m], dither_freq)
-    amp_s, *_ = fit_sine(trace_on.t[m], trace_on.p_slave[m], dither_freq)
+    m = trace_on.t >= _first_cycle_end(trace_on)
+    amp_m, *_ = fit_sine(trace_on.t[m], trace_on.p_master[m], DitherConfig.frequency)
+    amp_s, *_ = fit_sine(trace_on.t[m], trace_on.p_slave[m], DitherConfig.frequency)
     return DitherStudy(spread_off=spread(trace_off), spread_on=spread(trace_on),
                        ripple_master=amp_m, ripple_slave=amp_s)
 
@@ -337,11 +359,8 @@ class ComparisonReport:
     def render_text(self) -> str:
         out = io.StringIO()
         width = 16
-        labels = ("Bandwidth", "Rise 63%", "Overshoot", "1Hz dev @0",
-                  "1Hz dev @10", "5Hz dev @10")
-        units = ("[Hz]", "[ms]", "[%]", "[N.m]", "[N.m]", "[N.m]")
-        hdr = f"{'Controller':<28}" + "".join(f"{lab:>{width}}" for lab in labels)
-        unit = f"{'':<28}" + "".join(f"{u:>{width}}" for u in units)
+        hdr = f"{'Controller':<28}" + "".join(f"{lab:>{width}}" for _, lab, _ in REPORT_COLUMNS)
+        unit = f"{'':<28}" + "".join(f"{u:>{width}}" for _, _, u in REPORT_COLUMNS)
         out.write(hdr + "\n" + unit + "\n" + "-" * len(hdr) + "\n")
 
         def cell(val, ref):
@@ -354,10 +373,9 @@ class ComparisonReport:
             if row is None:
                 out.write(f"{label:<28}{'row absent':>{width}}\n")
                 continue
-            vals = (row.bandwidth, row.rise_ms, row.overshoot,
-                    row.dev_1hz_0, row.dev_1hz_10, row.dev_5hz_10)
-            out.write(f"{label:<28}" +
-                      "".join(cell(v, rf) for v, rf in zip(vals, ref)) + "\n")
+            out.write(f"{label:<28}" + "".join(cell(getattr(row, attr), rf)
+                                               for (attr, _, _), rf in zip(REPORT_COLUMNS, ref))
+                      + "\n")
         out.write("\nmeasured (reference) per cell\n\nchecks:\n")
         for label, ok in self.checks.items():
             out.write(f"  [{'PASS' if ok else 'FAIL'}] {label}\n")
@@ -368,11 +386,9 @@ class ComparisonReport:
     def to_csv(self) -> str:
         out = io.StringIO()
         out.write("controller,metric,measured,reference\n")
-        metrics = ("bandwidth", "rise_ms", "overshoot", "dev_1hz_0",
-                   "dev_1hz_10", "dev_5hz_10")
         for name, ref in REFERENCE_RESULTS.items():
             row = self.rows.get(name)
-            for metric, rv in zip(metrics, ref):
+            for (metric, _, _), rv in zip(REPORT_COLUMNS, ref):
                 mv = getattr(row, metric, None) if row else None
                 out.write(f"{name},{metric},"
                           f"{'' if mv is None else format(mv, '.17g')},{rv}\n")

@@ -20,11 +20,10 @@ from .plant import Plant, PlantError, build_state_space
 from .sim import FRF_GRID_DEFAULT
 
 
-def _write_config_echo(cfg: RunConfig, outdir: Path, name: str = "config") -> None:
+def _write_config_echo(cfg: RunConfig, outdir: Path) -> None:
     payload = cfg.to_dict()
     payload["_hash"] = cfg.content_hash()
-    path = outdir / f"{name}.json"
-    with open(path, "w") as fh:
+    with open(outdir / "config.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -37,15 +36,10 @@ def _resolve(args) -> RunConfig:
         overrides["seed"] = args.seed
     if getattr(args, "out_dir", None):
         overrides["output_dir"] = args.out_dir
-    scenario_over: dict = {}
-    if getattr(args, "freq", None) is not None:
-        scenario_over["backdrive_freq"] = args.freq
-    if getattr(args, "cmd_torque", None) is not None:
-        scenario_over["torque_command"] = args.cmd_torque
-    if getattr(args, "amplitude", None) is not None:
-        scenario_over["torque_amplitude"] = args.amplitude
-    if getattr(args, "kind", None):
-        scenario_over["kind"] = args.kind
+    flags = {"freq": "backdrive_freq", "cmd_torque": "torque_command",
+             "amplitude": "torque_amplitude", "kind": "kind"}   # run flag -> scenario field
+    scenario_over = {key: getattr(args, flag) for flag, key in flags.items()
+                     if getattr(args, flag, None) is not None}
     if scenario_over:
         overrides["scenario"] = scenario_over
     return load_run_config(getattr(args, "config", None), overrides)
@@ -139,19 +133,6 @@ def _write_frf_csv(path, points) -> None:
                      f"{p.phase_deg:.17g},{int(p.flagged)}\n")
 
 
-def _measure_row(name: str, cfg: RunConfig, plant: Plant, gains,
-                 outdir: Path) -> analysis.RowResult:
-    def hook(label, obj):
-        if isinstance(obj, sim.SimTrace):
-            obj.to_csv(outdir / f"{label}.csv")
-        else:
-            _write_frf_csv(outdir / f"{label}.csv", obj)
-
-    return sim.measure_controller_row(name, plant=plant, gains=gains,
-                                      controller_kwargs=_controller_kwargs(cfg),
-                                      seed=cfg.seed, trace_hook=hook)
-
-
 def cmd_report(args) -> int:
     cfg = _resolve(args)
     if cfg.scenario:
@@ -166,10 +147,19 @@ def cmd_report(args) -> int:
         raise ConfigError(f"unknown controller(s) in --only: {sorted(bad)}")
     plant = Plant(cfg.plant_params())
     gains = _make_gains(cfg)
+
+    def hook(label, obj):
+        if isinstance(obj, sim.SimTrace):
+            obj.to_csv(outdir / f"{label}.csv")
+        else:
+            _write_frf_csv(outdir / f"{label}.csv", obj)
+
     t0 = time.time()
     rows = {}
     for name in only:
-        rows[name] = _measure_row(name, cfg, plant, gains, outdir)
+        rows[name] = sim.measure_controller_row(name, plant=plant, gains=gains,
+                                                controller_kwargs=_controller_kwargs(cfg),
+                                                seed=cfg.seed, trace_hook=hook)
         print(f"  measured {name} ({time.time() - t0:.0f} s elapsed)")
     report = analysis.comparison_report(rows)
     text = report.render_text()
@@ -228,7 +218,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (synthesis.SynthesisError, PlantError, sim.ScenarioError) as exc:
+    except (synthesis.SynthesisError, PlantError, sim.ScenarioError,
+            analysis.AnalysisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -72,11 +72,7 @@ class RunConfig:
         return _build(CostWeights, self.weights, "weights")
 
     def noise_covariances(self) -> NoiseCovariances:
-        data = dict(self.noise_cov)
-        for key in ("r_diag", "d_diag"):
-            if key in data:
-                data[key] = tuple(data[key])
-        return _build(NoiseCovariances, data, "noise_cov")
+        return _build(NoiseCovariances, self.noise_cov, "noise_cov")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -100,25 +100,27 @@ class _LowPass:
         return self.y
 
 
+COMP_STEEPNESS = 1000.0    # tanh slope of the friction-compensation estimate [s/m]
+COMP_V1_FILTER_HZ = 150.0  # piston-speed filter of the friction-compensation estimate
+
+
 class OpenLoopController:
     """Feedthrough reference conversion with optional friction compensation.
 
     The compensation estimates the screw friction pressure from the
     identified mu, the measured master pressure and the filtered piston
-    speed and adds it to the command.  comp_steepness is the tanh slope of the estimate; it is
-    deliberately sharp so the estimate tracks the near-discontinuous
-    stick-slip friction it has to cancel.
+    speed and adds it to the command.  COMP_STEEPNESS is deliberately
+    sharp so the estimate tracks the near-discontinuous stick-slip
+    friction it has to cancel.
     """
 
     def __init__(self, plant: Plant, dither: DitherConfig | None = None,
-                 friction_comp: bool = False, comp_steepness: float = 1000.0,
-                 v1_filter_hz: float = 150.0, dt: float = CONTROL_DT):
+                 friction_comp: bool = False, dt: float = CONTROL_DT):
         self.plant = plant
         self.dither = dither if dither is not None else DitherConfig()
         self.friction_comp = friction_comp
-        self.comp_steepness = comp_steepness
         self.dt = dt
-        self._v1_filter = _LowPass(v1_filter_hz, dt)
+        self._v1_filter = _LowPass(COMP_V1_FILTER_HZ, dt)
 
     def step(self, t: float, p_desired: float, meas) -> Command:
         p_cmd = p_desired
@@ -126,7 +128,7 @@ class OpenLoopController:
             _, v1, _, p_master, _ = meas
             v1f = self._v1_filter.step(v1)
             p_cmd += friction_pressure(self.plant.params.friction.mu, p_master, v1f,
-                                       self.comp_steepness)
+                                       COMP_STEEPNESS)
         p_cmd += dither_signal(t, p_desired, self.dither)
         force_req = self.plant.force_from_pressure(p_cmd)
         current, saturated = self.plant.current_from_force(force_req)

@@ -205,8 +205,6 @@ class StateSpace:
     B: np.ndarray    # (7, 1)
     C: np.ndarray    # (4, 7) measurements [x1, v1, x3, P_M]
     C_d: np.ndarray  # (1, 7) tracked output: slave pressure
-    n: int = 7
-    n_meas: int = 4
 
 
 def build_state_space(params: PlantParams) -> StateSpace:

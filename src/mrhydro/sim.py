@@ -79,11 +79,18 @@ class Scenario:
     def validate(self) -> None:
         if self.kind not in SCENARIO_KINDS:
             raise ScenarioError(f"kind must be one of {SCENARIO_KINDS}")
+        kind_rate = {"sine_dwell": ("freq_hz",), "backdrive": ("backdrive_freq",)}
+        for name in ("sim_dt", "control_dt") + kind_rate.get(self.kind, ()):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ScenarioError(f"{name} must be finite and positive, got {value}")
+        if self.kind == "backdrive" and self.backdrive_cycles < 1:
+            raise ScenarioError("backdrive_cycles must be at least 1")
         ratio = self.control_dt / self.sim_dt
         if abs(ratio - round(ratio)) > 1e-9 or ratio < 1:
             raise ScenarioError("control_dt must be an integer multiple of sim_dt")
-        if self.duration is not None and self.duration <= 0.0:
-            raise ScenarioError("duration must be positive")
+        if self.duration is not None and not 0.0 < self.duration < math.inf:
+            raise ScenarioError(f"duration must be finite and positive, got {self.duration}")
 
     def total_duration(self) -> float:
         if self.duration is not None:
@@ -175,12 +182,7 @@ class SimTrace:
         header = ",".join(cols)
         data = np.column_stack(list(cols.values()))
         np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
-        meta = {
-            "scenario": self.scenario,
-            "plant_hash": self.plant_hash,
-            "seed": self.seed,
-            "aborted": self.aborted,
-        }
+        meta = {k: getattr(self, k) for k in ("scenario", "plant_hash", "seed", "aborted")}
         with open(f"{path}.meta.json", "w") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -209,18 +211,17 @@ def _split_table(table: np.ndarray, names: list) -> dict:
 
 
 def read_trace_csv(path) -> SimTrace:
-    """Rebuild a SimTrace from its CSV (and meta sidecar when present)."""
+    """Rebuild a SimTrace from its CSV and its meta sidecar, whose absent
+    fields take the SimTrace defaults."""
     with open(path) as fh:
         names = fh.readline().strip().split(",")
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    meta = {"scenario": {}, "plant_hash": "", "seed": 0, "aborted": None}
     try:
         with open(f"{path}.meta.json") as fh:
-            meta.update(json.load(fh))
+            meta = json.load(fh)
     except FileNotFoundError:
-        pass
-    return SimTrace(**_split_table(data, names), scenario=meta["scenario"],
-                    plant_hash=meta["plant_hash"], seed=meta["seed"], aborted=meta["aborted"])
+        meta = {}
+    return SimTrace(**_split_table(data, names), **meta)
 
 
 def _reference(sc: Scenario):
@@ -366,36 +367,31 @@ def step_scenario(controller: str = "open_loop", amplitude: float = 12.0,
 
 
 def dwell_scenario(controller: str, freq_hz: float, amplitude: float = 2.0,
-                   offset: float = 10.0, **kw) -> Scenario:
+                   **kw) -> Scenario:
     return Scenario(kind="sine_dwell", controller=controller, freq_hz=freq_hz,
-                    torque_amplitude=amplitude, torque_offset=offset, **kw)
+                    torque_amplitude=amplitude, **kw)
 
 
-def backdrive_scenario(controller: str, torque_command: float = 0.0,
-                       freq: float = 1.0, cycles: int = 5,
-                       amplitude: float = BACKDRIVE_AMPLITUDE_1HZ,
-                       pre_hold: float = 1.0, **kw) -> Scenario:
-    return Scenario(kind="backdrive", controller=controller,
-                    torque_command=torque_command, backdrive_freq=freq,
-                    backdrive_cycles=cycles, backdrive_amplitude=amplitude,
-                    pre_hold=pre_hold, **kw)
+def backdrive_scenario(controller: str, pre_hold: float = 1.0, **kw) -> Scenario:
+    """A backdrive Scenario; kw sets its other fields by name."""
+    return Scenario(kind="backdrive", controller=controller, pre_hold=pre_hold, **kw)
 
 
-def friction_id_scenario(duration: float = 60.0, peak_speed: float = 5e-3,
-                         p_start: float = 300e3, p_end: float = 1.6e6) -> Scenario:
+def friction_id_scenario() -> Scenario:
     """Friction-coefficient identification protocol.
 
-    1 Hz backdrive at the stated peak piston speed while the commanded
-    pressure ramps slowly; plant in smooth-tanh mode (its configured
-    friction model), dither off via the open-loop baseline controller.
+    60 s of 1 Hz backdrive at 5 mm/s peak piston speed while the commanded
+    pressure ramps from 300 kPa to 1.6 MPa; plant in smooth-tanh mode (its
+    configured friction model), dither off via the open-loop baseline
+    controller.
     """
     plant = Plant()
-    t0 = plant.torque_from_pressure(p_start)
-    t1 = plant.torque_from_pressure(p_end)
+    duration, peak_speed = 60.0, 5e-3   # [s], [m/s]
     return Scenario(kind="backdrive", controller="open_loop",
                     backdrive_amplitude=peak_speed / TWO_PI, backdrive_freq=1.0,
-                    backdrive_cycles=int(duration) - 1, pre_hold=1.0,
-                    duration=duration, torque_command=t0, ramp_torque_end=t1,
+                    backdrive_cycles=int(duration) - 1, pre_hold=1.0, duration=duration,
+                    torque_command=plant.torque_from_pressure(300e3),
+                    ramp_torque_end=plant.torque_from_pressure(1.6e6),
                     friction_mode="smooth_tanh")
 
 
@@ -443,24 +439,23 @@ def measure_controller_row(name: str, plant: Plant | None = None, gains=None,
 
     for attr, freq, cmd in (("dev_1hz_0", 1.0, 0.0), ("dev_1hz_10", 1.0, 10.0),
                             ("dev_5hz_10", 5.0, 10.0)):
-        sc = backdrive_scenario(name, torque_command=cmd, freq=freq, seed=seed)
+        sc = backdrive_scenario(name, torque_command=cmd, backdrive_freq=freq, seed=seed)
         label = f"backdrive_{int(freq)}hz_{int(cmd)}nm_{name}"
         setattr(row, attr, analysis.torque_deviation(hooked(label, sc)))
     return row
 
 
-def calibrate_backdrive_amplitude(plant: Plant | None = None, target: float = 0.60,
-                                  freq: float = 1.0, tol: float = 1e-3) -> float:
-    """Displacement amplitude making the open-loop baseline deviation hit target.
+def calibrate_backdrive_amplitude(plant: Plant | None = None, tol: float = 1e-3) -> float:
+    """Displacement amplitude making the open-loop baseline deviation hit its reference.
 
     Bisection on the 1 Hz zero-command backdrive peak torque deviation
-    (first cycle excluded), stick-slip friction, dither off.
+    (first cycle excluded), stick-slip friction, dither off, against the
+    published open-loop dev_1hz_0 cell.
     """
-    if plant is None:
-        plant = Plant()
+    target = analysis.REFERENCE_RESULTS["open_loop"][3]   # dev_1hz_0
 
     def deviation(amp: float) -> float:
-        sc = backdrive_scenario("open_loop", torque_command=0.0, freq=freq, amplitude=amp)
+        sc = backdrive_scenario("open_loop", backdrive_amplitude=amp)
         return analysis.torque_deviation(run_scenario(sc, plant=plant))
 
     lo, hi = 0.1e-3, 12e-3

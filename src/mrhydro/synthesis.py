@@ -60,6 +60,11 @@ class NoiseCovariances:
     rho_l: float = 3e-5
     d_diag: tuple = (1.0, 1e5, 1.0, 1.0, 1.0, 1e6, 1.0)
 
+    def __post_init__(self):
+        # JSON gives lists; tuples keep the record hashable
+        for name in ("r_diag", "d_diag"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+
     def validate(self) -> None:
         if len(self.r_diag) != 4 or any(v <= 0.0 for v in self.r_diag):
             raise SynthesisError("r_diag must be 4 positive entries")
@@ -120,11 +125,7 @@ class GainSet:
             K_ff=float(payload["K_ff"]),
             L=np.asarray(payload["L"], dtype=float),
             weights=CostWeights(**payload["weights"]),
-            noise=NoiseCovariances(
-                r_diag=tuple(payload["noise"]["r_diag"]),
-                rho_l=payload["noise"]["rho_l"],
-                d_diag=tuple(payload["noise"]["d_diag"]),
-            ),
+            noise=NoiseCovariances(**payload["noise"]),
             plant_hash=payload.get("plant_hash", ""),
         )
 
@@ -219,7 +220,7 @@ def lqi_gains(ss: StateSpace, weights: CostWeights | None = None) -> tuple[np.nd
     w = weights if weights is not None else CostWeights()
     w.validate()
     A, B, C_d = ss.A, ss.B, ss.C_d
-    n = ss.n
+    n = A.shape[0]
     S = w.pressure_scale
     A_aug = np.zeros((n + 1, n + 1))
     A_aug[0, 1:] = C_d[0]

@@ -193,7 +193,8 @@ def test_criterion_08_ordering_open_loop_below_friction_comp(matrix):
 def test_criterion_09_dither_smoothing():
     plant = Plant()
     t_cmd = plant.torque_from_pressure(1310e3)
-    sc = m.backdrive_scenario("open_loop", torque_command=t_cmd, freq=1.0, cycles=4)
+    sc = m.backdrive_scenario("open_loop", torque_command=t_cmd, backdrive_freq=1.0,
+                              backdrive_cycles=4)
     trace_off = m.run_scenario(sc)
     stick = Plant(PlantParams().with_friction(mode="stick_slip_sign"))
     dithered = OpenLoopController(stick, dither=DitherConfig(enabled=True))
@@ -213,7 +214,7 @@ def test_criterion_10_numerical_hygiene(matrix):
         lambda dt: m.step_scenario("open_loop", sim_dt=dt),
         lambda dt: m.dwell_scenario("open_loop", 10.0, sim_dt=dt),
         lambda dt: m.backdrive_scenario("open_loop", torque_command=10.0,
-                                        cycles=2, sim_dt=dt),
+                                        backdrive_cycles=2, sim_dt=dt),
     ):
         t1, t2 = m.run_scenario(factory(1e-4)), m.run_scenario(factory(5e-5))
         n = min(len(t1.t), len(t2.t))

@@ -249,6 +249,13 @@ class TestTorqueDeviation:
         assert torque_deviation(self.make_trace(0)) == pytest.approx(
             torque_deviation(self.make_trace(3)), rel=1e-6)
 
+    @pytest.mark.parametrize("key", ["backdrive_freq", "pre_hold", "torque_command"])
+    def test_missing_scenario_key_named(self, key):
+        tr = self.make_trace()
+        del tr.scenario[key]
+        with pytest.raises(AnalysisError, match=key):
+            torque_deviation(tr)
+
     def test_settled_zero_amplitude(self):
         t = np.arange(0.0, 4.0, 1e-3)
         sc = {"backdrive_freq": 1.0, "pre_hold": 1.0, "torque_command": 5.0}
@@ -269,8 +276,7 @@ class TestIdentifyFriction:
         state[:, 1] = v1
         tr = FakeTrace(t, p_master=p_m, state=state,
                        scenario={"backdrive_freq": freq, "pre_hold": 1.0})
-        res = identify_friction(tr, n_steepness=n_steep)
-        assert identify_friction(tr) == res  # default slope is the plant's
+        res = identify_friction(tr)  # at the plant's default slope, n_steep
         assert res.mu == pytest.approx(mu, abs=0.005)
         assert res.r_squared >= 0.99
         assert res.intercept == pytest.approx(4e3, rel=0.2)
@@ -360,7 +366,7 @@ class TestLowpass:
     def test_attenuates_above_cutoff(self):
         t = np.arange(0.0, 1.0, 1e-3)
         y = np.sin(TWO_PI * 150.0 * t)
-        out = lowpass(y, 20.0, 1e-3, order=2)
+        out = lowpass(lowpass(y, 20.0, 1e-3), 20.0, 1e-3)
         assert np.abs(out[200:]).max() < 0.05
 
     @pytest.mark.parametrize("order", [1, 2, 4])
@@ -374,4 +380,7 @@ class TestLowpass:
             for i in range(len(ref)):
                 acc = a * acc + (1.0 - a) * ref[i]
                 ref[i] = acc
-        np.testing.assert_array_equal(lowpass(y, 20.0, 1e-3, order=order), ref)
+        out = y
+        for _ in range(order):
+            out = lowpass(out, 20.0, 1e-3)
+        np.testing.assert_array_equal(out, ref)

@@ -123,6 +123,12 @@ class TestCliFrf:
         assert len(lines) == 3
         assert "bandwidth" in capsys.readouterr().out
 
+    def test_out_of_range_frequency_is_an_error(self, tmp_path, capsys):
+        rc = main(["frf", "--freqs", "300", "--out-dir", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "(0, 200] Hz" in err
+
 
 class TestCliReport:
     def test_single_row_subset(self, tmp_path, capsys, monkeypatch):

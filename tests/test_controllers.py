@@ -75,7 +75,7 @@ class TestOpenLoop:
     def test_steady_speed_compensation_term(self, plant):
         # constant v1 long enough for the 150 Hz filter to settle
         ctrl = OpenLoopController(plant, dither=DitherConfig(enabled=False),
-                                  friction_comp=True, comp_steepness=1000.0)
+                                  friction_comp=True)
         p_master, v1 = 9e5, 0.004
         meas = (0.0, v1, 0.0, p_master, 9e5)
         for k in range(300):
@@ -295,7 +295,10 @@ class TestDitherSuperposition:
             sc = Scenario(kind="step", controller=name, torque_amplitude=8.0,
                           pre_hold=0.0, duration=2.0)
             tr = run_scenario(sc, plant=lin, controller=ctrl)
-            cmds[enabled] = lowpass(tr.pressure_cmd, 20.0, DT, order=4)
+            cmd = tr.pressure_cmd
+            for _ in range(4):
+                cmd = lowpass(cmd, 20.0, DT)
+            cmds[enabled] = cmd
         settled = slice(1000, None)
         diff = np.abs(cmds[True][settled] - cmds[False][settled])
         assert diff.max() <= 0.01 * np.abs(cmds[False][settled]).max()
@@ -362,7 +365,7 @@ def reference_pressure_frf(plant, ss, freqs, output, with_delay):
     out = np.empty(len(freqs), dtype=complex)
     for i, f in enumerate(freqs):
         s = 2j * math.pi * f
-        g = row @ np.linalg.solve(s * np.eye(ss.n) - ss.A, ss.B[:, 0]) * plant.area_slave
+        g = row @ np.linalg.solve(s * np.eye(ss.A.shape[0]) - ss.A, ss.B[:, 0]) * plant.area_slave
         out[i] = g * np.exp(-s * plant.tau_delay) if with_delay else g
     return out
 

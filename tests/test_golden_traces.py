@@ -20,11 +20,12 @@ STRIDE = 100
 RUNS = {f"step_{name}": step_scenario(name, settle=0.2, noise=True, seed=11)
         for name in CONTROLLER_NAMES}
 RUNS["chirp"] = Scenario(kind="chirp", duration=0.5)
-RUNS["backdrive_5hz"] = backdrive_scenario("pid_master", torque_command=10.0, freq=5.0,
-                                           cycles=2)
+RUNS["backdrive_5hz"] = backdrive_scenario("pid_master", torque_command=10.0,
+                                           backdrive_freq=5.0, backdrive_cycles=2)
 # the friction compensator in stick-slip friction
 RUNS["backdrive_1hz_stick_slip_friction_comp"] = backdrive_scenario(
-    "friction_comp", torque_command=10.0, freq=1.0, cycles=2, friction_mode="stick_slip_sign")
+    "friction_comp", torque_command=10.0, backdrive_freq=1.0, backdrive_cycles=2,
+    friction_mode="stick_slip_sign")
 # 15 substeps per 1.5 ms tick against the 20-substep clutch delay: every tick
 # integrates in two pieces, and the last tick of each run is cut short
 RUNS["step_open_loop_tick_1.5ms"] = step_scenario("open_loop", settle=0.2, noise=True, seed=11,

@@ -1,17 +1,22 @@
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.signal import cont2discrete
 
-from mrhydro.controllers import Command, make_controller
-from mrhydro.plant import Plant, PlantError, PlantParams, build_state_space
-from mrhydro.sim import (BACKDRIVE_AMPLITUDE_1HZ, Scenario, ScenarioError,
-                         backdrive_scenario, calibrate_backdrive_amplitude,
-                         dwell_scenario, measure_controller_row, read_trace_csv,
-                         run_scenario, step_scenario)
+from mrhydro.controllers import CONTROLLER_NAMES, Command, make_controller
+from mrhydro.plant import FRICTION_MODES, Plant, PlantError, PlantParams, build_state_space
+from mrhydro.sim import (BACKDRIVE_AMPLITUDE_1HZ, SCENARIO_KINDS, TRACE_SCHEMA, Scenario,
+                         ScenarioError, SimTrace, backdrive_scenario,
+                         calibrate_backdrive_amplitude, dwell_scenario,
+                         measure_controller_row, read_trace_csv, run_scenario, step_scenario)
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 from mrhydro.synthesis import synthesize
 
 
@@ -130,7 +135,8 @@ class TestDelayLine:
 
 class TestBackdrive:
     def test_prescribed_motion_exact(self):
-        sc = backdrive_scenario("open_loop", torque_command=5.0, freq=2.0, cycles=3)
+        sc = backdrive_scenario("open_loop", torque_command=5.0, backdrive_freq=2.0,
+                                backdrive_cycles=3)
         tr = run_scenario(sc)
         w = 2 * math.pi * sc.backdrive_freq
         active = tr.t >= sc.pre_hold
@@ -138,8 +144,8 @@ class TestBackdrive:
         np.testing.assert_allclose(tr.state[active, 4], expect, atol=1e-15)
 
     def test_zero_amplitude_reduces_to_hold(self):
-        sc = backdrive_scenario("open_loop", torque_command=10.0, freq=1.0,
-                                cycles=2, amplitude=0.0)
+        sc = backdrive_scenario("open_loop", torque_command=10.0, backdrive_freq=1.0,
+                                backdrive_cycles=2, backdrive_amplitude=0.0)
         tr = run_scenario(sc)
         tail = slice(-500, None)
         assert np.abs(tr.torque[tail] - 10.0).max() < 0.15
@@ -187,7 +193,7 @@ class TestReproducibility:
 class TestStepHalving:
     @pytest.mark.parametrize("factory", [
         lambda dt: step_scenario("open_loop", sim_dt=dt),
-        lambda dt: backdrive_scenario("open_loop", torque_command=10.0, cycles=2,
+        lambda dt: backdrive_scenario("open_loop", torque_command=10.0, backdrive_cycles=2,
                                       sim_dt=dt),
     ])
     def test_halving_within_tolerance(self, factory):
@@ -284,6 +290,26 @@ class TestTraceIO:
         with pytest.raises(ValueError, match="'state'"):
             read_trace_csv(path)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.integers(1, 6), st.booleans())
+    def test_random_tables_round_trip(self, data, n, with_estimate):
+        series = {}
+        for name, heads in TRACE_SCHEMA.items():
+            if name != "estimate" or with_estimate:
+                shape = n if isinstance(heads, str) else (n, len(heads))
+                series[name] = data.draw(arrays(float, shape, elements=FINITE), label=name)
+        series["saturated"] = data.draw(arrays(bool, n), label="saturated")
+        tr = SimTrace(**series, scenario={"kind": "step"}, plant_hash="abc", seed=3)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            tr.to_csv(path)
+            again = read_trace_csv(path)
+        for name in TRACE_SCHEMA:
+            want, got = getattr(tr, name), getattr(again, name)
+            assert (got is None) if want is None else np.array_equal(got, want), name
+        assert (again.scenario, again.plant_hash, again.seed, again.aborted) == (
+            tr.scenario, tr.plant_hash, tr.seed, tr.aborted)
+
     def test_round_trip_without_estimate(self, tmp_path):
         tr = run_scenario(step_scenario("pid_slave", settle=0.2))
         path = tmp_path / "t.csv"
@@ -308,8 +334,46 @@ class TestScenarioValidation:
             Scenario(control_dt=1e-3, sim_dt=3e-4).validate()
 
     def test_round_trip(self):
-        sc = backdrive_scenario("lqgi", torque_command=10.0, freq=5.0)
+        sc = backdrive_scenario("lqgi", torque_command=10.0, backdrive_freq=5.0)
         assert Scenario.from_dict(sc.to_dict()) == sc
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_random_scenarios_round_trip(self, data):
+        positive = st.floats(1e-3, 1e3)
+        sim_dt = data.draw(st.sampled_from([2.5e-5, 5e-5, 1e-4, 2.5e-4]))
+        sc = Scenario(
+            kind=data.draw(st.sampled_from(SCENARIO_KINDS)),
+            controller=data.draw(st.sampled_from(CONTROLLER_NAMES)),
+            duration=data.draw(st.none() | positive), pre_hold=data.draw(st.floats(0.0, 10.0)),
+            seed=data.draw(st.integers(0, 2**32 - 1)), noise=data.draw(st.booleans()),
+            torque_amplitude=data.draw(FINITE), torque_offset=data.draw(FINITE),
+            freq_hz=data.draw(positive), chirp_f0=data.draw(FINITE), chirp_f1=data.draw(FINITE),
+            chirp_i_offset=data.draw(FINITE), chirp_i_amplitude=data.draw(FINITE),
+            backdrive_amplitude=data.draw(FINITE), backdrive_freq=data.draw(positive),
+            backdrive_cycles=data.draw(st.integers(1, 1000)),
+            torque_command=data.draw(FINITE), ramp_torque_end=data.draw(st.none() | FINITE),
+            friction_mode=data.draw(st.none() | st.sampled_from(FRICTION_MODES)),
+            sim_dt=sim_dt, control_dt=data.draw(st.integers(1, 20)) * sim_dt)
+        sc.validate()
+        assert Scenario.from_dict(sc.to_dict()) == sc
+
+    @pytest.mark.parametrize("fields, name", [
+        ({"sim_dt": 0.0}, "sim_dt"),
+        ({"sim_dt": -1e-4}, "sim_dt"),
+        ({"sim_dt": math.nan}, "sim_dt"),
+        ({"control_dt": 0.0}, "control_dt"),
+        ({"control_dt": math.inf}, "control_dt"),
+        ({"control_dt": math.nan}, "control_dt"),
+        ({"duration": math.nan}, "duration"),
+        ({"kind": "sine_dwell", "freq_hz": 0.0}, "freq_hz"),
+        ({"kind": "sine_dwell", "freq_hz": -1.0}, "freq_hz"),
+        ({"kind": "backdrive", "backdrive_freq": 0.0}, "backdrive_freq"),
+        ({"kind": "backdrive", "backdrive_cycles": 0}, "backdrive_cycles"),
+    ])
+    def test_bad_numbers_named(self, fields, name):
+        with pytest.raises(ScenarioError, match=name):
+            Scenario(**fields).validate()
 
 
 class TestControlRate:

@@ -1,8 +1,12 @@
 import math
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import linalg
 
 from mrhydro.plant import PlantParams, build_state_space
@@ -110,7 +114,7 @@ class TestKalmanGain:
         # dual quadratic: same equation as the regulator case
         from mrhydro.plant import StateSpace
         toy = StateSpace(A=np.array([[-1.0]]), B=np.array([[1.0]]),
-                         C=np.array([[1.0]]), C_d=np.array([[1.0]]), n=1, n_meas=1)
+                         C=np.array([[1.0]]), C_d=np.array([[1.0]]))
         nc = NoiseCovariances(r_diag=(1.0,), rho_l=1.0, d_diag=(1.0,))
         # bypass validation lengths via direct dual solve
         Pf = solve_care(toy.A.T, toy.C.T, nc.rho_l * np.eye(1), np.eye(1))
@@ -170,6 +174,28 @@ class TestGainSetIO:
         assert again.weights == gains.weights
         assert again.noise == gains.noise
         assert again.plant_hash == gains.plant_hash
+
+    @settings(max_examples=50, deadline=None)
+    @given(K=arrays(float, 8, elements=st.floats(allow_nan=False, allow_infinity=False)),
+           K_ff=st.floats(allow_nan=False, allow_infinity=False),
+           L=arrays(float, (7, 4), elements=st.floats(allow_nan=False, allow_infinity=False)),
+           weights=st.builds(CostWeights, st.floats(1e-12, 1e12), st.floats(0.0, 1e12),
+                             st.floats(1e-6, 1e9)),
+           noise=st.builds(NoiseCovariances,
+                           st.tuples(*[st.floats(1e-15, 1e15)] * 4), st.floats(0.0, 1e6),
+                           st.tuples(*[st.floats(0.0, 1e15)] * 7)),
+           plant_hash=st.text(max_size=12))
+    def test_random_gain_sets_round_trip(self, K, K_ff, L, weights, noise, plant_hash):
+        gs = GainSet(K=K, K_ff=K_ff, L=L, weights=weights, noise=noise, plant_hash=plant_hash)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "gains.json"
+            gs.save(path)
+            again = GainSet.load(path)
+        assert np.array_equal(again.K, gs.K) and np.array_equal(again.L, gs.L)
+        assert again.K_ff == gs.K_ff
+        assert again.weights == gs.weights
+        assert again.noise == gs.noise
+        assert again.plant_hash == gs.plant_hash
 
     def test_save_is_byte_stable(self, gains, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
