@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,11 +97,15 @@ def frf_from_sine_dwell(runner, freqs) -> list[FrfPoint]:
 
     runner(freq) must return a trace of at least FIT_CYCLES steady cycles
     of sinusoidal desired pressure; gain and phase come from sinusoid fits
-    to the slave and desired pressures over the trailing window.
+    to the slave and desired pressures over the trailing window.  freqs
+    must be strictly increasing, since the phase is unwrapped along them;
+    the grid is checked before the first dwell runs.
     """
     freqs = list(freqs)
-    if any(f <= 0.0 or f > 200.0 for f in freqs):
+    if not all(0.0 < f <= 200.0 for f in freqs):
         raise AnalysisError("dwell frequencies must lie in (0, 200] Hz")
+    if any(b <= a for a, b in zip(freqs, freqs[1:])):
+        raise AnalysisError("dwell frequencies must be strictly increasing")
 
     def fit(f: float, trace) -> tuple:
         t_end = trace.t[-1]
@@ -323,38 +327,8 @@ _CELL_CHECKS = {
 
 @dataclass
 class ComparisonReport:
-    rows: dict = field(default_factory=dict)       # name -> RowResult
-    checks: dict = field(default_factory=dict)     # label -> bool
-    notes: list = field(default_factory=list)
-
-    def evaluate(self) -> None:
-        """Fill the cross-row ordering and per-cell checks."""
-        self.checks.clear()
-        for (name, attr), (lo, hi) in _CELL_CHECKS.items():
-            row = self.rows.get(name)
-            if row is None:
-                continue
-            val = getattr(row, attr)
-            self.checks[f"{name}.{attr} in [{lo:.3g}, {hi:.3g}]"] = (
-                val is not None and lo <= val <= hi)
-        r = {n: self.rows.get(n) for n in REFERENCE_RESULTS}
-        if all(r[n] and r[n].dev_5hz_10 is not None for n in r):
-            d = {n: r[n].dev_5hz_10 for n in r}
-            self.checks["5 Hz ordering: lqgi smallest"] = (
-                d["lqgi"] < min(v for n, v in d.items() if n != "lqgi"))
-            self.checks["5 Hz ordering: master ~ slave PID"] = (
-                abs(math.log(d["pid_master"] / d["pid_slave"])) <= math.log(1.3))
-            self.checks["5 Hz ordering: PIDs < open_loop"] = (
-                max(d["pid_master"], d["pid_slave"]) < d["open_loop"])
-            self.checks["5 Hz ordering: open_loop < friction_comp"] = (
-                d["open_loop"] < d["friction_comp"])
-        ol, lq = r.get("open_loop"), r.get("lqgi")
-        if ol and lq and None not in (ol.bandwidth, lq.bandwidth, ol.rise_ms,
-                                      lq.rise_ms, ol.overshoot, lq.overshoot):
-            self.checks["lqgi bandwidth >= max(28, open_loop)"] = (
-                lq.bandwidth >= 28.0 and lq.bandwidth >= ol.bandwidth)
-            self.checks["lqgi overshoot < open_loop"] = lq.overshoot < ol.overshoot
-            self.checks["lqgi rise <= open_loop"] = lq.rise_ms <= ol.rise_ms
+    rows: dict     # name -> RowResult
+    checks: dict   # label -> bool
 
     def render_text(self) -> str:
         out = io.StringIO()
@@ -379,8 +353,6 @@ class ComparisonReport:
         out.write("\nmeasured (reference) per cell\n\nchecks:\n")
         for label, ok in self.checks.items():
             out.write(f"  [{'PASS' if ok else 'FAIL'}] {label}\n")
-        for note in self.notes:
-            out.write(f"note: {note}\n")
         return out.getvalue()
 
     def to_csv(self) -> str:
@@ -407,6 +379,27 @@ def comparison_report(rows: dict) -> ComparisonReport:
     unknown = set(rows) - set(REFERENCE_RESULTS)
     if unknown:
         raise AnalysisError(f"unknown controller row(s): {sorted(unknown)}")
-    report = ComparisonReport(rows=dict(rows))
-    report.evaluate()
-    return report
+    checks = {}
+    for (name, attr), (lo, hi) in _CELL_CHECKS.items():
+        row = rows.get(name)
+        if row is not None:
+            val = getattr(row, attr)
+            checks[f"{name}.{attr} in [{lo:.3g}, {hi:.3g}]"] = val is not None and lo <= val <= hi
+    r = {n: rows.get(n) for n in REFERENCE_RESULTS}
+    if all(r[n] and r[n].dev_5hz_10 is not None for n in r):
+        d = {n: r[n].dev_5hz_10 for n in r}
+        checks["5 Hz ordering: lqgi smallest"] = (
+            d["lqgi"] < min(v for n, v in d.items() if n != "lqgi"))
+        checks["5 Hz ordering: master ~ slave PID"] = (
+            abs(math.log(d["pid_master"] / d["pid_slave"])) <= math.log(1.3))
+        checks["5 Hz ordering: PIDs < open_loop"] = (
+            max(d["pid_master"], d["pid_slave"]) < d["open_loop"])
+        checks["5 Hz ordering: open_loop < friction_comp"] = d["open_loop"] < d["friction_comp"]
+    ol, lq = r["open_loop"], r["lqgi"]
+    if ol and lq and None not in (ol.bandwidth, lq.bandwidth, ol.rise_ms,
+                                  lq.rise_ms, ol.overshoot, lq.overshoot):
+        checks["lqgi bandwidth >= max(28, open_loop)"] = (
+            lq.bandwidth >= 28.0 and lq.bandwidth >= ol.bandwidth)
+        checks["lqgi overshoot < open_loop"] = lq.overshoot < ol.overshoot
+        checks["lqgi rise <= open_loop"] = lq.rise_ms <= ol.rise_ms
+    return ComparisonReport(rows=dict(rows), checks=checks)

@@ -2,7 +2,8 @@
 
 Every output directory gets the resolved configuration (with its hash and
 seed) written next to the results so any run can be reproduced exactly
-from its own artifacts.
+from its own artifacts.  Only run takes a scenario section; the other
+commands run fixed scenarios and refuse one.
 """
 from __future__ import annotations
 
@@ -18,14 +19,6 @@ from . import analysis, controllers, sim, synthesis
 from .config import ConfigError, RunConfig, load_run_config
 from .plant import Plant, PlantError, build_state_space
 from .sim import FRF_GRID_DEFAULT
-
-
-def _write_config_echo(cfg: RunConfig, outdir: Path) -> None:
-    payload = cfg.to_dict()
-    payload["_hash"] = cfg.content_hash()
-    with open(outdir / "config.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _resolve(args) -> RunConfig:
@@ -55,15 +48,11 @@ def _controller_kwargs(cfg: RunConfig) -> dict:
     return {"dither": cfg.dither_config(), "pid_master": pid_m, "pid_slave": pid_s}
 
 
-def cmd_synth(args) -> int:
-    cfg = _resolve(args)
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_synth(cfg: RunConfig, outdir: Path, args) -> int:
     params = cfg.plant_params()
     ss = build_state_space(params)
     gains = _make_gains(cfg)
     gains.save(outdir / "gains.json")
-    _write_config_echo(cfg, outdir)
 
     cl = synthesis.closed_loop_matrix(ss, gains)
     ev = np.linalg.eigvals(cl)
@@ -85,10 +74,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_run(args) -> int:
-    cfg = _resolve(args)
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_run(cfg: RunConfig, outdir: Path, args) -> int:
     scenario = sim.Scenario.from_dict({**cfg.scenario, "controller": cfg.controller,
                                        "seed": cfg.seed})
     plant = Plant(cfg.plant_params())
@@ -97,19 +83,18 @@ def cmd_run(args) -> int:
                              controller_kwargs=_controller_kwargs(cfg))
     name = f"trace_{scenario.kind}_{cfg.controller}_seed{cfg.seed}.csv"
     trace.to_csv(outdir / name)
-    _write_config_echo(cfg, outdir)
     print(f"trace written to {outdir / name}"
           + (f" (aborted: {trace.aborted})" if trace.aborted else ""))
     return 1 if trace.aborted else 0
 
 
-def cmd_frf(args) -> int:
-    cfg = _resolve(args)
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_frf(cfg: RunConfig, outdir: Path, args) -> int:
+    freqs = args.freqs if args.freqs else FRF_GRID_DEFAULT
+    if len(freqs) < 2:
+        raise analysis.AnalysisError("a bandwidth needs at least two dwell frequencies "
+                                     f"in (0, 200] Hz, got {list(freqs)}")
     plant = Plant(cfg.plant_params())
     gains = _make_gains(cfg) if cfg.controller == "lqgi" else None
-    freqs = args.freqs if args.freqs else FRF_GRID_DEFAULT
     kwargs = _controller_kwargs(cfg)
     points = analysis.frf_from_sine_dwell(
         lambda f: sim.run_scenario(sim.dwell_scenario(cfg.controller, f, seed=cfg.seed),
@@ -118,7 +103,6 @@ def cmd_frf(args) -> int:
     bw = analysis.bandwidth(points)
     path = outdir / f"frf_{cfg.controller}.csv"
     _write_frf_csv(path, points)
-    _write_config_echo(cfg, outdir)
     print(f"frf written to {path}")
     print(f"bandwidth ({cfg.controller}): "
           + (f"{bw:.2f} Hz" if bw is not None else "beyond measured range"))
@@ -133,14 +117,7 @@ def _write_frf_csv(path, points) -> None:
                      f"{p.phase_deg:.17g},{int(p.flagged)}\n")
 
 
-def cmd_report(args) -> int:
-    cfg = _resolve(args)
-    if cfg.scenario:
-        # the matrix runs its own fixed scenarios
-        raise ConfigError(f"report ignores scenario key(s) {sorted(cfg.scenario)}; "
-                          "remove the 'scenario' section")
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_report(cfg: RunConfig, outdir: Path, args) -> int:
     only = args.only.split(",") if args.only else list(analysis.REFERENCE_RESULTS)
     bad = set(only) - set(analysis.REFERENCE_RESULTS)
     if bad:
@@ -165,7 +142,6 @@ def cmd_report(args) -> int:
     text = report.render_text()
     (outdir / "comparison.txt").write_text(text)
     (outdir / "comparison.csv").write_text(report.to_csv())
-    _write_config_echo(cfg, outdir)
     print(text)
     print(f"report completed in {time.time() - t0:.0f} s; files in {outdir}")
     return 0
@@ -211,10 +187,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _resolve(args)
+        if cfg.scenario and args.command != "run":
+            # an override the command's own fixed scenarios would silently drop
+            raise ConfigError(f"{args.command} ignores scenario key(s) "
+                              f"{sorted(cfg.scenario)}; remove the 'scenario' section")
+        outdir = Path(cfg.output_dir)
+        outdir.mkdir(parents=True, exist_ok=True)
+        code = args.func(cfg, outdir, args)
+        with open(outdir / "config.json", "w") as fh:
+            json.dump({**cfg.to_dict(), "_hash": cfg.content_hash()}, fh, indent=2,
+                      sort_keys=True)
+            fh.write("\n")
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

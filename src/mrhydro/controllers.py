@@ -130,11 +130,8 @@ class OpenLoopController:
             p_cmd += friction_pressure(self.plant.params.friction.mu, p_master, v1f,
                                        COMP_STEEPNESS)
         p_cmd += dither_signal(t, p_desired, self.dither)
-        force_req = self.plant.force_from_pressure(p_cmd)
-        current, saturated = self.plant.current_from_force(force_req)
-        force = self.plant.clutch_force_from_current(current)
-        return Command(current=current, force=force, pressure_cmd=p_cmd,
-                       saturated=saturated or force_req < 0.0)
+        current, force, saturated = self.plant.drive(p_cmd * self.plant.area_slave)
+        return Command(current=current, force=force, pressure_cmd=p_cmd, saturated=saturated)
 
 
 @dataclass(frozen=True)
@@ -198,14 +195,12 @@ class PidController:
         p_cmd = self.plant.p_dc + cfg.kp * error + self.integral + d_term
         # anti-windup on the feedback command's own limits; the zero-mean
         # dither is added afterwards
-        saturated, integrate = _anti_windup(self.plant.force_from_pressure(p_cmd),
+        saturated, integrate = _anti_windup(p_cmd * self.plant.area_slave,
                                             self.plant.force_max, error)
         if integrate:
             self.integral += cfg.ki * error * self.dt
         p_cmd += dither_signal(t, p_desired, self.dither)
-        force_req = self.plant.force_from_pressure(p_cmd)
-        current, _ = self.plant.current_from_force(force_req)
-        force = self.plant.clutch_force_from_current(current)
+        current, force, _ = self.plant.drive(p_cmd * self.plant.area_slave)
         return Command(current=current, force=force, pressure_cmd=p_cmd,
                        saturated=saturated)
 
@@ -263,8 +258,7 @@ class LqgiController:
             self.x_i += err_i * self.dt
             self.x_i = min(max(self.x_i, -self.xi_clamp), self.xi_clamp)
         force_req = u + dither_signal(t, p_desired, self.dither) * self.plant.area_slave
-        current, _ = self.plant.current_from_force(force_req)
-        force = self.plant.clutch_force_from_current(current)
+        current, force, _ = self.plant.drive(force_req)
         self._u_prev = force
         return Command(current=current, force=force,
                        pressure_cmd=force_req / self.plant.area_slave,
@@ -353,16 +347,11 @@ def pid_loop_gain(plant: Plant, ss: StateSpace, cfg: PidConfig, freqs,
     return _pid_c_of_jw(cfg, freqs) * g_tap
 
 
-def _tap_frfs(plant, ss, tap, freqs, with_delay):
-    """Slave-pressure and feedback-tap responses to the pressure command."""
-    g_slave = pressure_command_frf(plant, ss, freqs, "slave", with_delay)
+def _tap_frfs(plant, ss, tap):
+    """Slave-pressure and feedback-tap responses to the pressure command on DESIGN_FREQS."""
+    g_slave = pressure_command_frf(plant, ss, DESIGN_FREQS, "slave")
     return g_slave, (g_slave if tap == "slave" else
-                     pressure_command_frf(plant, ss, freqs, tap, with_delay))
-
-
-def _pid_closed_loop(cfg: PidConfig, freqs, g_slave, g_tap) -> np.ndarray:
-    c = _pid_c_of_jw(cfg, freqs)
-    return g_slave * c / (1.0 + c * g_tap)
+                     pressure_command_frf(plant, ss, DESIGN_FREQS, tap))
 
 
 def gain_margin_db(loop: np.ndarray, freqs) -> float:
@@ -380,24 +369,23 @@ def gain_margin_db(loop: np.ndarray, freqs) -> float:
 
 def _pid_bandwidth(cfg: PidConfig, g_slave, g_tap) -> float | None:
     """Closed-loop bandwidth from tap responses sampled on DESIGN_FREQS."""
-    resp = _pid_closed_loop(cfg, DESIGN_FREQS, g_slave, g_tap)
+    c = _pid_c_of_jw(cfg, DESIGN_FREQS)
+    resp = g_slave * c / (1.0 + c * g_tap)
     return crossing_bandwidth(DESIGN_FREQS, 20.0 * np.log10(np.abs(resp)),
                               np.degrees(np.unwrap(np.angle(resp))))
 
 
-def linear_pid_bandwidth(plant: Plant, ss: StateSpace, cfg: PidConfig,
-                         with_delay: bool = True) -> float | None:
-    return _pid_bandwidth(cfg, *_tap_frfs(plant, ss, cfg.feedback_tap, DESIGN_FREQS,
-                                          with_delay))
+def linear_pid_bandwidth(plant: Plant, ss: StateSpace, cfg: PidConfig) -> float | None:
+    return _pid_bandwidth(cfg, *_tap_frfs(plant, ss, cfg.feedback_tap))
 
 
 def calibrate_integral_gain(plant: Plant, ss: StateSpace, tap: str, target_hz: float,
-                            kd: float = 0.0, with_delay: bool = True) -> float:
+                            kd: float = 0.0) -> float:
     """Bisect the integral gain until the linear loop hits the target bandwidth.
 
     The tap responses do not depend on the gain, so they are computed once.
     """
-    g_slave, g_tap = _tap_frfs(plant, ss, tap, DESIGN_FREQS, with_delay)
+    g_slave, g_tap = _tap_frfs(plant, ss, tap)
     lo, hi = 1e-2, 5e3
     for _ in range(60):
         mid = math.sqrt(lo * hi)
@@ -422,13 +410,11 @@ def calibrate_pid_defaults(plant: Plant, ss: StateSpace) -> tuple[PidConfig, Pid
     return master, slave
 
 
-def lqgi_closed_loop_frf(plant: Plant, ss: StateSpace, gains: GainSet, freqs,
-                         with_delay: bool = True) -> np.ndarray:
+def lqgi_closed_loop_frf(plant: Plant, ss: StateSpace, gains: GainSet, freqs) -> np.ndarray:
     """Linear tracking response of the full LQGI interconnection.
 
     The clutch delay applies to the physical path into the plant but not
     to the estimator model, matching the implementation.
     """
-    tau = plant.tau_delay if with_delay else 0.0
     M, b = closed_loop_matrix(ss, gains), closed_loop_input(ss, gains)
-    return _plant_output_frf(freqs, M, b, ss.C_d[0], tau)
+    return _plant_output_frf(freqs, M, b, ss.C_d[0], plant.tau_delay)

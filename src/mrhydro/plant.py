@@ -331,18 +331,13 @@ class Plant:
         """Absolute slave pressure -> delivered joint torque."""
         return (pressure - self.p_dc) * self.area_slave * self.r_pulley
 
-    def force_from_pressure(self, pressure: float) -> float:
-        """Pressure command -> equivalent steady clutch force at the piston."""
-        return pressure * self.area_slave
-
-    def clutch_force_from_current(self, current: float) -> float:
-        """Coil current -> steady screw thrust through the static curve."""
-        return self.mr_torque_from_current(current) * self.force_per_torque
-
-    def current_from_force(self, force: float) -> tuple[float, bool]:
-        """Steady force command -> coil current, with saturation flag."""
-        force = min(max(force, 0.0), self.force_max)
-        return self.current_from_torque(force / self.force_per_torque)
+    def drive(self, force: float) -> tuple[float, float, bool]:
+        """Screw-force request -> (coil current, delivered force, saturated); the request
+        is clamped to [0, force_max], and saturated marks a clamped or unreachable one."""
+        current, saturated = self.current_from_torque(
+            min(max(force, 0.0), self.force_max) / self.force_per_torque)
+        return (current, self.mr_torque_from_current(current) * self.force_per_torque,
+                saturated or force < 0.0)
 
     # ---------------- pressures from a state ----------------
 

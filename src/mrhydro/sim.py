@@ -91,6 +91,19 @@ class Scenario:
             raise ScenarioError("control_dt must be an integer multiple of sim_dt")
         if self.duration is not None and not 0.0 < self.duration < math.inf:
             raise ScenarioError(f"duration must be finite and positive, got {self.duration}")
+        for name in ("torque_amplitude", "torque_offset", "torque_command", "ramp_torque_end",
+                     "backdrive_amplitude", "chirp_f0", "chirp_f1", "chirp_i_offset",
+                     "chirp_i_amplitude"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):   # ramp_torque_end may be None
+                raise ScenarioError(f"{name} must be finite, got {value}")
+        if not 0.0 <= self.pre_hold < math.inf:
+            raise ScenarioError(f"pre_hold must be finite and >= 0, got {self.pre_hold}")
+        if self.seed < 0:
+            raise ScenarioError(f"seed must be >= 0, got {self.seed}")
+        if not 0.0 < self.total_duration() < math.inf:
+            raise ScenarioError(f"total_duration() must be finite and positive, "
+                                f"got {self.total_duration()}")
 
     def total_duration(self) -> float:
         if self.duration is not None:
@@ -216,6 +229,8 @@ def read_trace_csv(path) -> SimTrace:
     with open(path) as fh:
         names = fh.readline().strip().split(",")
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.size == 0:   # header only: a run aborted at its first tick
+        data = data.reshape(0, len(names))
     try:
         with open(f"{path}.meta.json") as fh:
             meta = json.load(fh)
@@ -337,9 +352,8 @@ def run_scenario(sc: Scenario, plant: Plant | None = None, controller=None,
                 phase = sc.chirp_f0 * t + chirp_rate * t * t
                 current = sc.chirp_i_offset + sc.chirp_i_amplitude * math.sin(TWO_PI * phase)
                 current = min(max(current, 0.0), plant.params.clutch.current_max)
-                cmd = Command(current=current,
-                              force=plant.clutch_force_from_current(current),
-                              pressure_cmd=0.0, saturated=False)
+                force = plant.mr_torque_from_current(current) * plant.force_per_torque
+                cmd = Command(current=current, force=force, pressure_cmd=0.0, saturated=False)
                 p_desired = 0.0
             else:
                 p_desired, _ = plant.pressure_from_torque(r_now)
@@ -405,9 +419,11 @@ def measure_controller_row(name: str, plant: Plant | None = None, gains=None,
     """Measure one comparison-table row: step metrics, dwell bandwidth and
     the three backdrive torque-deviation cells.
 
-    trace_hook(label, trace_or_points) receives every intermediate result
-    for persistence; pass None to discard them.  Fails closed: a scored run
-    that aborted raises ScenarioError naming it, after its hook call.
+    trace_hook(label, trace_or_points) receives the step and backdrive
+    traces and the FRF points, not the dwell traces (each is freed once
+    fitted); pass None to discard them.  Fails closed: a scored run that
+    aborted raises ScenarioError naming it (a step or backdrive run after
+    its hook call).
     """
     row = analysis.RowResult()
     hook = trace_hook if trace_hook is not None else (lambda label, obj: None)

@@ -88,6 +88,11 @@ class TestFrfFromSineDwell:
         with pytest.raises(AnalysisError):
             frf_from_sine_dwell(first_order_runner(64.0), [250.0])
 
+    @pytest.mark.parametrize("freqs", [[20.0, 10.0], [10.0, 10.0], [5.0, math.nan]])
+    def test_unordered_grid_rejected_before_any_dwell(self, freqs):
+        with pytest.raises(AnalysisError):
+            frf_from_sine_dwell(lambda f: pytest.fail("dwell ran"), freqs)
+
     def test_previous_trace_released_before_next_dwell(self):
         # two dwell tables must never be alive at once
         previous = []

@@ -100,6 +100,11 @@ class TestCliRun:
         f2 = d2 / "trace_step_open_loop_seed3.csv"
         assert f1.read_bytes() == f2.read_bytes()
 
+    def test_negative_seed_is_an_error(self, tmp_path, capsys):
+        rc = main(["run", "--seed", "-1", "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: seed must be >= 0")
+
     def test_backdrive_flags(self, tmp_path):
         rc = main(["run", "--kind", "backdrive", "--controller", "open_loop",
                    "--freq", "1.0", "--cmd-torque", "0.0",
@@ -128,6 +133,13 @@ class TestCliFrf:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "(0, 200] Hz" in err
+
+    @pytest.mark.parametrize("freqs", [["100", "50"], ["50"]])
+    def test_unusable_grid_rejected_before_any_dwell(self, tmp_path, capsys, monkeypatch, freqs):
+        monkeypatch.setattr(sim, "run_scenario", lambda *a, **kw: pytest.fail("dwell ran"))
+        rc = main(["frf", "--freqs", *freqs, "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestCliReport:
@@ -165,3 +177,34 @@ class TestCliReport:
         assert rc == 2
         assert "backdrive_freq" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestCliEntry:
+    @pytest.mark.parametrize("command", ["synth", "frf"])
+    def test_scenario_section_rejected(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(sim, "run_scenario", lambda *a, **kw: pytest.fail("a run started"))
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"scenario": {"torque_amplitude": 3.0}}))
+        out = tmp_path / "out"
+        rc = main(["--config", str(cfgfile), command, "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{command} ignores scenario key(s) ['torque_amplitude']" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["synth"],
+        ["run", "--kind", "step", "--seed", "2"],
+        ["frf", "--freqs", "50", "100"],
+        ["report", "--only", "open_loop"],
+    ], ids=lambda argv: argv[0])
+    def test_every_command_writes_config(self, tmp_path, monkeypatch, argv):
+        monkeypatch.setattr(sim, "measure_controller_row",
+                            lambda name, **kw: RowResult(*REFERENCE_RESULTS[name]))
+        out = tmp_path / "out"
+        assert main(argv + ["--out-dir", str(out)]) == 0
+        echo = json.loads((out / "config.json").read_text())
+        cfg = RunConfig(**{k: v for k, v in echo.items() if k != "_hash"})
+        assert echo["_hash"] == cfg.content_hash()
+        assert echo["output_dir"] == str(out)
+        assert echo["seed"] == (2 if argv[0] == "run" else 0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,7 +62,7 @@ class TestOpenLoop:
         for torque in (0.0, 5.0, 12.0):
             p_d, _ = plant.pressure_from_torque(torque)
             cmd = ctrl.step(0.0, p_d, (0.0, 0.0, 0.0, 0.0, 0.0))
-            expect, _ = plant.current_from_force(plant.force_from_pressure(p_d))
+            expect, _, _ = plant.drive(p_d * plant.area_slave)
             assert cmd.current == pytest.approx(expect, abs=1e-12)
 
     def test_zero_speed_compensation_is_zero(self, plant):
@@ -341,22 +342,26 @@ class TestCalibration:
                     expected = min(expected, -m)
         assert gain_margin_db(loop, DESIGN_FREQS) == expected
 
-    @pytest.mark.parametrize("with_delay", [True, False])
+    @pytest.mark.parametrize("delayed", [True, False])
     @pytest.mark.parametrize("tap, target, kd", [("master", 11.0, PID_MASTER_DEFAULT.kd),
                                                  ("slave", 3.0, 0.0)])
-    def test_calibrated_gain_hits_target_bandwidth(self, plant, tap, target, kd,
-                                                   with_delay):
+    def test_calibrated_gain_hits_target_bandwidth(self, plant, tap, target, kd, delayed):
         # the bisection reuses one plant FRF per tap; the public path recomputes it
+        plant = plant if delayed else undelayed(plant)
         ss = build_state_space(plant.params)
-        ki = calibrate_integral_gain(plant, ss, tap, target, kd=kd, with_delay=with_delay)
-        bw = linear_pid_bandwidth(plant, ss, PidConfig(kp=0.0, ki=ki, kd=kd, feedback_tap=tap),
-                                  with_delay=with_delay)
+        ki = calibrate_integral_gain(plant, ss, tap, target, kd=kd)
+        bw = linear_pid_bandwidth(plant, ss, PidConfig(kp=0.0, ki=ki, kd=kd, feedback_tap=tap))
         assert bw == pytest.approx(target, rel=1e-6)
 
     def test_lqgi_linear_frf_dc_unity(self, plant, gains):
         ss = build_state_space(plant.params)
         resp = lqgi_closed_loop_frf(plant, ss, gains, [0.01])
         assert abs(resp[0]) == pytest.approx(1.0, abs=1e-4)
+
+
+def undelayed(plant):
+    """The plant with the clutch pure delay set to zero."""
+    return Plant(replace(plant.params, clutch=replace(plant.params.clutch, tau_delay=0.0)))
 
 
 def reference_pressure_frf(plant, ss, freqs, output, with_delay):
@@ -370,7 +375,7 @@ def reference_pressure_frf(plant, ss, freqs, output, with_delay):
     return out
 
 
-def reference_lqgi_frf(plant, ss, gains, freqs, with_delay):
+def reference_lqgi_frf(plant, ss, gains, freqs):
     """Plant, estimator and integral state written out per frequency; the
     clutch delay sits on the plant input only."""
     A, B, C, C_d, L = ss.A, ss.B[:, 0], ss.C, ss.C_d[0], gains.L
@@ -378,7 +383,7 @@ def reference_lqgi_frf(plant, ss, gains, freqs, with_delay):
     out = np.empty(len(freqs), dtype=complex)
     for i, f in enumerate(freqs):
         s = 2j * math.pi * f
-        d = np.exp(-s * plant.tau_delay) if with_delay else 1.0
+        d = np.exp(-s * plant.tau_delay)
         M = np.zeros((15, 15), dtype=complex)
         M[0:7, 0:7] = A
         M[0:7, 7:14] = -np.outer(B, K_x) * d
@@ -413,12 +418,13 @@ class TestStackedFrf:
             reference_pressure_frf(plant, ss, freqs, output, with_delay), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3000])
-    @pytest.mark.parametrize("with_delay", [True, False])
-    def test_lqgi_frf_matches_per_frequency_solve(self, plant, ss, gains, n, with_delay):
+    @pytest.mark.parametrize("delayed", [True, False])
+    def test_lqgi_frf_matches_per_frequency_solve(self, plant, ss, gains, n, delayed):
+        plant = plant if delayed else undelayed(plant)
         freqs = np.logspace(math.log10(0.05), math.log10(400.0), n)
-        np.testing.assert_allclose(
-            lqgi_closed_loop_frf(plant, ss, gains, freqs, with_delay=with_delay),
-            reference_lqgi_frf(plant, ss, gains, freqs, with_delay), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(lqgi_closed_loop_frf(plant, ss, gains, freqs),
+                                   reference_lqgi_frf(plant, ss, gains, freqs),
+                                   rtol=1e-12, atol=0)
 
     @settings(max_examples=25, deadline=None)
     @given(freqs=st.lists(st.floats(0.01, 1000.0), min_size=1, max_size=3 * BLOCK + 5)
@@ -429,6 +435,7 @@ class TestStackedFrf:
         np.testing.assert_allclose(
             pressure_command_frf(plant, ss, freqs, output=output, with_delay=with_delay),
             reference_pressure_frf(plant, ss, freqs, output, with_delay), rtol=1e-12, atol=0)
-        np.testing.assert_allclose(
-            lqgi_closed_loop_frf(plant, ss, gains, freqs, with_delay=with_delay),
-            reference_lqgi_frf(plant, ss, gains, freqs, with_delay), rtol=1e-12, atol=0)
+        plant = plant if with_delay else undelayed(plant)
+        np.testing.assert_allclose(lqgi_closed_loop_frf(plant, ss, gains, freqs),
+                                   reference_lqgi_frf(plant, ss, gains, freqs),
+                                   rtol=1e-12, atol=0)

@@ -156,6 +156,16 @@ class TestClutchStatics:
         current, saturated = plant.current_from_torque(top - 1e-6)
         assert not saturated and current < i_top
 
+    def test_drive_composes_inverse_and_static_curve(self, plant):
+        f_max = plant.force_max
+        for force in (-1e3, -1e-9, 0.0, 100.0, 0.37 * f_max, f_max, 1.5 * f_max):
+            clamped = min(max(force, 0.0), f_max)
+            current, saturated = plant.current_from_torque(clamped / plant.force_per_torque)
+            assert plant.drive(force) == (
+                current, plant.mr_torque_from_current(current) * plant.force_per_torque,
+                saturated or force < 0.0)
+        assert plant.drive(-1.0)[2] and plant.drive(f_max)[2] and not plant.drive(100.0)[2]
+
     def test_negative_remnant_torque_rejected(self):
         with pytest.raises(PlantError, match="poly_c0"):
             MRClutchParams(poly_c0=-0.01).validate()

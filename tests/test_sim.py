@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.signal import cont2discrete
 
-from mrhydro.controllers import CONTROLLER_NAMES, Command, make_controller
+from mrhydro.controllers import CONTROLLER_NAMES, Command, ControllerFault, make_controller
 from mrhydro.plant import FRICTION_MODES, Plant, PlantError, PlantParams, build_state_space
 from mrhydro.sim import (BACKDRIVE_AMPLITUDE_1HZ, SCENARIO_KINDS, TRACE_SCHEMA, Scenario,
                          ScenarioError, SimTrace, backdrive_scenario,
@@ -56,8 +56,7 @@ class TestLinearOracle:
             if i % ticks == 0:
                 torque = 12.0 if t >= sc.pre_hold else 0.0
                 p_d, _ = plant.pressure_from_torque(torque)
-                f_now = plant.clutch_force_from_current(
-                    plant.current_from_force(plant.force_from_pressure(p_d))[0])
+                _, f_now, _ = plant.drive(p_d * plant.area_slave)
             force[i + delay_steps] = f_now
             p_lin[i] = (ss.C_d @ x)[0]
             x = ad @ x + bd[:, 0] * force[i]
@@ -310,6 +309,25 @@ class TestTraceIO:
         assert (again.scenario, again.plant_hash, again.seed, again.aborted) == (
             tr.scenario, tr.plant_hash, tr.seed, tr.aborted)
 
+    @pytest.mark.filterwarnings("ignore:loadtxt")   # numpy notes the header-only file
+    def test_zero_row_trace_round_trip(self, tmp_path):
+        class FailsAtOnce:
+            dt = 1e-3
+
+            def step(self, t, p_desired, meas):
+                raise ControllerFault("no first command")
+
+        tr = run_scenario(step_scenario("pid_slave", settle=0.2), controller=FailsAtOnce())
+        assert len(tr.t) == 0 and tr.aborted == "ControllerFault: no first command"
+        path = tmp_path / "t.csv"
+        tr.to_csv(path)
+        again = read_trace_csv(path)
+        for name, heads in TRACE_SCHEMA.items():
+            want, got = getattr(tr, name), getattr(again, name)
+            assert (got is None) if want is None else (
+                got.shape == want.shape and got.dtype == want.dtype), name
+        assert again.state.shape == (0, 7) and again.aborted == tr.aborted
+
     def test_round_trip_without_estimate(self, tmp_path):
         tr = run_scenario(step_scenario("pid_slave", settle=0.2))
         path = tmp_path / "t.csv"
@@ -370,6 +388,17 @@ class TestScenarioValidation:
         ({"kind": "sine_dwell", "freq_hz": -1.0}, "freq_hz"),
         ({"kind": "backdrive", "backdrive_freq": 0.0}, "backdrive_freq"),
         ({"kind": "backdrive", "backdrive_cycles": 0}, "backdrive_cycles"),
+        ({"controller": "pid_master", "torque_amplitude": math.nan}, "torque_amplitude"),
+        ({"kind": "sine_dwell", "torque_offset": math.inf}, "torque_offset"),
+        ({"kind": "backdrive", "torque_command": math.nan}, "torque_command"),
+        ({"kind": "backdrive", "ramp_torque_end": -math.inf}, "ramp_torque_end"),
+        ({"kind": "backdrive", "backdrive_amplitude": math.nan}, "backdrive_amplitude"),
+        ({"kind": "chirp", "chirp_f1": math.inf}, "chirp_f1"),
+        ({"kind": "chirp", "chirp_i_offset": math.nan}, "chirp_i_offset"),
+        ({"pre_hold": -1.0}, "pre_hold"),
+        ({"kind": "backdrive", "pre_hold": math.nan}, "pre_hold"),
+        ({"seed": -1}, "seed"),
+        ({"kind": "backdrive", "backdrive_freq": 1e-320}, "total_duration"),
     ])
     def test_bad_numbers_named(self, fields, name):
         with pytest.raises(ScenarioError, match=name):
