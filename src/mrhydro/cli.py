@@ -8,7 +8,6 @@ commands run fixed scenarios and refuse one.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import analysis, controllers, sim, synthesis
 from .config import ConfigError, RunConfig, load_run_config
-from .plant import Plant, PlantError, build_state_space
+from .plant import Plant, PlantError, build_state_space, write_json
 from .sim import FRF_GRID_DEFAULT
 
 
@@ -118,10 +117,6 @@ def _write_frf_csv(path, points) -> None:
 
 
 def cmd_report(cfg: RunConfig, outdir: Path, args) -> int:
-    only = args.only.split(",") if args.only else list(analysis.REFERENCE_RESULTS)
-    bad = set(only) - set(analysis.REFERENCE_RESULTS)
-    if bad:
-        raise ConfigError(f"unknown controller(s) in --only: {sorted(bad)}")
     plant = Plant(cfg.plant_params())
     gains = _make_gains(cfg)
 
@@ -133,7 +128,7 @@ def cmd_report(cfg: RunConfig, outdir: Path, args) -> int:
 
     t0 = time.time()
     rows = {}
-    for name in only:
+    for name in args.only:
         rows[name] = sim.measure_controller_row(name, plant=plant, gains=gains,
                                                 controller_kwargs=_controller_kwargs(cfg),
                                                 seed=cfg.seed, trace_hook=hook)
@@ -194,13 +189,15 @@ def main(argv=None) -> int:
             # an override the command's own fixed scenarios would silently drop
             raise ConfigError(f"{args.command} ignores scenario key(s) "
                               f"{sorted(cfg.scenario)}; remove the 'scenario' section")
+        if args.command == "report":   # like the scenario rule, before the directory exists
+            args.only = args.only.split(",") if args.only else list(analysis.REFERENCE_RESULTS)
+            bad = set(args.only) - set(analysis.REFERENCE_RESULTS)
+            if bad:
+                raise ConfigError(f"unknown controller(s) in --only: {sorted(bad)}")
         outdir = Path(cfg.output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
         code = args.func(cfg, outdir, args)
-        with open(outdir / "config.json", "w") as fh:
-            json.dump({**cfg.to_dict(), "_hash": cfg.content_hash()}, fh, indent=2,
-                      sort_keys=True)
-            fh.write("\n")
+        write_json(outdir / "config.json", {**cfg.to_dict(), "_hash": cfg.content_hash()})
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -6,26 +6,17 @@ offending key named, so a typo cannot silently fall back to a default.
 """
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from .controllers import (CONTROLLER_NAMES, DitherConfig, PidConfig,
                           PID_MASTER_DEFAULT, PID_SLAVE_DEFAULT)
-from .plant import PlantParams
+from .plant import PlantParams, json_hash, known_keys
 from .synthesis import CostWeights, NoiseCovariances
 
 
 class ConfigError(ValueError):
     pass
-
-
-def _build(cls, data: dict, where: str):
-    fields = set(cls.__dataclass_fields__)
-    bad = set(data) - fields
-    if bad:
-        raise ConfigError(f"unknown key(s) in {where}: {sorted(bad)}")
-    return cls(**data)
 
 
 @dataclass
@@ -61,27 +52,26 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
     def dither_config(self) -> DitherConfig:
-        return _build(DitherConfig, self.dither, "dither")
+        return DitherConfig(**known_keys(DitherConfig, self.dither, "dither", ConfigError))
 
     def pid_configs(self) -> tuple[PidConfig, PidConfig]:
-        return (_build(PidConfig, {**PID_MASTER_DEFAULT.__dict__, **self.pid_master},
-                       "pid_master"),
-                _build(PidConfig, {**PID_SLAVE_DEFAULT.__dict__, **self.pid_slave}, "pid_slave"))
+        master = known_keys(PidConfig, self.pid_master, "pid_master", ConfigError)
+        slave = known_keys(PidConfig, self.pid_slave, "pid_slave", ConfigError)
+        return replace(PID_MASTER_DEFAULT, **master), replace(PID_SLAVE_DEFAULT, **slave)
 
     def cost_weights(self) -> CostWeights:
-        return _build(CostWeights, self.weights, "weights")
+        return CostWeights(**known_keys(CostWeights, self.weights, "weights", ConfigError))
 
     def noise_covariances(self) -> NoiseCovariances:
-        return _build(NoiseCovariances, self.noise_cov, "noise_cov")
+        return NoiseCovariances(**known_keys(NoiseCovariances, self.noise_cov, "noise_cov",
+                                             ConfigError))
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     def content_hash(self) -> str:
         """Hash of the experiment; where its outputs go is not part of it."""
-        experiment = {k: v for k, v in self.to_dict().items() if k != "output_dir"}
-        blob = json.dumps(experiment, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:12]
+        return json_hash({k: v for k, v in self.to_dict().items() if k != "output_dir"})
 
 
 def load_run_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
@@ -99,6 +89,6 @@ def load_run_config(path: str | None = None, overrides: dict | None = None) -> R
                 layers[key] = {**layers[key], **val}
             else:
                 layers[key] = val
-    cfg = _build(RunConfig, layers, "run config")
+    cfg = RunConfig(**known_keys(RunConfig, layers, "run config", ConfigError))
     cfg.validate()
     return cfg

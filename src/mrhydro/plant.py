@@ -25,6 +25,26 @@ class PlantError(ValueError):
     """Invalid parameter set or out-of-range operating point."""
 
 
+def known_keys(cls, data: dict, where: str, error: type) -> dict:
+    """data itself once each key names a field of dataclass cls; else error names the rest."""
+    bad = set(data) - set(cls.__dataclass_fields__)
+    if bad:
+        raise error(f"unknown key(s) in {where}: {sorted(bad)}")
+    return data
+
+
+def write_json(path, record) -> None:
+    """Indented, key-sorted JSON with a final newline."""
+    with open(path, "w") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def json_hash(record) -> str:
+    """First 12 hex digits of the sha256 of the key-sorted JSON."""
+    return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()[:12]
+
+
 @dataclass(frozen=True)
 class TransmissionParams:
     """Three-mass chain: clutch/screw/piston, fluid column, robot structure."""
@@ -65,11 +85,13 @@ class MRClutchParams:
             raise PlantError("clutch limits must be positive")
         if self.poly_c0 < 0.0:
             raise PlantError("remnant torque poly_c0 must be >= 0")
-        # strictly increasing static curve on the usable current range
-        for i in np.linspace(0.0, self.current_max, 200):
-            d = (3.0 * self.poly_c3 * i + 2.0 * self.poly_c2) * i + self.poly_c1
-            if d <= 0.0:
-                raise PlantError("clutch polynomial not monotone on [0, current_max]")
+        # strictly increasing on [0, current_max]: the slope is least at an end or its vertex
+        c3, c2, c1 = self.poly_c3, self.poly_c2, self.poly_c1
+        at = [0.0, self.current_max]
+        if c3 > 0.0 and 0.0 < -c2 / (3.0 * c3) < self.current_max:
+            at.append(-c2 / (3.0 * c3))
+        if not all((3.0 * c3 * i + 2.0 * c2) * i + c1 > 0.0 for i in at):
+            raise PlantError("clutch polynomial not monotone on [0, current_max]")
 
 
 @dataclass(frozen=True)
@@ -155,30 +177,17 @@ class PlantParams:
     @classmethod
     def from_dict(cls, data: dict) -> "PlantParams":
         """Build from a nested dict; unknown keys are rejected."""
-        sections = {
-            "transmission": TransmissionParams,
-            "clutch": MRClutchParams,
-            "friction": FrictionParams,
-            "geometry": GeometryParams,
-        }
-        unknown = set(data) - set(sections)
-        if unknown:
-            raise PlantError(f"unknown plant section(s): {sorted(unknown)}")
-        kwargs = {}
-        for name, typ in sections.items():
-            sub = data.get(name, {})
-            bad = set(sub) - {f for f in typ.__dataclass_fields__}
-            if bad:
-                raise PlantError(f"unknown key(s) in plant.{name}: {sorted(bad)}")
-            kwargs[name] = typ(**sub)
-        params = cls(**kwargs)
+        known_keys(cls, data, "plant", PlantError)
+        params = cls(**{   # each section's default factory is its class
+            name: f.default_factory(**known_keys(f.default_factory, data.get(name, {}),
+                                                 f"plant.{name}", PlantError))
+            for name, f in cls.__dataclass_fields__.items()})
         params.validate()
         return params
 
     def content_hash(self) -> str:
         """Short stable hash for provenance records."""
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:12]
+        return json_hash(self.to_dict())
 
     def with_friction(self, **changes) -> "PlantParams":
         return replace(self, friction=replace(self.friction, **changes))
@@ -336,8 +345,11 @@ class Plant:
         is clamped to [0, force_max], and saturated marks a clamped or unreachable one."""
         current, saturated = self.current_from_torque(
             min(max(force, 0.0), self.force_max) / self.force_per_torque)
-        return (current, self.mr_torque_from_current(current) * self.force_per_torque,
-                saturated or force < 0.0)
+        return current, self.clutch_force(current), saturated or force < 0.0
+
+    def clutch_force(self, current: float) -> float:
+        """Static screw force the clutch delivers at a coil current."""
+        return self.mr_torque_from_current(current) * self.force_per_torque
 
     # ---------------- pressures from a state ----------------
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 
 from . import analysis
-from .plant import Plant, PlantError, TWO_PI
+from .plant import Plant, PlantError, TWO_PI, known_keys, write_json
 from .controllers import (CONTROL_DT, SIM_DT, Command, ControllerFault,
                           LqgiController, make_controller)
 from .synthesis import NoiseCovariances
@@ -121,10 +121,7 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        bad = set(data) - set(cls.__dataclass_fields__)
-        if bad:
-            raise ScenarioError(f"unknown scenario key(s): {sorted(bad)}")
-        sc = cls(**data)
+        sc = cls(**known_keys(cls, data, "scenario", ScenarioError))
         sc.validate()
         return sc
 
@@ -195,10 +192,8 @@ class SimTrace:
         header = ",".join(cols)
         data = np.column_stack(list(cols.values()))
         np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
-        meta = {k: getattr(self, k) for k in ("scenario", "plant_hash", "seed", "aborted")}
-        with open(f"{path}.meta.json", "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(f"{path}.meta.json",
+                   {k: getattr(self, k) for k in ("scenario", "plant_hash", "seed", "aborted")})
 
 
 def _table_heads(with_estimate: bool) -> list:
@@ -225,7 +220,7 @@ def _split_table(table: np.ndarray, names: list) -> dict:
 
 def read_trace_csv(path) -> SimTrace:
     """Rebuild a SimTrace from its CSV and its meta sidecar, whose absent
-    fields take the SimTrace defaults."""
+    fields take the SimTrace defaults and whose unknown keys raise ValueError."""
     with open(path) as fh:
         names = fh.readline().strip().split(",")
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
@@ -233,7 +228,7 @@ def read_trace_csv(path) -> SimTrace:
         data = data.reshape(0, len(names))
     try:
         with open(f"{path}.meta.json") as fh:
-            meta = json.load(fh)
+            meta = known_keys(SimTrace, json.load(fh), f"{path}.meta.json", ValueError)
     except FileNotFoundError:
         meta = {}
     return SimTrace(**_split_table(data, names), **meta)
@@ -352,8 +347,8 @@ def run_scenario(sc: Scenario, plant: Plant | None = None, controller=None,
                 phase = sc.chirp_f0 * t + chirp_rate * t * t
                 current = sc.chirp_i_offset + sc.chirp_i_amplitude * math.sin(TWO_PI * phase)
                 current = min(max(current, 0.0), plant.params.clutch.current_max)
-                force = plant.mr_torque_from_current(current) * plant.force_per_torque
-                cmd = Command(current=current, force=force, pressure_cmd=0.0, saturated=False)
+                cmd = Command(current=current, force=plant.clutch_force(current),
+                              pressure_cmd=0.0, saturated=False)
                 p_desired = 0.0
             else:
                 p_desired, _ = plant.pressure_from_torque(r_now)

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy import linalg
 
-from .plant import PlantParams, StateSpace, build_state_space
+from .plant import PlantParams, StateSpace, build_state_space, known_keys, write_json
 
 CARE_RESIDUAL_TOL = 1e-8
 
@@ -104,28 +104,28 @@ class GainSet:
         return np.asarray(self.K[1:], dtype=float)
 
     def save(self, path) -> None:
-        payload = {
+        write_json(path, {
             "K": [float(v) for v in np.ravel(self.K)],
             "K_ff": float(self.K_ff),
             "L": [[float(v) for v in row] for row in np.asarray(self.L)],
             "weights": asdict(self.weights),
             "noise": asdict(self.noise),
             "plant_hash": self.plant_hash,
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
 
     @classmethod
     def load(cls, path) -> "GainSet":
+        """Read a save() file; an unknown key at any level raises SynthesisError."""
         with open(path) as fh:
-            payload = json.load(fh)
+            payload = known_keys(cls, json.load(fh), "gains", SynthesisError)
         return cls(
             K=np.asarray(payload["K"], dtype=float),
             K_ff=float(payload["K_ff"]),
             L=np.asarray(payload["L"], dtype=float),
-            weights=CostWeights(**payload["weights"]),
-            noise=NoiseCovariances(**payload["noise"]),
+            weights=CostWeights(**known_keys(CostWeights, payload["weights"], "gains.weights",
+                                             SynthesisError)),
+            noise=NoiseCovariances(**known_keys(NoiseCovariances, payload["noise"],
+                                                "gains.noise", SynthesisError)),
             plant_hash=payload.get("plant_hash", ""),
         )
 

@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
+import mrhydro
 from mrhydro.analysis import (AnalysisError, FrfPoint,
                               REFERENCE_RESULTS, RowResult, bandwidth,
                               comparison_report, crossing_bandwidth, dither_smoothing, fit_sine,
@@ -389,3 +394,11 @@ class TestLowpass:
         for _ in range(order):
             out = lowpass(out, 20.0, 1e-3)
         np.testing.assert_array_equal(out, ref)
+
+    def test_import_leaves_scipy_signal_unloaded(self):
+        # lowpass imports scipy.signal in its body so that `import mrhydro` stays fast
+        code = "import sys, mrhydro; print('scipy.signal' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(mrhydro.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True)
+        assert done.stdout.strip() == "False"

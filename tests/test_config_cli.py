@@ -161,9 +161,12 @@ class TestCliReport:
         csv = (tmp_path / "comparison.csv").read_text()
         assert csv.splitlines()[0] == "controller,metric,measured,reference"
 
-    def test_unknown_subset_rejected(self, tmp_path):
-        rc = main(["report", "--only", "nope", "--out-dir", str(tmp_path)])
+    def test_unknown_subset_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["report", "--only", "open_loop,nope", "--out-dir", str(out)])
         assert rc == 2
+        assert "unknown controller(s) in --only: ['nope']" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_scenario_section_rejected(self, tmp_path, capsys, monkeypatch):
         # the matrix runs fixed scenarios; an override would be silently dropped

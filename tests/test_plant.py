@@ -170,6 +170,18 @@ class TestClutchStatics:
         with pytest.raises(PlantError, match="poly_c0"):
             MRClutchParams(poly_c0=-0.01).validate()
 
+    @pytest.mark.parametrize("c1_offset, monotone", [(-1e-6, False), (1e-6, True)])
+    def test_slope_checked_at_its_vertex(self, c1_offset, monotone):
+        # slope 0.3 i^2 - 0.6 i + 0.3 + offset is least at 1 A, between grid samples
+        clutch = MRClutchParams(poly_c3=0.1, poly_c2=-0.3, poly_c1=0.3 + c1_offset)
+        if monotone:
+            clutch.validate()
+        else:
+            with pytest.raises(PlantError, match="not monotone"):
+                clutch.validate()
+            assert poly_torque(1.001, 0.1, -0.3, 0.3 + c1_offset) < \
+                poly_torque(0.999, 0.1, -0.3, 0.3 + c1_offset)
+
 
 class TestFriction:
     def test_zero_speed_zero_friction(self):

@@ -1,3 +1,4 @@
+import json
 import math
 import tempfile
 from dataclasses import replace
@@ -327,6 +328,15 @@ class TestTraceIO:
             assert (got is None) if want is None else (
                 got.shape == want.shape and got.dtype == want.dtype), name
         assert again.state.shape == (0, 7) and again.aborted == tr.aborted
+
+    def test_unknown_sidecar_key_named(self, tmp_path):
+        path = tmp_path / "t.csv"
+        run_scenario(step_scenario("open_loop", settle=0.2)).to_csv(path)
+        sidecar = tmp_path / "t.csv.meta.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "sede": 3}))
+        with pytest.raises(ValueError,
+                           match=r"unknown key\(s\) in .*t\.csv\.meta\.json: \['sede'\]"):
+            read_trace_csv(path)
 
     def test_round_trip_without_estimate(self, tmp_path):
         tr = run_scenario(step_scenario("pid_slave", settle=0.2))

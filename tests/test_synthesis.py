@@ -1,3 +1,4 @@
+import json
 import math
 import tempfile
 import time
@@ -10,12 +11,29 @@ from hypothesis.extra.numpy import arrays
 from scipy import linalg
 
 from mrhydro.plant import PlantParams, build_state_space
-from mrhydro.synthesis import (CostWeights, GainSet, NoiseCovariances,
+from mrhydro.synthesis import (CARE_RESIDUAL_TOL, CostWeights, GainSet, NoiseCovariances,
                                SynthesisError, care_residual,
                                closed_loop_dc_gain, closed_loop_matrix,
                                kalman_gain, lqi_gains, solve_care, synthesize)
 
 SQRT2_M1 = math.sqrt(2.0) - 1.0  # root of p^2 + 2p - 1 = 0
+
+
+ENTRY = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def care_problems(draw):
+    """(A, B, Q, R), n <= 6, with Q >= 0, R > 0 and (A, B) stabilizable by
+    construction: A = S + B K0 with S Hurwitz, so A - B K0 is."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    M = draw(arrays(float, (n, n), elements=ENTRY))
+    S = M - (np.linalg.eigvals(M).real.max() + draw(st.floats(0.1, 2.0))) * np.eye(n)
+    B = draw(arrays(float, (n, m), elements=ENTRY))
+    K0 = draw(arrays(float, (m, n), elements=ENTRY))
+    W = draw(arrays(float, (n, draw(st.integers(0, n))), elements=ENTRY))
+    V = draw(arrays(float, (m, m), elements=ENTRY))
+    return S + B @ K0, B, W @ W.T, V @ V.T + draw(st.floats(1e-3, 1.0)) * np.eye(m)
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +47,19 @@ def gains():
 
 
 class TestSolveCare:
+    @settings(max_examples=300, deadline=None)
+    @given(care_problems())
+    def test_random_stabilizable_pairs_certified(self, problem):
+        # either a refusal or a symmetric, certified, stabilizing solution
+        A, B, Q, R = problem
+        try:
+            P = solve_care(A, B, Q, R)
+        except SynthesisError:
+            return
+        assert np.array_equal(P, P.T)
+        assert care_residual(A, B, Q, R, P) <= CARE_RESIDUAL_TOL
+        assert np.linalg.eigvals(A - B @ np.linalg.solve(R, B.T @ P)).real.max() < 0.0
+
     def test_scalar_analytic(self):
         # A=-1, B=1, Q=1, R=1: -2P - P^2 + 1 = 0 solved by sqrt(2)-1
         P = solve_care([[-1.0]], [[1.0]], [[1.0]], [[1.0]])
@@ -196,6 +227,18 @@ class TestGainSetIO:
         assert again.weights == gs.weights
         assert again.noise == gs.noise
         assert again.plant_hash == gs.plant_hash
+
+    @pytest.mark.parametrize("section, key", [(None, "K_fff"), ("weights", "rho_typo"),
+                                              ("noise", "rho_ll")])
+    def test_unknown_key_named(self, gains, tmp_path, section, key):
+        path = tmp_path / "gains.json"
+        gains.save(path)
+        payload = json.loads(path.read_text())
+        (payload[section] if section else payload)[key] = 1.0
+        path.write_text(json.dumps(payload))
+        where = f"gains.{section}" if section else "gains"
+        with pytest.raises(SynthesisError, match=rf"^unknown key\(s\) in {where}: \['{key}'\]$"):
+            GainSet.load(path)
 
     def test_save_is_byte_stable(self, gains, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
