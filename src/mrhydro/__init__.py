@@ -15,8 +15,7 @@ from .controllers import (Command, ControllerFault, DitherConfig, LqgiController
                           PID_MASTER_DEFAULT, PID_SLAVE_DEFAULT,
                           calibrate_pid_defaults, dither_signal, make_controller)
 from .sim import (BACKDRIVE_AMPLITUDE_1HZ, FRF_GRID_DEFAULT, Scenario,
-                  ScenarioError, SimTrace, backdrive_scenario,
-                  calibrate_backdrive_amplitude, dwell_scenario,
+                  ScenarioError, SimTrace, backdrive_scenario, dwell_scenario,
                   friction_id_scenario, measure_controller_row,
                   read_trace_csv, run_scenario, step_scenario)
 from .analysis import (ComparisonReport, DitherStudy, FrfPoint, FrictionIdResult,

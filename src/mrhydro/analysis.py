@@ -84,12 +84,25 @@ def fit_sine(t: np.ndarray, y: np.ndarray, freq: float):
     return amp, phase, coef[2], float(np.sqrt(np.mean(resid**2)))
 
 
+class LowPass:
+    """Causal first-order low-pass stepped one sample at a time, primed at
+    its first input: y[0] = x[0], y[n] = a y[n-1] + (1 - a) x[n]."""
+
+    __slots__ = ("alpha", "y")
+
+    def __init__(self, cutoff_hz: float, dt: float):
+        self.alpha = math.exp(-TWO_PI * cutoff_hz * dt)
+        self.y = None
+
+    def step(self, u: float) -> float:
+        self.y = u if self.y is None else self.alpha * self.y + (1.0 - self.alpha) * u
+        return self.y
+
+
 def lowpass(y: np.ndarray, cutoff_hz: float, dt: float) -> np.ndarray:
-    """Causal first-order low-pass, primed at its input's start."""
-    from scipy.signal import lfilter  # local: importing scipy.signal slows `import mrhydro`
-    a = math.exp(-TWO_PI * cutoff_hz * dt)
-    y = np.asarray(y, dtype=float)
-    return lfilter([1.0 - a], [1.0, -a], y, zi=[a * y[0]])[0]
+    """A fresh LowPass stepped over the samples of y."""
+    f = LowPass(cutoff_hz, dt)
+    return np.array([f.step(v) for v in np.asarray(y, dtype=float).tolist()])
 
 
 def frf_from_sine_dwell(runner, freqs) -> list[FrfPoint]:

@@ -88,17 +88,10 @@ def cmd_run(cfg: RunConfig, outdir: Path, args) -> int:
 
 
 def cmd_frf(cfg: RunConfig, outdir: Path, args) -> int:
-    freqs = args.freqs if args.freqs else FRF_GRID_DEFAULT
-    if len(freqs) < 2:
-        raise analysis.AnalysisError("a bandwidth needs at least two dwell frequencies "
-                                     f"in (0, 200] Hz, got {list(freqs)}")
-    plant = Plant(cfg.plant_params())
     gains = _make_gains(cfg) if cfg.controller == "lqgi" else None
-    kwargs = _controller_kwargs(cfg)
-    points = analysis.frf_from_sine_dwell(
-        lambda f: sim.run_scenario(sim.dwell_scenario(cfg.controller, f, seed=cfg.seed),
-                                   plant=plant, gains=gains, controller_kwargs=kwargs),
-        freqs)
+    points = sim.dwell_frf(cfg.controller, args.freqs or FRF_GRID_DEFAULT,
+                           plant=Plant(cfg.plant_params()), gains=gains,
+                           controller_kwargs=_controller_kwargs(cfg), seed=cfg.seed)
     bw = analysis.bandwidth(points)
     path = outdir / f"frf_{cfg.controller}.csv"
     _write_frf_csv(path, points)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import linalg
 
-from .analysis import crossing_bandwidth
+from .analysis import LowPass, crossing_bandwidth
 from .plant import Plant, StateSpace, TWO_PI, build_state_space, friction_pressure
 from .synthesis import GainSet, closed_loop_input, closed_loop_matrix
 
@@ -81,25 +81,6 @@ def _anti_windup(u: float, u_max: float, du: float) -> tuple[bool, bool]:
     return False, True
 
 
-class _LowPass:
-    """First-order filter stepped at the loop rate."""
-
-    __slots__ = ("alpha", "y", "primed")
-
-    def __init__(self, cutoff_hz: float, dt: float):
-        self.alpha = math.exp(-TWO_PI * cutoff_hz * dt)
-        self.y = 0.0
-        self.primed = False
-
-    def step(self, u: float) -> float:
-        if not self.primed:
-            self.y = u
-            self.primed = True
-        else:
-            self.y = self.alpha * self.y + (1.0 - self.alpha) * u
-        return self.y
-
-
 COMP_STEEPNESS = 1000.0    # tanh slope of the friction-compensation estimate [s/m]
 COMP_V1_FILTER_HZ = 150.0  # piston-speed filter of the friction-compensation estimate
 
@@ -120,7 +101,7 @@ class OpenLoopController:
         self.dither = dither if dither is not None else DitherConfig()
         self.friction_comp = friction_comp
         self.dt = dt
-        self._v1_filter = _LowPass(COMP_V1_FILTER_HZ, dt)
+        self._v1_filter = LowPass(COMP_V1_FILTER_HZ, dt)
 
     def step(self, t: float, p_desired: float, meas) -> Command:
         p_cmd = p_desired
@@ -177,7 +158,7 @@ class PidController:
         self.dt = dt
         self.integral = 0.0
         self._prev_fb = None
-        self._dfilt = _LowPass(config.deriv_filter_hz, dt)
+        self._dfilt = LowPass(config.deriv_filter_hz, dt)
 
     def step(self, t: float, p_desired: float, meas) -> Command:
         cfg = self.config

@@ -27,7 +27,8 @@ from .synthesis import NoiseCovariances
 
 # 1 Hz backdrive displacement amplitude reproducing the published baseline
 # torque deviation of 0.60 N.m at zero commanded torque (open loop, no
-# dither, stick-slip friction).  Recompute with calibrate_backdrive_amplitude.
+# dither, stick-slip friction).  Re-derived by a bisection helper in
+# tests/test_sim.py.
 BACKDRIVE_AMPLITUDE_1HZ = 1.445e-3  # [m]
 
 SCENARIO_KINDS = ("step", "chirp", "sine_dwell", "backdrive")
@@ -407,6 +408,35 @@ def friction_id_scenario() -> Scenario:
 FRF_GRID_DEFAULT = tuple(float(f) for f in np.logspace(0.0, 2.0, 13))
 
 
+def _scored_run(label: str, sc: Scenario, trace_hook=None, **run_kw) -> SimTrace:
+    """run_scenario(sc, **run_kw), handed to trace_hook(label, trace) when
+    one is given; an aborted trace then raises ScenarioError naming label."""
+    trace = run_scenario(sc, **run_kw)
+    if trace_hook is not None:
+        trace_hook(label, trace)
+    if trace.aborted:
+        raise ScenarioError(f"run {label} aborted: {trace.aborted}")
+    return trace
+
+
+def dwell_frf(name: str, freqs, plant: Plant | None = None, gains=None,
+              controller_kwargs: dict | None = None, seed: int = 0) -> list:
+    """Sine-dwell frequency response of one controller, fit for a bandwidth.
+
+    The grid needs at least two frequencies and passes
+    analysis.frf_from_sine_dwell's checks before any dwell runs.  Fails
+    closed: an aborted dwell raises ScenarioError naming it.
+    """
+    freqs = list(freqs)
+    if len(freqs) < 2:
+        raise analysis.AnalysisError("a bandwidth needs at least two dwell frequencies "
+                                     f"in (0, 200] Hz, got {freqs}")
+    return analysis.frf_from_sine_dwell(
+        lambda f: _scored_run(f"dwell_{f:g}hz_{name}", dwell_scenario(name, f, seed=seed),
+                              plant=plant, gains=gains, controller_kwargs=controller_kwargs),
+        freqs)
+
+
 def measure_controller_row(name: str, plant: Plant | None = None, gains=None,
                            controller_kwargs: dict | None = None,
                            frf_freqs=FRF_GRID_DEFAULT, seed: int = 0,
@@ -421,61 +451,24 @@ def measure_controller_row(name: str, plant: Plant | None = None, gains=None,
     its hook call).
     """
     row = analysis.RowResult()
-    hook = trace_hook if trace_hook is not None else (lambda label, obj: None)
-
-    def scored(label: str, trace: SimTrace) -> SimTrace:
-        if trace.aborted:
-            raise ScenarioError(f"run {label} aborted: {trace.aborted}")
-        return trace
-
-    def run(sc: Scenario) -> SimTrace:
-        return run_scenario(sc, plant=plant, gains=gains, controller_kwargs=controller_kwargs)
-
-    def hooked(label: str, sc: Scenario) -> SimTrace:
-        trace = run(sc)
-        hook(label, trace)
-        return scored(label, trace)
+    run_kw = {"plant": plant, "gains": gains, "controller_kwargs": controller_kwargs}
 
     # each trace is scored in the expression that runs it, so no finished
     # trace stays alive while the next run records
-    metrics = analysis.step_metrics(hooked(f"step_{name}", step_scenario(name, seed=seed)))
+    metrics = analysis.step_metrics(
+        _scored_run(f"step_{name}", step_scenario(name, seed=seed), trace_hook, **run_kw))
     row.rise_ms = metrics.rise_time_63
     row.overshoot = metrics.overshoot
 
-    points = analysis.frf_from_sine_dwell(
-        lambda f: scored(f"dwell_{f:g}hz_{name}", run(dwell_scenario(name, f, seed=seed))),
-        frf_freqs)
-    hook(f"frf_{name}", points)
+    points = dwell_frf(name, frf_freqs, seed=seed, **run_kw)
+    if trace_hook is not None:
+        trace_hook(f"frf_{name}", points)
     row.bandwidth = analysis.bandwidth(points)
 
     for attr, freq, cmd in (("dev_1hz_0", 1.0, 0.0), ("dev_1hz_10", 1.0, 10.0),
                             ("dev_5hz_10", 5.0, 10.0)):
         sc = backdrive_scenario(name, torque_command=cmd, backdrive_freq=freq, seed=seed)
         label = f"backdrive_{int(freq)}hz_{int(cmd)}nm_{name}"
-        setattr(row, attr, analysis.torque_deviation(hooked(label, sc)))
+        setattr(row, attr, analysis.torque_deviation(_scored_run(label, sc, trace_hook,
+                                                                 **run_kw)))
     return row
-
-
-def calibrate_backdrive_amplitude(plant: Plant | None = None, tol: float = 1e-3) -> float:
-    """Displacement amplitude making the open-loop baseline deviation hit its reference.
-
-    Bisection on the 1 Hz zero-command backdrive peak torque deviation
-    (first cycle excluded), stick-slip friction, dither off, against the
-    published open-loop dev_1hz_0 cell.
-    """
-    target = analysis.REFERENCE_RESULTS["open_loop"][3]   # dev_1hz_0
-
-    def deviation(amp: float) -> float:
-        sc = backdrive_scenario("open_loop", backdrive_amplitude=amp)
-        return analysis.torque_deviation(run_scenario(sc, plant=plant))
-
-    lo, hi = 0.1e-3, 12e-3
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if deviation(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol * 1e-3:
-            break
-    return 0.5 * (lo + hi)

@@ -115,13 +115,22 @@ class GainSet:
 
     @classmethod
     def load(cls, path) -> "GainSet":
-        """Read a save() file; an unknown key at any level raises SynthesisError."""
+        """Read a save() file.  An unknown key at any level, a missing gain or
+        weight section, or a K or L not shaped for the 7-state model raises
+        SynthesisError naming the field."""
         with open(path) as fh:
             payload = known_keys(cls, json.load(fh), "gains", SynthesisError)
+        missing = [k for k in ("K", "K_ff", "L", "weights", "noise") if k not in payload]
+        if missing:
+            raise SynthesisError(f"gains lacks {missing}")
+        K, L = (np.asarray(payload[k], dtype=float) for k in ("K", "L"))
+        for name, arr, shape in (("K", K, (8,)), ("L", L, (7, 4))):
+            if arr.shape != shape:
+                raise SynthesisError(f"gains.{name} has shape {arr.shape}, expected {shape}")
         return cls(
-            K=np.asarray(payload["K"], dtype=float),
+            K=K,
             K_ff=float(payload["K_ff"]),
-            L=np.asarray(payload["L"], dtype=float),
+            L=L,
             weights=CostWeights(**known_keys(CostWeights, payload["weights"], "gains.weights",
                                              SynthesisError)),
             noise=NoiseCovariances(**known_keys(NoiseCovariances, payload["noise"],

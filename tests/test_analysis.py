@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 import mrhydro
-from mrhydro.analysis import (AnalysisError, FrfPoint,
+from mrhydro.analysis import (AnalysisError, FrfPoint, LowPass,
                               REFERENCE_RESULTS, RowResult, bandwidth,
                               comparison_report, crossing_bandwidth, dither_smoothing, fit_sine,
                               frf_from_sine_dwell, identify_friction, lowpass,
@@ -381,13 +381,13 @@ class TestLowpass:
 
     @pytest.mark.parametrize("order", [1, 2, 4])
     def test_matches_recursion(self, order):
-        # the first-order recursion, each pass primed at its input's start
+        # the first-order recursion, each pass primed with its input's first sample
         y = np.random.default_rng(4).standard_normal(2000).cumsum()
         a = math.exp(-TWO_PI * 20.0 * 1e-3)
         ref = y.copy()
         for _ in range(order):
             acc = ref[0]
-            for i in range(len(ref)):
+            for i in range(1, len(ref)):
                 acc = a * acc + (1.0 - a) * ref[i]
                 ref[i] = acc
         out = y
@@ -395,9 +395,23 @@ class TestLowpass:
             out = lowpass(out, 20.0, 1e-3)
         np.testing.assert_array_equal(out, ref)
 
+    def test_first_sample_passes_exactly(self):
+        # 2.9 is an input where the weighted sum (1 - a) x0 + a x0 misses x0
+        a = math.exp(-TWO_PI * 50.0 * 1e-3)
+        assert (1.0 - a) * 2.9 + a * 2.9 != 2.9
+        assert lowpass(np.full(10, 2.9), 50.0, 1e-3)[0] == 2.9
+
+    def test_is_the_stepped_controller_filter(self):
+        # one law: the array filter is the filter the controllers step each tick
+        y = np.random.default_rng(7).standard_normal(3000).cumsum()
+        y += 2.9 - y[0]
+        f = LowPass(50.0, 1e-3)
+        np.testing.assert_array_equal(lowpass(y, 50.0, 1e-3), [f.step(v) for v in y])
+
     def test_import_leaves_scipy_signal_unloaded(self):
-        # lowpass imports scipy.signal in its body so that `import mrhydro` stays fast
-        code = "import sys, mrhydro; print('scipy.signal' in sys.modules)"
+        # the package never imports scipy.signal, neither at import nor in a filter call
+        code = ("import sys, mrhydro; mrhydro.analysis.lowpass([1.0, 2.0], 50.0, 1e-3); "
+                "print('scipy.signal' in sys.modules)")
         env = {**os.environ, "PYTHONPATH": str(Path(mrhydro.__file__).parents[1])}
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, check=True)

@@ -134,6 +134,18 @@ class TestCliFrf:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "(0, 200] Hz" in err
 
+    def test_aborted_dwell_fails_closed(self, tmp_path, capsys):
+        # a stiff enough transmission blows up every dwell; no FRF may be scored from it
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"plant": {"transmission": {"k1": 1e11}}}))
+        out = tmp_path / "out"
+        rc = main(["--config", str(cfgfile), "frf", "--freqs", "5", "10",
+                   "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: run dwell_5hz_open_loop aborted: ")
+        assert not list(out.glob("frf_*.csv"))
+
     @pytest.mark.parametrize("freqs", [["100", "50"], ["50"]])
     def test_unusable_grid_rejected_before_any_dwell(self, tmp_path, capsys, monkeypatch, freqs):
         monkeypatch.setattr(sim, "run_scenario", lambda *a, **kw: pytest.fail("dwell ran"))

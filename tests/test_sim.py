@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.signal import cont2discrete
 
+from mrhydro.analysis import REFERENCE_RESULTS, torque_deviation
 from mrhydro.controllers import CONTROLLER_NAMES, Command, ControllerFault, make_controller
 from mrhydro.plant import FRICTION_MODES, Plant, PlantError, PlantParams, build_state_space
 from mrhydro.sim import (BACKDRIVE_AMPLITUDE_1HZ, SCENARIO_KINDS, TRACE_SCHEMA, Scenario,
-                         ScenarioError, SimTrace, backdrive_scenario,
-                         calibrate_backdrive_amplitude, dwell_scenario,
+                         ScenarioError, SimTrace, backdrive_scenario, dwell_scenario,
                          measure_controller_row, read_trace_csv, run_scenario, step_scenario)
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -131,6 +131,34 @@ class TestDelayLine:
         assert len(trace.t) == 467
         assert len(steps) == 466 * 15
         assert trace.t[-1] == pytest.approx(0.699, abs=1e-12)
+
+
+def calibrate_backdrive_amplitude(plant: Plant | None = None, tol: float = 1e-3) -> float:
+    """Displacement amplitude making the open-loop baseline deviation hit its reference.
+
+    Bisection on the 1 Hz zero-command backdrive peak torque deviation
+    (first cycle excluded), stick-slip friction, dither off, against the
+    published open-loop dev_1hz_0 cell.  An aborted run raises ScenarioError.
+    """
+    target = REFERENCE_RESULTS["open_loop"][3]   # dev_1hz_0
+
+    def deviation(amp: float) -> float:
+        trace = run_scenario(backdrive_scenario("open_loop", backdrive_amplitude=amp),
+                             plant=plant)
+        if trace.aborted:
+            raise ScenarioError(f"backdrive at amplitude {amp} m aborted: {trace.aborted}")
+        return torque_deviation(trace)
+
+    lo, hi = 0.1e-3, 12e-3
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if deviation(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < tol * 1e-3:
+            break
+    return 0.5 * (lo + hi)
 
 
 class TestBackdrive:

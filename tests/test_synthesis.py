@@ -240,6 +240,26 @@ class TestGainSetIO:
         with pytest.raises(SynthesisError, match=rf"^unknown key\(s\) in {where}: \['{key}'\]$"):
             GainSet.load(path)
 
+    def test_missing_gain_named(self, gains, tmp_path):
+        path = tmp_path / "gains.json"
+        gains.save(path)
+        payload = json.loads(path.read_text())
+        del payload["K_ff"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SynthesisError, match=r"^gains lacks \['K_ff'\]$"):
+            GainSet.load(path)
+
+    def test_misshaped_estimator_gain_named(self, gains, tmp_path):
+        # an L with 3 rows would only fail later, inside an LQGI run
+        path = tmp_path / "gains.json"
+        gains.save(path)
+        payload = json.loads(path.read_text())
+        payload["L"] = payload["L"][:3]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SynthesisError,
+                           match=r"^gains\.L has shape \(3, 4\), expected \(7, 4\)$"):
+            GainSet.load(path)
+
     def test_save_is_byte_stable(self, gains, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         gains.save(p1)
