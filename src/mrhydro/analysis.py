@@ -281,12 +281,6 @@ class DitherStudy:
     spread_on: float         # [Pa] same with dither on
     ripple_master: float     # [Pa] dither-frequency master ripple amplitude
     ripple_slave: float      # [Pa] same at the slave
-    @property
-    def spread_ratio(self) -> float:
-        return self.spread_on / self.spread_off if self.spread_off > 0.0 else math.inf
-    @property
-    def ripple_ratio(self) -> float:
-        return self.ripple_slave / self.ripple_master if self.ripple_master > 0.0 else math.inf
 
 
 def dither_smoothing(trace_off, trace_on) -> DitherStudy:

@@ -17,14 +17,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import linalg
 
-from .analysis import LowPass, crossing_bandwidth
+from .analysis import REFERENCE_RESULTS, REPORT_COLUMNS, LowPass, crossing_bandwidth
 from .plant import Plant, StateSpace, TWO_PI, build_state_space, friction_pressure
-from .synthesis import GainSet, closed_loop_input, closed_loop_matrix
+from .synthesis import GainSet, closed_loop_input, closed_loop_matrix, synthesize
 
 CONTROL_DT = 1e-3   # 1 kHz loop rate
 SIM_DT = 1e-4       # 10 kHz plant substep
 
-CONTROLLER_NAMES = ("open_loop", "friction_comp", "pid_master", "pid_slave", "lqgi")
+CONTROLLER_NAMES = tuple(REFERENCE_RESULTS)
 
 
 class ControllerFault(RuntimeError):
@@ -95,10 +95,10 @@ class OpenLoopController:
     friction it has to cancel.
     """
 
-    def __init__(self, plant: Plant, dither: DitherConfig | None = None,
+    def __init__(self, plant: Plant, dither: DitherConfig = DitherConfig(),
                  friction_comp: bool = False, dt: float = CONTROL_DT):
         self.plant = plant
-        self.dither = dither if dither is not None else DitherConfig()
+        self.dither = dither
         self.friction_comp = friction_comp
         self.dt = dt
         self._v1_filter = LowPass(COMP_V1_FILTER_HZ, dt)
@@ -150,11 +150,11 @@ class PidController:
     """
 
     def __init__(self, plant: Plant, config: PidConfig,
-                 dither: DitherConfig | None = None, dt: float = CONTROL_DT):
+                 dither: DitherConfig = DitherConfig(), dt: float = CONTROL_DT):
         config.validate()
         self.plant = plant
         self.config = config
-        self.dither = dither if dither is not None else DitherConfig()
+        self.dither = dither
         self.dt = dt
         self.integral = 0.0
         self._prev_fb = None
@@ -198,11 +198,11 @@ class LqgiController:
     """
 
     def __init__(self, plant: Plant, gains: GainSet, dt: float = CONTROL_DT,
-                 dither: DitherConfig | None = None):
+                 dither: DitherConfig = DitherConfig()):
         self.plant = plant
         self.gains = gains
         self.dt = dt
-        self.dither = dither if dither is not None else DitherConfig()
+        self.dither = dither
         model = build_state_space(plant.params)
         self.C_d = model.C_d[0]
         A, B, C, L = model.A, model.B, model.C, gains.L
@@ -247,7 +247,7 @@ class LqgiController:
 
 
 def make_controller(name: str, plant: Plant, gains: GainSet | None = None,
-                    dither: DitherConfig | None = None,
+                    dither: DitherConfig = DitherConfig(),
                     pid_master: PidConfig = PID_MASTER_DEFAULT,
                     pid_slave: PidConfig = PID_SLAVE_DEFAULT,
                     dt: float = CONTROL_DT):
@@ -257,8 +257,8 @@ def make_controller(name: str, plant: Plant, gains: GainSet | None = None,
     the dither enabled, matching the benchmark protocol.
     """
     if name == "open_loop":
-        off = replace(dither if dither is not None else DitherConfig(), enabled=False)
-        return OpenLoopController(plant, dither=off, friction_comp=False, dt=dt)
+        return OpenLoopController(plant, dither=replace(dither, enabled=False),
+                                  friction_comp=False, dt=dt)
     if name == "friction_comp":
         return OpenLoopController(plant, dither=dither, friction_comp=True, dt=dt)
     if name == "pid_master":
@@ -267,7 +267,6 @@ def make_controller(name: str, plant: Plant, gains: GainSet | None = None,
         return PidController(plant, pid_slave, dither=dither, dt=dt)
     if name == "lqgi":
         if gains is None:
-            from .synthesis import synthesize
             gains = synthesize(plant.params)
         return LqgiController(plant, gains, dt=dt, dither=dither)
     raise ValueError(f"unknown controller '{name}'; choose from {CONTROLLER_NAMES}")
@@ -381,11 +380,15 @@ def calibrate_integral_gain(plant: Plant, ss: StateSpace, tap: str, target_hz: f
 def calibrate_pid_defaults(plant: Plant, ss: StateSpace) -> tuple[PidConfig, PidConfig]:
     """Reproduce the shipped PID defaults from the published bandwidths.
 
-    Master tap targets 11 Hz (needs the small kd for margin at the first
-    resonance); slave tap targets 3 Hz with pure integral action.
+    Each tap targets its REFERENCE_RESULTS bandwidth: the master tap's 11 Hz
+    needs the small kd for margin at the first resonance; the slave tap's
+    3 Hz takes pure integral action.
     """
-    ki_m = calibrate_integral_gain(plant, ss, "master", 11.0, kd=PID_MASTER_DEFAULT.kd)
-    ki_s = calibrate_integral_gain(plant, ss, "slave", 3.0, kd=0.0)
+    col = [attr for attr, _, _ in REPORT_COLUMNS].index("bandwidth")
+    ki_m = calibrate_integral_gain(plant, ss, "master", REFERENCE_RESULTS["pid_master"][col],
+                                   kd=PID_MASTER_DEFAULT.kd)
+    ki_s = calibrate_integral_gain(plant, ss, "slave", REFERENCE_RESULTS["pid_slave"][col],
+                                   kd=0.0)
     master = PidConfig(kp=0.0, ki=ki_m, kd=PID_MASTER_DEFAULT.kd, feedback_tap="master")
     slave = PidConfig(kp=0.0, ki=ki_s, kd=0.0, feedback_tap="slave")
     return master, slave

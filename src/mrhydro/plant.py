@@ -26,7 +26,9 @@ class PlantError(ValueError):
 
 
 def known_keys(cls, data: dict, where: str, error: type) -> dict:
-    """data itself once each key names a field of dataclass cls; else error names the rest."""
+    """data itself once it is a dict whose keys all name fields of dataclass cls; else error."""
+    if not isinstance(data, dict):
+        raise error(f"{where} must be an object, got {data!r}")
     bad = set(data) - set(cls.__dataclass_fields__)
     if bad:
         raise error(f"unknown key(s) in {where}: {sorted(bad)}")
@@ -133,7 +135,7 @@ class FrictionParams:
 _LEAD_DEFAULT = 0.008
 _P_MAX = 2.31e6
 _T_JOINT_MAX = 29.0
-_AREA_DEFAULT = (2.0 * TWO_PI / _LEAD_DEFAULT) / _P_MAX          # ~6.80e-4 m^2
+_AREA_DEFAULT = (MRClutchParams.torque_max * TWO_PI / _LEAD_DEFAULT) / _P_MAX  # ~6.80e-4 m^2
 _R_PULLEY_DEFAULT = (_T_JOINT_MAX / _P_MAX) / _AREA_DEFAULT      # ~18.5 mm
 
 
@@ -145,7 +147,6 @@ class GeometryParams:
     area_slave: float = _AREA_DEFAULT    # [m^2]
     r_pulley: float = _R_PULLEY_DEFAULT  # joint pulley radius [m]
     screw_lead: float = _LEAD_DEFAULT    # ball-screw lead [m/rev]
-    ratio_R: float = 14.7                # joint torque / clutch torque [-]
     p_dc: float = 205e3                  # DC pretension pressure [Pa]
 
     def validate(self) -> None:
@@ -253,11 +254,10 @@ class Plant:
     threads for independent runs.
     """
 
-    def __init__(self, params: PlantParams | None = None):
-        p = params if params is not None else PlantParams()
-        p.validate()
-        self.params = p
-        t, c, g = p.transmission, p.clutch, p.geometry
+    def __init__(self, params: PlantParams = PlantParams()):
+        params.validate()
+        self.params = params
+        t, c, g = params.transmission, params.clutch, params.geometry
         # scalar attributes for the hot integration loop
         self.k1, self.k2, self.k3 = t.k1, t.k2, t.k3
         self.b1, self.b2, self.b3 = t.b1, t.b2, t.b3
@@ -270,7 +270,7 @@ class Plant:
         self.area_slave = g.area_slave
         self.r_pulley = g.r_pulley
         self.p_dc = g.p_dc
-        f = p.friction
+        f = params.friction
         # the configured mode's friction law, picked once for derivative()
         self.mu = 0.0 if f.mode == "off" else f.mu
         self.friction_steepness = (f.sign_regularization if f.mode == "stick_slip_sign"
@@ -301,8 +301,8 @@ class Plant:
         flag set; torque at or below the remnant maps to zero current.
         """
         c = self.params.clutch
-        if torque < 0.0:
-            raise PlantError("torque must be >= 0")
+        if not torque >= 0.0:   # NaN too
+            raise PlantError(f"torque must be >= 0, got {torque}")
         saturated = False
         if torque >= c.torque_max:
             torque = c.torque_max
@@ -325,16 +325,11 @@ class Plant:
 
     # ---------------- pressure / torque / force conversions ----------------
 
-    def pressure_from_torque(self, torque: float) -> tuple[float, bool]:
-        """Joint torque -> absolute line pressure (DC pretension added).
-
-        Returns (pressure, infeasible); a commanded pressure below zero
-        gauge cannot be realized by a single pushing line.
-        """
+    def pressure_from_torque(self, torque: float) -> float:
+        """Joint torque -> absolute line pressure (DC pretension added), clamped
+        at 0: a single pushing line cannot realize a pressure below it."""
         p = torque / (self.area_slave * self.r_pulley) + self.p_dc
-        if p < 0.0:
-            return 0.0, True
-        return p, False
+        return 0.0 if p < 0.0 else p
 
     def torque_from_pressure(self, pressure: float) -> float:
         """Absolute slave pressure -> delivered joint torque."""
@@ -342,7 +337,10 @@ class Plant:
 
     def drive(self, force: float) -> tuple[float, float, bool]:
         """Screw-force request -> (coil current, delivered force, saturated); the request
-        is clamped to [0, force_max], and saturated marks a clamped or unreachable one."""
+        is clamped to [0, force_max], and saturated marks a clamped or unreachable one.
+        Raises FloatingPointError for a request that is not finite."""
+        if not math.isfinite(force):
+            raise FloatingPointError(f"non-finite clutch force request {force}")
         current, saturated = self.current_from_torque(
             min(max(force, 0.0), self.force_max) / self.force_per_torque)
         return current, self.clutch_force(current), saturated or force < 0.0

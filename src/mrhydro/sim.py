@@ -33,6 +33,8 @@ BACKDRIVE_AMPLITUDE_1HZ = 1.445e-3  # [m]
 
 SCENARIO_KINDS = ("step", "chirp", "sine_dwell", "backdrive")
 
+STEP_SETTLE = 1.0   # a step run's length after the step [s]
+
 
 class ScenarioError(ValueError):
     """Inconsistent scenario configuration."""
@@ -110,9 +112,9 @@ class Scenario:
         if self.duration is not None:
             return self.duration
         if self.kind == "step":
-            return self.pre_hold + 1.0
+            return self.pre_hold + STEP_SETTLE
         if self.kind == "sine_dwell":
-            return max(0.6, 5.0 / self.freq_hz) + 10.0 / self.freq_hz
+            return max(0.6, 5.0 / self.freq_hz) + analysis.FIT_CYCLES / self.freq_hz
         if self.kind == "backdrive":
             return self.pre_hold + self.backdrive_cycles / self.backdrive_freq
         return 4.0  # chirp
@@ -352,7 +354,7 @@ def run_scenario(sc: Scenario, plant: Plant | None = None, controller=None,
                               pressure_cmd=0.0, saturated=False)
                 p_desired = 0.0
             else:
-                p_desired, _ = plant.pressure_from_torque(r_now)
+                p_desired = plant.pressure_from_torque(r_now)
                 cmd = controller.step(t, p_desired, meas)
             # one row, values in TRACE_SCHEMA order
             row = (t, *state, *meas, r_now, p_desired, pm, ps,
@@ -370,8 +372,9 @@ def run_scenario(sc: Scenario, plant: Plant | None = None, controller=None,
 
 # ---------------- canned scenarios ----------------
 
-def step_scenario(controller: str = "open_loop", amplitude: float = 12.0,
-                  pre_hold: float = 0.5, settle: float = 1.0, **kw) -> Scenario:
+def step_scenario(controller: str = "open_loop", amplitude: float = Scenario.torque_amplitude,
+                  pre_hold: float = Scenario.pre_hold, settle: float = STEP_SETTLE,
+                  **kw) -> Scenario:
     return Scenario(kind="step", controller=controller, torque_amplitude=amplitude,
                     pre_hold=pre_hold, duration=pre_hold + settle, **kw)
 
@@ -397,12 +400,12 @@ def friction_id_scenario() -> Scenario:
     """
     plant = Plant()
     duration, peak_speed = 60.0, 5e-3   # [s], [m/s]
-    return Scenario(kind="backdrive", controller="open_loop",
-                    backdrive_amplitude=peak_speed / TWO_PI, backdrive_freq=1.0,
-                    backdrive_cycles=int(duration) - 1, pre_hold=1.0, duration=duration,
-                    torque_command=plant.torque_from_pressure(300e3),
-                    ramp_torque_end=plant.torque_from_pressure(1.6e6),
-                    friction_mode="smooth_tanh")
+    return backdrive_scenario("open_loop", backdrive_amplitude=peak_speed / TWO_PI,
+                              backdrive_freq=1.0, backdrive_cycles=int(duration) - 1,
+                              duration=duration,
+                              torque_command=plant.torque_from_pressure(300e3),
+                              ramp_torque_end=plant.torque_from_pressure(1.6e6),
+                              friction_mode="smooth_tanh")
 
 
 FRF_GRID_DEFAULT = tuple(float(f) for f in np.logspace(0.0, 2.0, 13))

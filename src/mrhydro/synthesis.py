@@ -115,22 +115,26 @@ class GainSet:
 
     @classmethod
     def load(cls, path) -> "GainSet":
-        """Read a save() file.  An unknown key at any level, a missing gain or
-        weight section, or a K or L not shaped for the 7-state model raises
-        SynthesisError naming the field."""
+        """Read a save() file.  An unknown key at any level, a missing or
+        non-object section, or a K or L that is ragged or not shaped for the
+        7-state model raises SynthesisError naming the field."""
         with open(path) as fh:
             payload = known_keys(cls, json.load(fh), "gains", SynthesisError)
         missing = [k for k in ("K", "K_ff", "L", "weights", "noise") if k not in payload]
         if missing:
             raise SynthesisError(f"gains lacks {missing}")
-        K, L = (np.asarray(payload[k], dtype=float) for k in ("K", "L"))
-        for name, arr, shape in (("K", K, (8,)), ("L", L, (7, 4))):
-            if arr.shape != shape:
-                raise SynthesisError(f"gains.{name} has shape {arr.shape}, expected {shape}")
+        arrays = {}
+        for name, shape in (("K", (8,)), ("L", (7, 4))):
+            try:
+                arrays[name] = np.asarray(payload[name], dtype=float)
+            except (TypeError, ValueError) as exc:   # ragged rows, non-numbers
+                raise SynthesisError(f"gains.{name} is not a numeric array: {exc}") from None
+            if arrays[name].shape != shape:
+                raise SynthesisError(f"gains.{name} has shape {arrays[name].shape}, "
+                                     f"expected {shape}")
         return cls(
-            K=K,
+            **arrays,
             K_ff=float(payload["K_ff"]),
-            L=L,
             weights=CostWeights(**known_keys(CostWeights, payload["weights"], "gains.weights",
                                              SynthesisError)),
             noise=NoiseCovariances(**known_keys(NoiseCovariances, payload["noise"],
@@ -220,26 +224,25 @@ def solve_care(A, B, Q, R, tol: float = CARE_RESIDUAL_TOL) -> np.ndarray:
     return P
 
 
-def lqi_gains(ss: StateSpace, weights: CostWeights | None = None) -> tuple[np.ndarray, float]:
+def lqi_gains(ss: StateSpace, weights: CostWeights = CostWeights()) -> tuple[np.ndarray, float]:
     """Regulator over the integral-augmented state plus the feedforward gain.
 
     Returns (K, K_ff) with K shaped (8,) in the runtime convention
     u = -K @ [x_i, x] + K_ff * P_d, x_i integrating (P_d - P_s estimate).
     """
-    w = weights if weights is not None else CostWeights()
-    w.validate()
+    weights.validate()
     A, B, C_d = ss.A, ss.B, ss.C_d
     n = A.shape[0]
-    S = w.pressure_scale
+    S = weights.pressure_scale
     A_aug = np.zeros((n + 1, n + 1))
     A_aug[0, 1:] = C_d[0]
     A_aug[1:, 1:] = A
     B_aug = np.zeros((n + 1, 1))
     B_aug[1:, 0] = B[:, 0]
     Q_aug = np.zeros((n + 1, n + 1))
-    Q_aug[0, 0] = w.rho_i / S**2
+    Q_aug[0, 0] = weights.rho_i / S**2
     Q_aug[1:, 1:] = (C_d.T @ C_d) / S**2
-    R = np.array([[w.rho]])
+    R = np.array([[weights.rho]])
     P = solve_care(A_aug, B_aug, Q_aug, R)
     K_design = np.linalg.solve(R, B_aug.T @ P)[0]
 
@@ -263,13 +266,12 @@ def lqi_gains(ss: StateSpace, weights: CostWeights | None = None) -> tuple[np.nd
     return K_runtime, float(K_ff)
 
 
-def kalman_gain(ss: StateSpace, noise: NoiseCovariances | None = None) -> np.ndarray:
+def kalman_gain(ss: StateSpace, noise: NoiseCovariances = NoiseCovariances()) -> np.ndarray:
     """Steady-state estimator gain from the dual Riccati equation."""
-    nc = noise if noise is not None else NoiseCovariances()
-    nc.validate()
+    noise.validate()
     A, C = ss.A, ss.C
-    R_L = nc.R()
-    Q_L = nc.Q()
+    R_L = noise.R()
+    Q_L = noise.Q()
     P_f = solve_care(A.T, C.T, Q_L, R_L)
     L = P_f @ C.T @ np.linalg.inv(R_L)
     ev = np.linalg.eigvals(A - L @ C)
@@ -278,20 +280,14 @@ def kalman_gain(ss: StateSpace, noise: NoiseCovariances | None = None) -> np.nda
     return L
 
 
-def synthesize(params: PlantParams | None = None,
-               weights: CostWeights | None = None,
-               noise: NoiseCovariances | None = None) -> GainSet:
+def synthesize(params: PlantParams = PlantParams(), weights: CostWeights = CostWeights(),
+               noise: NoiseCovariances = NoiseCovariances()) -> GainSet:
     """Full gain synthesis for a plant parameter set."""
-    p = params if params is not None else PlantParams()
-    ss = build_state_space(p)
+    ss = build_state_space(params)
     K, K_ff = lqi_gains(ss, weights)
     L = kalman_gain(ss, noise)
-    return GainSet(
-        K=K, K_ff=K_ff, L=L,
-        weights=weights if weights is not None else CostWeights(),
-        noise=noise if noise is not None else NoiseCovariances(),
-        plant_hash=p.content_hash(),
-    )
+    return GainSet(K=K, K_ff=K_ff, L=L, weights=weights, noise=noise,
+                   plant_hash=params.content_hash())
 
 
 def closed_loop_matrix(ss: StateSpace, gains: GainSet) -> np.ndarray:

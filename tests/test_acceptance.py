@@ -200,11 +200,13 @@ def test_criterion_09_dither_smoothing():
     dithered = OpenLoopController(stick, dither=DitherConfig(enabled=True))
     trace_on = m.run_scenario(sc, controller=dithered)
     study = m.dither_smoothing(trace_off, trace_on)
-    ok = study.spread_ratio <= 0.5 and study.ripple_ratio <= 0.35
+    spread_ratio = study.spread_on / study.spread_off
+    ripple_ratio = study.ripple_slave / study.ripple_master
+    ok = spread_ratio <= 0.5 and ripple_ratio <= 0.35
     assert verdict(9, "dither smoothing", ok,
                    f"reversal-band spread {study.spread_off / 1e3:.0f} -> "
-                   f"{study.spread_on / 1e3:.0f} kPa, ratio {study.spread_ratio:.2f} "
-                   f"(<=0.5); slave/master 150 Hz ripple {study.ripple_ratio:.3f} (<=0.35)")
+                   f"{study.spread_on / 1e3:.0f} kPa, ratio {spread_ratio:.2f} "
+                   f"(<=0.5); slave/master 150 Hz ripple {ripple_ratio:.3f} (<=0.35)")
 
 
 def test_criterion_10_numerical_hygiene(matrix):

@@ -318,7 +318,7 @@ class TestDitherSmoothing:
         study = dither_smoothing(off, on)
         assert study.spread_off > 2 * study.spread_on
         assert study.ripple_master == pytest.approx(3e4, rel=0.05)
-        assert study.ripple_ratio == pytest.approx(0.25, abs=0.03)
+        assert study.ripple_slave / study.ripple_master == pytest.approx(0.25, abs=0.03)
 
 
 class TestComparisonReport:

@@ -30,6 +30,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=rf"^unknown key\(s\) in {section}: \['kq'\]$"):
             RunConfig(**{section: {"kq": 1.0}}).validate()
 
+    @pytest.mark.parametrize("section", [{"dither": 5}, {"plant": {"clutch": [1.0]}}])
+    def test_non_object_section_named(self, section):
+        with pytest.raises(ConfigError, match="must be an object, got "):
+            RunConfig(**section).validate()
+
     def test_unknown_controller_rejected(self):
         with pytest.raises(ConfigError, match="pid_elbow"):
             RunConfig(controller="pid_elbow").validate()
@@ -116,6 +121,18 @@ class TestCliRun:
                            (tmp_path / "trace_backdrive_open_loop_seed0.csv.meta.json")
                            ).read_text())
         assert meta["scenario"]["friction_mode"] == "stick_slip_sign"
+
+    def test_nan_dither_aborts(self, tmp_path, capsys):
+        # JSON reads NaN; a NaN clutch command must abort the run, not drive ~0 A to its end
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"controller": "pid_master",
+                                       "dither": {"frequency": float("nan")}}))
+        rc = main(["--config", str(cfgfile), "run", "--kind", "step",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert "aborted: FloatingPointError" in capsys.readouterr().out
+        meta = json.loads((tmp_path / "trace_step_pid_master_seed0.csv.meta.json").read_text())
+        assert meta["aborted"].startswith("FloatingPointError: non-finite clutch force request")
 
 
 class TestCliFrf:

@@ -60,7 +60,7 @@ class TestOpenLoop:
         ctrl = OpenLoopController(plant, dither=DitherConfig(enabled=False),
                                   friction_comp=False)
         for torque in (0.0, 5.0, 12.0):
-            p_d, _ = plant.pressure_from_torque(torque)
+            p_d = plant.pressure_from_torque(torque)
             cmd = ctrl.step(0.0, p_d, (0.0, 0.0, 0.0, 0.0, 0.0))
             expect, _, _ = plant.drive(p_d * plant.area_slave)
             assert cmd.current == pytest.approx(expect, abs=1e-12)

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -166,6 +166,16 @@ class TestClutchStatics:
                 saturated or force < 0.0)
         assert plant.drive(-1.0)[2] and plant.drive(f_max)[2] and not plant.drive(100.0)[2]
 
+    def test_nan_torque_rejected(self, plant):
+        # NaN fails every comparison: unrejected, the bisection would return ~0 A
+        with pytest.raises(PlantError, match="torque must be >= 0, got nan"):
+            plant.current_from_torque(math.nan)
+
+    @pytest.mark.parametrize("force", [math.nan, math.inf, -math.inf])
+    def test_drive_refuses_non_finite_request(self, plant, force):
+        with pytest.raises(FloatingPointError, match=f"non-finite clutch force request {force}"):
+            plant.drive(force)
+
     def test_negative_remnant_torque_rejected(self):
         with pytest.raises(PlantError, match="poly_c0"):
             MRClutchParams(poly_c0=-0.01).validate()
@@ -227,25 +237,23 @@ class TestFriction:
 
 class TestConversions:
     def test_zero_torque_maps_to_dc_pressure(self, plant):
-        p, infeasible = plant.pressure_from_torque(0.0)
-        assert p == pytest.approx(205e3) and not infeasible
+        assert plant.pressure_from_torque(0.0) == pytest.approx(205e3)
 
     def test_max_point(self, plant):
-        p, _ = plant.pressure_from_torque(29.0)
+        p = plant.pressure_from_torque(29.0)
         assert p - plant.p_dc == pytest.approx(2.31e6, rel=1e-9)
 
     def test_midpoint_linearity(self, plant):
-        p_full, _ = plant.pressure_from_torque(29.0)
-        p_half, _ = plant.pressure_from_torque(14.5)
+        p_full = plant.pressure_from_torque(29.0)
+        p_half = plant.pressure_from_torque(14.5)
         assert p_half - plant.p_dc == pytest.approx(0.5 * (p_full - plant.p_dc), rel=1e-12)
 
-    def test_pull_below_gauge_flagged(self, plant):
-        _, infeasible = plant.pressure_from_torque(-10.0)
-        assert infeasible
+    def test_pull_below_gauge_clamped(self, plant):
+        assert plant.pressure_from_torque(-10.0) == 0.0
 
     def test_round_trip(self, plant):
         for torque in (0.0, 3.3, 14.5, 29.0):
-            p, _ = plant.pressure_from_torque(torque)
+            p = plant.pressure_from_torque(torque)
             assert plant.torque_from_pressure(p) == pytest.approx(torque, abs=1e-9)
 
     def test_geometry_consistency(self, plant):
@@ -439,6 +447,25 @@ class TestParams:
         assert PlantParams().content_hash() == PlantParams().content_hash()
         assert PlantParams().content_hash() != \
             PlantParams().with_friction(mu=0.1).content_hash()
+
+    def test_every_numeric_field_is_read(self):
+        # a field the model never reads is a knob that silently does nothing
+        def model(params):
+            ss = build_state_space(params)
+            attrs = {k: v for k, v in vars(Plant(params)).items() if k != "params"}
+            return [m.tolist() for m in (ss.A, ss.B, ss.C, ss.C_d)], attrs
+
+        base = PlantParams()
+        for section in fields(base):
+            group = getattr(base, section.name)
+            for f in fields(group):
+                value = getattr(group, f.name)
+                if not isinstance(value, float):
+                    continue
+                nudged = replace(base, **{section.name: replace(group, **{f.name: 1.01 * value})})
+                assert any(model(nudged.with_friction(mode=mode)) !=
+                           model(base.with_friction(mode=mode)) for mode in FRICTION_MODES), \
+                    f"{section.name}.{f.name} changes neither the linear model nor the Plant"
 
     def test_friction_modes_enumerated(self):
         assert set(FRICTION_MODES) == {"smooth_tanh", "stick_slip_sign", "off"}

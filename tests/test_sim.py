@@ -56,7 +56,7 @@ class TestLinearOracle:
             t = i * dt
             if i % ticks == 0:
                 torque = 12.0 if t >= sc.pre_hold else 0.0
-                p_d, _ = plant.pressure_from_torque(torque)
+                p_d = plant.pressure_from_torque(torque)
                 _, f_now, _ = plant.drive(p_d * plant.area_slave)
             force[i + delay_steps] = f_now
             p_lin[i] = (ss.C_d @ x)[0]

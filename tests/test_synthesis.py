@@ -260,6 +260,26 @@ class TestGainSetIO:
                            match=r"^gains\.L has shape \(3, 4\), expected \(7, 4\)$"):
             GainSet.load(path)
 
+    def test_ragged_estimator_gain_named(self, gains, tmp_path):
+        # the field is named, where numpy alone says only "inhomogeneous shape"
+        path = tmp_path / "gains.json"
+        gains.save(path)
+        payload = json.loads(path.read_text())
+        payload["L"][0] = payload["L"][0][:3]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SynthesisError, match=r"^gains\.L is not a numeric array: "):
+            GainSet.load(path)
+
+    def test_non_object_weights_named(self, gains, tmp_path):
+        # the section is named, where iterating it alone says "'int' object is not iterable"
+        path = tmp_path / "gains.json"
+        gains.save(path)
+        payload = json.loads(path.read_text())
+        payload["weights"] = 5
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SynthesisError, match=r"^gains\.weights must be an object, got 5$"):
+            GainSet.load(path)
+
     def test_save_is_byte_stable(self, gains, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         gains.save(p1)
