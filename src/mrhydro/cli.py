@@ -43,8 +43,8 @@ def _make_gains(cfg: RunConfig):
 
 
 def _controller_kwargs(cfg: RunConfig) -> dict:
-    pid_m, pid_s = cfg.pid_configs()
-    return {"dither": cfg.dither_config(), "pid_master": pid_m, "pid_slave": pid_s}
+    return {"dither": cfg.dither_config(), "pid_master": cfg.pid_config("pid_master"),
+            "pid_slave": cfg.pid_config("pid_slave")}
 
 
 def cmd_synth(cfg: RunConfig, outdir: Path, args) -> int:
@@ -57,12 +57,10 @@ def cmd_synth(cfg: RunConfig, outdir: Path, args) -> int:
     ev = np.linalg.eigvals(cl)
     dc = synthesis.closed_loop_dc_gain(ss, gains)
     plant = Plant(params)
-    pid_m, pid_s = cfg.pid_configs()
     freqs = controllers.DESIGN_FREQS
-    gm_m = controllers.gain_margin_db(
-        controllers.pid_loop_gain(plant, ss, pid_m, freqs, with_delay=False), freqs)
-    gm_s = controllers.gain_margin_db(
-        controllers.pid_loop_gain(plant, ss, pid_s, freqs, with_delay=False), freqs)
+    gm_m, gm_s = (controllers.gain_margin_db(controllers.pid_loop_gain(
+        plant, ss, cfg.pid_config(section), freqs, with_delay=False), freqs)
+        for section in ("pid_master", "pid_slave"))
     print(f"gains written to {outdir / 'gains.json'}")
     print(f"|K| = {np.linalg.norm(gains.K):.6g}, K_ff = {gains.K_ff:.6g}, "
           f"|L| = {np.linalg.norm(gains.L):.6g}")
@@ -74,8 +72,7 @@ def cmd_synth(cfg: RunConfig, outdir: Path, args) -> int:
 
 
 def cmd_run(cfg: RunConfig, outdir: Path, args) -> int:
-    scenario = sim.Scenario.from_dict({**cfg.scenario, "controller": cfg.controller,
-                                       "seed": cfg.seed})
+    scenario = cfg.scenario_for_run()
     plant = Plant(cfg.plant_params())
     gains = _make_gains(cfg) if cfg.controller == "lqgi" else None
     trace = sim.run_scenario(scenario, plant=plant, gains=gains,

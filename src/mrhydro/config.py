@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 from .controllers import (CONTROLLER_NAMES, DitherConfig, PidConfig,
                           PID_MASTER_DEFAULT, PID_SLAVE_DEFAULT)
 from .plant import PlantParams, json_hash, known_keys
-from .synthesis import CostWeights, NoiseCovariances
+from .sim import Scenario
+from .synthesis import CostWeights, NoiseCovariances, SynthesisError
 
 
 class ConfigError(ValueError):
@@ -34,30 +36,35 @@ class RunConfig:
     output_dir: str = "."
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.controller not in CONTROLLER_NAMES:
             raise ConfigError(
                 f"unknown controller '{self.controller}'; choose from {CONTROLLER_NAMES}")
-        # building each section performs its own fail-closed check
-        self.plant_params()
-        self.dither_config()
-        self.pid_configs()
-        self.cost_weights()
-        self.noise_covariances()
+        # each section's settings check themselves when built
+        for section, build in (("plant", self.plant_params), ("dither", self.dither_config),
+                               ("pid_master", partial(self.pid_config, "pid_master")),
+                               ("pid_slave", partial(self.pid_config, "pid_slave")),
+                               ("weights", self.cost_weights),
+                               ("noise_cov", self.noise_covariances),
+                               ("scenario", self.scenario_for_run)):
+            try:
+                build()
+            except ConfigError:
+                raise   # known_keys already names the section
+            except (ValueError, TypeError, SynthesisError) as exc:   # TypeError: "x" for a number
+                raise ConfigError(f"{section}: {exc}") from exc
 
     def plant_params(self) -> PlantParams:
-        try:
-            return PlantParams.from_dict(self.plant)
-        except Exception as exc:
-            raise ConfigError(str(exc)) from exc
+        return PlantParams.from_dict(self.plant)
 
     def dither_config(self) -> DitherConfig:
         return DitherConfig(**known_keys(DitherConfig, self.dither, "dither", ConfigError))
 
-    def pid_configs(self) -> tuple[PidConfig, PidConfig]:
-        master = known_keys(PidConfig, self.pid_master, "pid_master", ConfigError)
-        slave = known_keys(PidConfig, self.pid_slave, "pid_slave", ConfigError)
-        return replace(PID_MASTER_DEFAULT, **master), replace(PID_SLAVE_DEFAULT, **slave)
+    def pid_config(self, section: str) -> PidConfig:
+        """The pid_master or pid_slave section over its shipped default."""
+        default = PID_MASTER_DEFAULT if section == "pid_master" else PID_SLAVE_DEFAULT
+        return replace(default, **known_keys(PidConfig, getattr(self, section), section,
+                                             ConfigError))
 
     def cost_weights(self) -> CostWeights:
         return CostWeights(**known_keys(CostWeights, self.weights, "weights", ConfigError))
@@ -65,6 +72,11 @@ class RunConfig:
     def noise_covariances(self) -> NoiseCovariances:
         return NoiseCovariances(**known_keys(NoiseCovariances, self.noise_cov, "noise_cov",
                                              ConfigError))
+
+    def scenario_for_run(self) -> Scenario:
+        """The run command's scenario: the scenario section with this controller and seed."""
+        return Scenario.from_dict({**self.scenario, "controller": self.controller,
+                                   "seed": self.seed})
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -89,6 +101,4 @@ def load_run_config(path: str | None = None, overrides: dict | None = None) -> R
                 layers[key] = {**layers[key], **val}
             else:
                 layers[key] = val
-    cfg = RunConfig(**known_keys(RunConfig, layers, "run config", ConfigError))
-    cfg.validate()
-    return cfg
+    return RunConfig(**known_keys(RunConfig, layers, "run config", ConfigError))

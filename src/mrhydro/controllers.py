@@ -18,7 +18,8 @@ import numpy as np
 from scipy import linalg
 
 from .analysis import REFERENCE_RESULTS, REPORT_COLUMNS, LowPass, crossing_bandwidth
-from .plant import Plant, StateSpace, TWO_PI, build_state_space, friction_pressure
+from .plant import (Plant, StateSpace, TWO_PI, build_state_space, check_numbers,
+                    friction_pressure)
 from .synthesis import GainSet, closed_loop_input, closed_loop_matrix, synthesize
 
 CONTROL_DT = 1e-3   # 1 kHz loop rate
@@ -46,6 +47,10 @@ class DitherConfig:
     amplitude_slope: float = 0.5   # fraction of desired pressure
     amplitude_floor: float = 20e3  # [Pa]
     enabled: bool = True
+
+    def __post_init__(self):
+        check_numbers(self, ValueError, positive=("frequency",),
+                      finite=("amplitude_slope", "amplitude_floor"))
 
 
 def dither_signal(t: float, p_desired: float, cfg: DitherConfig) -> float:
@@ -132,9 +137,10 @@ class PidConfig:
     feedback_tap: str = "master"      # "master" or "slave"
     deriv_filter_hz: float = 150.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.feedback_tap not in ("master", "slave"):
             raise ValueError("feedback_tap must be 'master' or 'slave'")
+        check_numbers(self, ValueError, positive=("deriv_filter_hz",), finite=("kp", "ki", "kd"))
 
 
 # shipped defaults, produced by calibrate_pid_defaults() on the default plant
@@ -151,7 +157,6 @@ class PidController:
 
     def __init__(self, plant: Plant, config: PidConfig,
                  dither: DitherConfig = DitherConfig(), dt: float = CONTROL_DT):
-        config.validate()
         self.plant = plant
         self.config = config
         self.dither = dither

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
@@ -33,6 +34,18 @@ def known_keys(cls, data: dict, where: str, error: type) -> dict:
     if bad:
         raise error(f"unknown key(s) in {where}: {sorted(bad)}")
     return data
+
+
+def check_numbers(obj, error: type, positive=(), non_negative=(), finite=()) -> None:
+    """Raise error naming the first listed field of obj that is not a finite real number in
+    its range.  Each test reads `not low < x < inf`, which NaN and +-inf fail."""
+    for names, ok, rule in ((positive, lambda v: 0.0 < v < math.inf, "finite and > 0"),
+                            (non_negative, lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+                            (finite, math.isfinite, "finite")):
+        for name in names:
+            value = getattr(obj, name)
+            if not (isinstance(value, numbers.Real) and ok(value)):
+                raise error(f"{name} must be {rule}, got {value!r}")
 
 
 def write_json(path, record) -> None:
@@ -61,10 +74,8 @@ class TransmissionParams:
     b2: float = 204.0     # hydraulic viscous damping [N.s/m]
     b3: float = 10000.0   # robot + base viscous damping [N.s/m]
 
-    def validate(self) -> None:
-        for name in ("m1", "m2", "m3", "k1", "k2", "k3", "b1", "b2", "b3"):
-            if getattr(self, name) <= 0.0:
-                raise PlantError(f"transmission parameter {name} must be > 0")
+    def __post_init__(self):
+        check_numbers(self, PlantError, positive=tuple(vars(self)))   # every field
 
 
 @dataclass(frozen=True)
@@ -80,13 +91,10 @@ class MRClutchParams:
     torque_max: float = 2.0   # clutch rating [N.m]
     current_max: float = 3.0  # drive limit [A]
 
-    def validate(self) -> None:
-        if self.tau_delay < 0.0 or self.omega_c <= 0.0:
-            raise PlantError("clutch dynamics must have tau_delay >= 0, omega_c > 0")
-        if self.torque_max <= 0.0 or self.current_max <= 0.0:
-            raise PlantError("clutch limits must be positive")
-        if self.poly_c0 < 0.0:
-            raise PlantError("remnant torque poly_c0 must be >= 0")
+    def __post_init__(self):
+        check_numbers(self, PlantError, positive=("omega_c", "torque_max", "current_max"),
+                      non_negative=("tau_delay", "poly_c0"),
+                      finite=("poly_c3", "poly_c2", "poly_c1"))
         # strictly increasing on [0, current_max]: the slope is least at an end or its vertex
         c3, c2, c1 = self.poly_c3, self.poly_c2, self.poly_c1
         at = [0.0, self.current_max]
@@ -116,13 +124,10 @@ class FrictionParams:
     mode: str = "smooth_tanh"
     sign_regularization: float = 2500.0  # slope realizing sign(v) [s/m]
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 0.0 <= self.mu < 1.0:
-            raise PlantError("mu must be in [0, 1)")
-        if self.n_steepness <= 0.0:
-            raise PlantError("n_steepness must be > 0")
-        if self.sign_regularization <= 0.0:
-            raise PlantError("sign_regularization must be > 0")
+            raise PlantError(f"mu must be in [0, 1), got {self.mu!r}")
+        check_numbers(self, PlantError, positive=("n_steepness", "sign_regularization"))
         if self.mode not in FRICTION_MODES:
             raise PlantError(f"friction mode must be one of {FRICTION_MODES}")
 
@@ -149,12 +154,9 @@ class GeometryParams:
     screw_lead: float = _LEAD_DEFAULT    # ball-screw lead [m/rev]
     p_dc: float = 205e3                  # DC pretension pressure [Pa]
 
-    def validate(self) -> None:
-        for name in ("area_master", "area_slave", "r_pulley", "screw_lead"):
-            if getattr(self, name) <= 0.0:
-                raise PlantError(f"geometry parameter {name} must be > 0")
-        if self.p_dc < 0.0:
-            raise PlantError("p_dc must be >= 0")
+    def __post_init__(self):
+        check_numbers(self, PlantError, positive=("area_master", "area_slave", "r_pulley",
+                                                  "screw_lead"), non_negative=("p_dc",))
 
 
 @dataclass(frozen=True)
@@ -166,12 +168,6 @@ class PlantParams:
     friction: FrictionParams = field(default_factory=FrictionParams)
     geometry: GeometryParams = field(default_factory=GeometryParams)
 
-    def validate(self) -> None:
-        self.transmission.validate()
-        self.clutch.validate()
-        self.friction.validate()
-        self.geometry.validate()
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -179,12 +175,10 @@ class PlantParams:
     def from_dict(cls, data: dict) -> "PlantParams":
         """Build from a nested dict; unknown keys are rejected."""
         known_keys(cls, data, "plant", PlantError)
-        params = cls(**{   # each section's default factory is its class
+        return cls(**{   # each section's default factory is its class
             name: f.default_factory(**known_keys(f.default_factory, data.get(name, {}),
                                                  f"plant.{name}", PlantError))
             for name, f in cls.__dataclass_fields__.items()})
-        params.validate()
-        return params
 
     def content_hash(self) -> str:
         """Short stable hash for provenance records."""
@@ -219,7 +213,6 @@ class StateSpace:
 
 def build_state_space(params: PlantParams) -> StateSpace:
     """Assemble the seventh-order linear model from the parameter set."""
-    params.validate()
     t = params.transmission
     g = params.geometry
     wc = params.clutch.omega_c
@@ -255,7 +248,6 @@ class Plant:
     """
 
     def __init__(self, params: PlantParams = PlantParams()):
-        params.validate()
         self.params = params
         t, c, g = params.transmission, params.clutch, params.geometry
         # scalar attributes for the hot integration loop

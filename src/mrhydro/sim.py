@@ -20,7 +20,7 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 
 from . import analysis
-from .plant import Plant, PlantError, TWO_PI, known_keys, write_json
+from .plant import Plant, PlantError, TWO_PI, check_numbers, known_keys, write_json
 from .controllers import (CONTROL_DT, SIM_DT, Command, ControllerFault,
                           LqgiController, make_controller)
 from .synthesis import NoiseCovariances
@@ -78,30 +78,24 @@ class Scenario:
         # prescribed motion keeps reversing the piston, where friction sticks
         if self.kind == "backdrive" and self.friction_mode is None:
             object.__setattr__(self, "friction_mode", "stick_slip_sign")
-
-    def validate(self) -> None:
         if self.kind not in SCENARIO_KINDS:
             raise ScenarioError(f"kind must be one of {SCENARIO_KINDS}")
         kind_rate = {"sine_dwell": ("freq_hz",), "backdrive": ("backdrive_freq",)}
-        for name in ("sim_dt", "control_dt") + kind_rate.get(self.kind, ()):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ScenarioError(f"{name} must be finite and positive, got {value}")
+        check_numbers(self, ScenarioError,
+                      positive=("sim_dt", "control_dt") + kind_rate.get(self.kind, ()),
+                      non_negative=("pre_hold",),
+                      finite=("torque_amplitude", "torque_offset", "torque_command",
+                              "backdrive_amplitude", "chirp_f0", "chirp_f1", "chirp_i_offset",
+                              "chirp_i_amplitude"))
+        if self.duration is not None:   # None: derived from the profile
+            check_numbers(self, ScenarioError, positive=("duration",))
+        if self.ramp_torque_end is not None:   # None: the command is held
+            check_numbers(self, ScenarioError, finite=("ramp_torque_end",))
         if self.kind == "backdrive" and self.backdrive_cycles < 1:
             raise ScenarioError("backdrive_cycles must be at least 1")
         ratio = self.control_dt / self.sim_dt
         if abs(ratio - round(ratio)) > 1e-9 or ratio < 1:
             raise ScenarioError("control_dt must be an integer multiple of sim_dt")
-        if self.duration is not None and not 0.0 < self.duration < math.inf:
-            raise ScenarioError(f"duration must be finite and positive, got {self.duration}")
-        for name in ("torque_amplitude", "torque_offset", "torque_command", "ramp_torque_end",
-                     "backdrive_amplitude", "chirp_f0", "chirp_f1", "chirp_i_offset",
-                     "chirp_i_amplitude"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):   # ramp_torque_end may be None
-                raise ScenarioError(f"{name} must be finite, got {value}")
-        if not 0.0 <= self.pre_hold < math.inf:
-            raise ScenarioError(f"pre_hold must be finite and >= 0, got {self.pre_hold}")
         if self.seed < 0:
             raise ScenarioError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.total_duration() < math.inf:
@@ -124,9 +118,7 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        sc = cls(**known_keys(cls, data, "scenario", ScenarioError))
-        sc.validate()
-        return sc
+        return cls(**known_keys(cls, data, "scenario", ScenarioError))
 
 
 # SimTrace series -> CSV column names: one name for a 1-D series, one per
@@ -280,7 +272,6 @@ def run_scenario(sc: Scenario, plant: Plant | None = None, controller=None,
     controller_kwargs forwards dither/PID overrides to the factory.  On a
     numeric blow-up the partial trace is returned with `aborted` set.
     """
-    sc.validate()
     if plant is None:
         plant = Plant()
     dt = sc.sim_dt

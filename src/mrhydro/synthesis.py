@@ -13,7 +13,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy import linalg
 
-from .plant import PlantParams, StateSpace, build_state_space, known_keys, write_json
+from .plant import (PlantParams, StateSpace, build_state_space, check_numbers, known_keys,
+                    write_json)
 
 CARE_RESIDUAL_TOL = 1e-8
 
@@ -39,13 +40,9 @@ class CostWeights:
     rho_i: float = 1000.0      # integral-state penalty
     pressure_scale: float = 3e4    # Pa per cost unit for pressure terms
 
-    def validate(self) -> None:
-        if self.rho <= 0.0:
-            raise SynthesisError("rho must be > 0")
-        if self.rho_i < 0.0:
-            raise SynthesisError("rho_i must be >= 0")
-        if self.pressure_scale <= 0.0:
-            raise SynthesisError("pressure_scale must be > 0")
+    def __post_init__(self):
+        check_numbers(self, SynthesisError, positive=("rho", "pressure_scale"),
+                      non_negative=("rho_i",))
 
 
 @dataclass(frozen=True)
@@ -61,17 +58,17 @@ class NoiseCovariances:
     d_diag: tuple = (1.0, 1e5, 1.0, 1.0, 1.0, 1e6, 1.0)
 
     def __post_init__(self):
-        # JSON gives lists; tuples keep the record hashable
-        for name in ("r_diag", "d_diag"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-
-    def validate(self) -> None:
-        if len(self.r_diag) != 4 or any(v <= 0.0 for v in self.r_diag):
-            raise SynthesisError("r_diag must be 4 positive entries")
-        if self.rho_l < 0.0:
-            raise SynthesisError("rho_l must be >= 0")
-        if len(self.d_diag) != 7 or any(v < 0.0 for v in self.d_diag):
-            raise SynthesisError("d_diag must be 7 non-negative entries")
+        for name, size in (("r_diag", 4), ("d_diag", 7)):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)) or len(value) != size:
+                raise SynthesisError(f"{name} must be a sequence of {size} entries, got {value!r}")
+            # JSON gives lists; tuples keep the record hashable
+            object.__setattr__(self, name, tuple(value))
+        if not all(0.0 < v < math.inf for v in self.r_diag):
+            raise SynthesisError(f"r_diag entries must be finite and > 0, got {self.r_diag}")
+        if not all(0.0 <= v < math.inf for v in self.d_diag):
+            raise SynthesisError(f"d_diag entries must be finite and >= 0, got {self.d_diag}")
+        check_numbers(self, SynthesisError, non_negative=("rho_l",))
 
     def R(self) -> np.ndarray:
         return np.diag(self.r_diag)
@@ -230,7 +227,6 @@ def lqi_gains(ss: StateSpace, weights: CostWeights = CostWeights()) -> tuple[np.
     Returns (K, K_ff) with K shaped (8,) in the runtime convention
     u = -K @ [x_i, x] + K_ff * P_d, x_i integrating (P_d - P_s estimate).
     """
-    weights.validate()
     A, B, C_d = ss.A, ss.B, ss.C_d
     n = A.shape[0]
     S = weights.pressure_scale
@@ -268,7 +264,6 @@ def lqi_gains(ss: StateSpace, weights: CostWeights = CostWeights()) -> tuple[np.
 
 def kalman_gain(ss: StateSpace, noise: NoiseCovariances = NoiseCovariances()) -> np.ndarray:
     """Steady-state estimator gain from the dual Riccati equation."""
-    noise.validate()
     A, C = ss.A, ss.C
     R_L = noise.R()
     Q_L = noise.Q()

@@ -1,4 +1,6 @@
 import json
+import math
+from dataclasses import fields, replace
 
 import pytest
 
@@ -6,12 +8,59 @@ from mrhydro import sim
 from mrhydro.analysis import REFERENCE_RESULTS, RowResult
 from mrhydro.cli import main
 from mrhydro.config import ConfigError, RunConfig, load_run_config
+from mrhydro.controllers import PID_MASTER_DEFAULT, DitherConfig
+from mrhydro.plant import (FrictionParams, GeometryParams, MRClutchParams, PlantError,
+                           TransmissionParams)
+from mrhydro.synthesis import CostWeights, NoiseCovariances, SynthesisError
+
+# one instance of each frozen settings type, with the error its check raises
+SETTINGS = [(TransmissionParams(), PlantError), (MRClutchParams(), PlantError),
+            (FrictionParams(), PlantError), (GeometryParams(), PlantError),
+            (CostWeights(), SynthesisError), (NoiseCovariances(), SynthesisError),
+            (PID_MASTER_DEFAULT, ValueError), (DitherConfig(), ValueError)]
+
+
+class TestSettingsCheckThemselves:
+    @pytest.mark.parametrize("base, error, name, bad", [
+        pytest.param(base, error, f.name, bad, id=f"{type(base).__name__}.{f.name}={bad}")
+        for base, error in SETTINGS for f in fields(base)
+        if isinstance(getattr(base, f.name), float) for bad in (math.nan, math.inf, -math.inf)])
+    def test_non_finite_float_refused(self, base, error, name, bad):
+        with pytest.raises(error, match=name):
+            replace(base, **{name: bad})
+
+    @pytest.mark.parametrize("changes, name", [
+        ({"r_diag": 5}, "r_diag"), ({"r_diag": (1.0, 1.0, 1.0)}, "r_diag"),
+        ({"r_diag": (1.0, 1.0, math.nan, 1.0)}, "r_diag"),
+        ({"d_diag": (1.0,) * 6 + (math.inf,)}, "d_diag"), ({"d_diag": "1234567"}, "d_diag")])
+    def test_noise_diagonals_checked(self, changes, name):
+        with pytest.raises(SynthesisError, match=name):
+            NoiseCovariances(**changes)
+
+    @pytest.mark.parametrize("config, command, section", [
+        ({"weights": {"rho": "x"}}, "synth", "weights"),
+        ({"plant": {"transmission": {"m1": math.nan}}}, "synth", "plant"),
+        ({"weights": {"rho": math.nan}}, "synth", "weights"),
+        ({"noise_cov": {"r_diag": 5}}, "synth", "noise_cov"),
+        ({"pid_master": {"ki": math.nan}}, "synth", "pid_master"),
+        ({"plant": {"geometry": {"p_dc": math.inf}}}, "synth", "plant"),
+        ({"dither": {"frequency": math.nan}}, "synth", "dither"),
+        ({"scenario": {"kind": "waltz"}}, "run", "scenario"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_bad_setting_is_a_config_error(self, tmp_path, capsys, config, command, section):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfgfile), command, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {section}: ")
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestRunConfig:
     def test_defaults_validate(self):
         cfg = RunConfig()
-        cfg.validate()
         assert cfg.controller == "open_loop"
         assert cfg.plant_params().content_hash()
 
@@ -21,23 +70,23 @@ class TestRunConfig:
 
     def test_unknown_nested_keys_named(self):
         with pytest.raises(ConfigError, match="bogus"):
-            RunConfig(plant={"friction": {"bogus": 1}}).validate()
+            RunConfig(plant={"friction": {"bogus": 1}})
         with pytest.raises(ConfigError, match="slope"):
-            RunConfig(dither={"slope": 0.1}).validate()
+            RunConfig(dither={"slope": 0.1})
 
     @pytest.mark.parametrize("section", ["pid_master", "pid_slave"])
     def test_unknown_pid_key_named(self, section):
         with pytest.raises(ConfigError, match=rf"^unknown key\(s\) in {section}: \['kq'\]$"):
-            RunConfig(**{section: {"kq": 1.0}}).validate()
+            RunConfig(**{section: {"kq": 1.0}})
 
     @pytest.mark.parametrize("section", [{"dither": 5}, {"plant": {"clutch": [1.0]}}])
     def test_non_object_section_named(self, section):
         with pytest.raises(ConfigError, match="must be an object, got "):
-            RunConfig(**section).validate()
+            RunConfig(**section)
 
     def test_unknown_controller_rejected(self):
         with pytest.raises(ConfigError, match="pid_elbow"):
-            RunConfig(controller="pid_elbow").validate()
+            RunConfig(controller="pid_elbow")
 
     def test_layering_file_then_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -61,7 +110,7 @@ class TestRunConfig:
 
     def test_pid_overrides_merge_with_defaults(self):
         cfg = RunConfig(pid_master={"ki": 55.0})
-        master, slave = cfg.pid_configs()
+        master, slave = cfg.pid_config("pid_master"), cfg.pid_config("pid_slave")
         assert master.ki == 55.0 and master.kd == 1.0e-3
         assert slave.ki == 19.0
 
@@ -107,8 +156,8 @@ class TestCliRun:
 
     def test_negative_seed_is_an_error(self, tmp_path, capsys):
         rc = main(["run", "--seed", "-1", "--out-dir", str(tmp_path)])
-        assert rc == 1
-        assert capsys.readouterr().err.startswith("error: seed must be >= 0")
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: scenario: seed must be >= 0")
 
     def test_backdrive_flags(self, tmp_path):
         rc = main(["run", "--kind", "backdrive", "--controller", "open_loop",
@@ -123,16 +172,16 @@ class TestCliRun:
         assert meta["scenario"]["friction_mode"] == "stick_slip_sign"
 
     def test_nan_dither_aborts(self, tmp_path, capsys):
-        # JSON reads NaN; a NaN clutch command must abort the run, not drive ~0 A to its end
+        # JSON reads NaN; the dither refuses it before any run starts
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"controller": "pid_master",
                                        "dither": {"frequency": float("nan")}}))
-        rc = main(["--config", str(cfgfile), "run", "--kind", "step",
-                   "--out-dir", str(tmp_path)])
-        assert rc == 1
-        assert "aborted: FloatingPointError" in capsys.readouterr().out
-        meta = json.loads((tmp_path / "trace_step_pid_master_seed0.csv.meta.json").read_text())
-        assert meta["aborted"].startswith("FloatingPointError: non-finite clutch force request")
+        out = tmp_path / "out"
+        rc = main(["--config", str(cfgfile), "run", "--kind", "step", "--out-dir", str(out)])
+        assert rc == 2
+        assert "config error: dither: frequency must be finite and > 0, got nan" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCliFrf:

@@ -178,17 +178,17 @@ class TestClutchStatics:
 
     def test_negative_remnant_torque_rejected(self):
         with pytest.raises(PlantError, match="poly_c0"):
-            MRClutchParams(poly_c0=-0.01).validate()
+            MRClutchParams(poly_c0=-0.01)
 
     @pytest.mark.parametrize("c1_offset, monotone", [(-1e-6, False), (1e-6, True)])
     def test_slope_checked_at_its_vertex(self, c1_offset, monotone):
         # slope 0.3 i^2 - 0.6 i + 0.3 + offset is least at 1 A, between grid samples
-        clutch = MRClutchParams(poly_c3=0.1, poly_c2=-0.3, poly_c1=0.3 + c1_offset)
+        coefficients = {"poly_c3": 0.1, "poly_c2": -0.3, "poly_c1": 0.3 + c1_offset}
         if monotone:
-            clutch.validate()
+            MRClutchParams(**coefficients)
         else:
             with pytest.raises(PlantError, match="not monotone"):
-                clutch.validate()
+                MRClutchParams(**coefficients)
             assert poly_torque(1.001, 0.1, -0.3, 0.3 + c1_offset) < \
                 poly_torque(0.999, 0.1, -0.3, 0.3 + c1_offset)
 
@@ -425,11 +425,11 @@ class TestParams:
 
     def test_invalid_rejected(self):
         with pytest.raises(PlantError):
-            PlantParams(transmission=TransmissionParams(m1=-1.0)).validate()
+            PlantParams(transmission=TransmissionParams(m1=-1.0))
         with pytest.raises(PlantError):
-            PlantParams().with_friction(mu=1.5).validate()
+            PlantParams().with_friction(mu=1.5)
         with pytest.raises(PlantError):
-            PlantParams().with_friction(mode="nope").validate()
+            PlantParams().with_friction(mode="nope")
 
     def test_dict_round_trip_and_fail_closed(self):
         params = PlantParams()

@@ -383,11 +383,11 @@ class TestScenarioValidation:
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ScenarioError):
-            Scenario(kind="waltz").validate()
+            Scenario(kind="waltz")
 
     def test_rate_mismatch_rejected(self):
         with pytest.raises(ScenarioError):
-            Scenario(control_dt=1e-3, sim_dt=3e-4).validate()
+            Scenario(control_dt=1e-3, sim_dt=3e-4)
 
     def test_round_trip(self):
         sc = backdrive_scenario("lqgi", torque_command=10.0, backdrive_freq=5.0)
@@ -411,7 +411,6 @@ class TestScenarioValidation:
             torque_command=data.draw(FINITE), ramp_torque_end=data.draw(st.none() | FINITE),
             friction_mode=data.draw(st.none() | st.sampled_from(FRICTION_MODES)),
             sim_dt=sim_dt, control_dt=data.draw(st.integers(1, 20)) * sim_dt)
-        sc.validate()
         assert Scenario.from_dict(sc.to_dict()) == sc
 
     @pytest.mark.parametrize("fields, name", [
@@ -440,7 +439,7 @@ class TestScenarioValidation:
     ])
     def test_bad_numbers_named(self, fields, name):
         with pytest.raises(ScenarioError, match=name):
-            Scenario(**fields).validate()
+            Scenario(**fields)
 
 
 class TestControlRate:

@@ -146,9 +146,7 @@ class TestKalmanGain:
         from mrhydro.plant import StateSpace
         toy = StateSpace(A=np.array([[-1.0]]), B=np.array([[1.0]]),
                          C=np.array([[1.0]]), C_d=np.array([[1.0]]))
-        nc = NoiseCovariances(r_diag=(1.0,), rho_l=1.0, d_diag=(1.0,))
-        # bypass validation lengths via direct dual solve
-        Pf = solve_care(toy.A.T, toy.C.T, nc.rho_l * np.eye(1), np.eye(1))
+        Pf = solve_care(toy.A.T, toy.C.T, np.eye(1), np.eye(1))
         L = Pf @ toy.C.T
         assert L[0, 0] == pytest.approx(SQRT2_M1, abs=1e-10)
 
@@ -278,6 +276,15 @@ class TestGainSetIO:
         payload["weights"] = 5
         path.write_text(json.dumps(payload))
         with pytest.raises(SynthesisError, match=r"^gains\.weights must be an object, got 5$"):
+            GainSet.load(path)
+
+    def test_non_sequence_noise_diagonal_named(self, gains, tmp_path):
+        path = tmp_path / "gains.json"
+        gains.save(path)
+        payload = json.loads(path.read_text())
+        payload["noise"]["r_diag"] = 5
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SynthesisError, match=r"^r_diag must be a sequence of 4 entries, got 5$"):
             GainSet.load(path)
 
     def test_save_is_byte_stable(self, gains, tmp_path):
