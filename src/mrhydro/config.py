@@ -13,7 +13,7 @@ from functools import partial
 from .controllers import (CONTROLLER_NAMES, DitherConfig, PidConfig,
                           PID_MASTER_DEFAULT, PID_SLAVE_DEFAULT)
 from .plant import PlantParams, json_hash, known_keys
-from .sim import Scenario
+from .sim import Scenario, delay_steps
 from .synthesis import CostWeights, NoiseCovariances, SynthesisError
 
 
@@ -46,7 +46,8 @@ class RunConfig:
                                ("pid_slave", partial(self.pid_config, "pid_slave")),
                                ("weights", self.cost_weights),
                                ("noise_cov", self.noise_covariances),
-                               ("scenario", self.scenario_for_run)):
+                               ("scenario", self.scenario_for_run),
+                               ("plant", self._delay_steps)):
             try:
                 build()
             except ConfigError:
@@ -78,6 +79,10 @@ class RunConfig:
         return Scenario.from_dict({**self.scenario, "controller": self.controller,
                                    "seed": self.seed})
 
+    def _delay_steps(self) -> int:
+        """The clutch delay in whole steps of the run's sim_dt, as run_scenario takes it."""
+        return delay_steps(self.plant_params().clutch.tau_delay, self.scenario_for_run().sim_dt)
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -90,8 +95,11 @@ def load_run_config(path: str | None = None, overrides: dict | None = None) -> R
     """Defaults, then the file, then explicit overrides; all fail-closed."""
     layers: dict = {}
     if path is not None:
-        with open(path) as fh:
-            data = json.load(fh)
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
         layers.update(data)

@@ -292,18 +292,25 @@ def _plant_output_frf(freqs, M, b, row, tau: float) -> np.ndarray:
     """row @ x[:n] with (sI - M) x = b at each s = j*2*pi*f, in stacks of _SOLVE_BLOCK.
 
     The first n = len(row) states are the plant's; its input terms M[:n, n:]
-    and b[:n] carry the delay exp(-s*tau)."""
-    n = len(row)
+    and b[:n] carry the delay exp(-s*tau).  Each block starts from 0.0 - M
+    and adds s on the diagonal: the same operations, signed zeros included,
+    as s*I - M."""
+    n, size = len(row), len(b)
     s_all = 2j * np.pi * np.asarray(freqs, dtype=float)
+    d_all = np.exp(-s_all * tau)
+    base = 0.0 - M   # not -M, which is -0.0 where M is 0.0
+    lhs_block = np.empty((_SOLVE_BLOCK, size, size), dtype=complex)
+    rhs_block = np.empty((_SOLVE_BLOCK, size, 1), dtype=complex)
     out = np.empty(len(s_all), dtype=complex)
     for lo in range(0, len(s_all), _SOLVE_BLOCK):
-        s = s_all[lo:lo + _SOLVE_BLOCK]
-        d = np.exp(-s * tau)
-        lhs = s[:, None, None] * np.eye(len(b)) - M
+        s, d = s_all[lo:lo + _SOLVE_BLOCK], d_all[lo:lo + _SOLVE_BLOCK]
+        lhs, rhs = lhs_block[:len(s)], rhs_block[:len(s)]
+        lhs[:] = base
+        lhs.reshape(len(s), size * size)[:, ::size + 1] += s[:, None]
         lhs[:, :n, n:] *= d[:, None, None]
-        rhs = np.broadcast_to(b, lhs.shape[:2]).astype(complex)
-        rhs[:, :n] *= d[:, None]
-        out[lo:lo + len(s)] = np.linalg.solve(lhs, rhs[..., None])[:, :n, 0] @ row
+        rhs[:, :, 0] = b
+        rhs[:, :n, 0] *= d[:, None]
+        out[lo:lo + len(s)] = np.linalg.solve(lhs, rhs)[:, :n, 0] @ row
     return out
 
 
@@ -315,21 +322,28 @@ def pressure_command_frf(plant: Plant, ss: StateSpace, freqs, output: str = "sla
     return _plant_output_frf(freqs, ss.A, ss.B[:, 0], row, tau) * plant.area_slave
 
 
-def _pid_c_of_jw(cfg: PidConfig, freqs) -> np.ndarray:
+def _pid_jw_parts(kd: float, deriv_filter_hz: float, freqs):
+    """The j*omega grid and the filtered derivative term of C(j*omega), None
+    without one: the parts that do not depend on kp or ki."""
     w = 2j * np.pi * np.asarray(freqs, dtype=float)
-    c = cfg.kp + cfg.ki / w
-    if cfg.kd:
-        # derivative is filtered in the implementation; include the roll-off
-        wc = TWO_PI * cfg.deriv_filter_hz
-        c = c + cfg.kd * w * (wc / (w + wc))
-    return c
+    if not kd:
+        return w, None
+    # derivative is filtered in the implementation; include the roll-off
+    wc = TWO_PI * deriv_filter_hz
+    return w, kd * w * (wc / (w + wc))
+
+
+def _pid_c_of_jw(kp: float, ki: float, w, kd_term) -> np.ndarray:
+    c = kp + ki / w
+    return c if kd_term is None else c + kd_term
 
 
 def pid_loop_gain(plant: Plant, ss: StateSpace, cfg: PidConfig, freqs,
                   with_delay: bool = True) -> np.ndarray:
     g_tap = pressure_command_frf(plant, ss, freqs, output=cfg.feedback_tap,
                                  with_delay=with_delay)
-    return _pid_c_of_jw(cfg, freqs) * g_tap
+    w, kd_term = _pid_jw_parts(cfg.kd, cfg.deriv_filter_hz, freqs)
+    return _pid_c_of_jw(cfg.kp, cfg.ki, w, kd_term) * g_tap
 
 
 def _tap_frfs(plant, ss, tap):
@@ -352,16 +366,30 @@ def gain_margin_db(loop: np.ndarray, freqs) -> float:
     return gm
 
 
-def _pid_bandwidth(cfg: PidConfig, g_slave, g_tap) -> float | None:
-    """Closed-loop bandwidth from tap responses sampled on DESIGN_FREQS."""
-    c = _pid_c_of_jw(cfg, DESIGN_FREQS)
+def _pid_bandwidth(c, g_slave, g_tap) -> float | None:
+    """Closed-loop bandwidth of C(j*omega) and tap responses sampled on DESIGN_FREQS."""
     resp = g_slave * c / (1.0 + c * g_tap)
     return crossing_bandwidth(DESIGN_FREQS, 20.0 * np.log10(np.abs(resp)),
                               np.degrees(np.unwrap(np.angle(resp))))
 
 
 def linear_pid_bandwidth(plant: Plant, ss: StateSpace, cfg: PidConfig) -> float | None:
-    return _pid_bandwidth(cfg, *_tap_frfs(plant, ss, cfg.feedback_tap))
+    c = _pid_c_of_jw(cfg.kp, cfg.ki, *_pid_jw_parts(cfg.kd, cfg.deriv_filter_hz, DESIGN_FREQS))
+    return _pid_bandwidth(c, *_tap_frfs(plant, ss, cfg.feedback_tap))
+
+
+def _bisect_integral_gain(g_slave, g_tap, target_hz: float, kd: float) -> float:
+    """Bisect ki, with kp = 0, until the loop of these tap responses hits target_hz."""
+    w, kd_term = _pid_jw_parts(kd, PidConfig.deriv_filter_hz, DESIGN_FREQS)
+    lo, hi = 1e-2, 5e3
+    for _ in range(60):
+        mid = math.sqrt(lo * hi)
+        bw = _pid_bandwidth(_pid_c_of_jw(0.0, mid, w, kd_term), g_slave, g_tap)
+        if bw is not None and bw >= target_hz:
+            hi = mid
+        else:
+            lo = mid
+    return math.sqrt(lo * hi)
 
 
 def calibrate_integral_gain(plant: Plant, ss: StateSpace, tap: str, target_hz: float,
@@ -370,16 +398,7 @@ def calibrate_integral_gain(plant: Plant, ss: StateSpace, tap: str, target_hz: f
 
     The tap responses do not depend on the gain, so they are computed once.
     """
-    g_slave, g_tap = _tap_frfs(plant, ss, tap)
-    lo, hi = 1e-2, 5e3
-    for _ in range(60):
-        mid = math.sqrt(lo * hi)
-        bw = _pid_bandwidth(PidConfig(kp=0.0, ki=mid, kd=kd, feedback_tap=tap), g_slave, g_tap)
-        if bw is not None and bw >= target_hz:
-            hi = mid
-        else:
-            lo = mid
-    return math.sqrt(lo * hi)
+    return _bisect_integral_gain(*_tap_frfs(plant, ss, tap), target_hz, kd)
 
 
 def calibrate_pid_defaults(plant: Plant, ss: StateSpace) -> tuple[PidConfig, PidConfig]:
@@ -387,13 +406,13 @@ def calibrate_pid_defaults(plant: Plant, ss: StateSpace) -> tuple[PidConfig, Pid
 
     Each tap targets its REFERENCE_RESULTS bandwidth: the master tap's 11 Hz
     needs the small kd for margin at the first resonance; the slave tap's
-    3 Hz takes pure integral action.
+    3 Hz takes pure integral action.  Both taps share one slave response.
     """
     col = [attr for attr, _, _ in REPORT_COLUMNS].index("bandwidth")
-    ki_m = calibrate_integral_gain(plant, ss, "master", REFERENCE_RESULTS["pid_master"][col],
-                                   kd=PID_MASTER_DEFAULT.kd)
-    ki_s = calibrate_integral_gain(plant, ss, "slave", REFERENCE_RESULTS["pid_slave"][col],
-                                   kd=0.0)
+    g_slave, g_master = _tap_frfs(plant, ss, "master")
+    ki_m = _bisect_integral_gain(g_slave, g_master, REFERENCE_RESULTS["pid_master"][col],
+                                 PID_MASTER_DEFAULT.kd)
+    ki_s = _bisect_integral_gain(g_slave, g_slave, REFERENCE_RESULTS["pid_slave"][col], 0.0)
     master = PidConfig(kp=0.0, ki=ki_m, kd=PID_MASTER_DEFAULT.kd, feedback_tap="master")
     slave = PidConfig(kp=0.0, ki=ki_s, kd=0.0, feedback_tap="slave")
     return master, slave

@@ -264,6 +264,14 @@ def _backdrive_profile(sc: Scenario):
     return profile
 
 
+def delay_steps(tau_delay: float, dt: float) -> int:
+    """The clutch delay in whole dt steps; PlantError when it is not whole."""
+    n = int(round(tau_delay / dt))
+    if abs(tau_delay / dt - n) > 1e-9:
+        raise PlantError(f"tau_delay {tau_delay} s is not a whole number of {dt} s steps")
+    return n
+
+
 def run_scenario(sc: Scenario, plant: Plant | None = None, controller=None,
                  gains=None, controller_kwargs: dict | None = None) -> SimTrace:
     """Execute one scenario and return its trace.
@@ -275,10 +283,7 @@ def run_scenario(sc: Scenario, plant: Plant | None = None, controller=None,
     if plant is None:
         plant = Plant()
     dt = sc.sim_dt
-    n_delay = int(round(plant.tau_delay / dt))
-    if abs(plant.tau_delay / dt - n_delay) > 1e-9:
-        raise PlantError(f"tau_delay {plant.tau_delay} s is not a whole number "
-                         f"of {dt} s steps")
+    n_delay = delay_steps(plant.tau_delay, dt)
     if sc.friction_mode is not None:
         plant = Plant(plant.params.with_friction(mode=sc.friction_mode))
     if sc.kind != "chirp":

@@ -143,6 +143,20 @@ class TestCliSynth:
         assert "scenari" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("content", [None, b"{\"seed\": 1,", b"\xff\xfe{}"],
+                             ids=["missing", "malformed", "not-utf8"])
+    def test_unreadable_config_file_is_a_config_error(self, tmp_path, capsys, content):
+        cfgfile = tmp_path / "cfg.json"
+        if content is not None:
+            cfgfile.write_bytes(content)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfgfile), "synth", "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config file {cfgfile}: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestCliRun:
     def test_step_run_reproducible(self, tmp_path):
         args = ["run", "--kind", "step", "--controller", "open_loop",
@@ -158,6 +172,16 @@ class TestCliRun:
         rc = main(["run", "--seed", "-1", "--out-dir", str(tmp_path)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error: scenario: seed must be >= 0")
+
+    def test_fractional_delay_refused_before_the_run(self, tmp_path, capsys):
+        # 0.15 ms is 1.5 steps of the default 0.1 ms sim_dt
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"plant": {"clutch": {"tau_delay": 0.00015}}}))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfgfile), "run", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: plant: tau_delay 0.00015 s is not a whole number of 0.0001 s steps")
+        assert not out.exists()
 
     def test_backdrive_flags(self, tmp_path):
         rc = main(["run", "--kind", "backdrive", "--controller", "open_loop",

@@ -326,6 +326,14 @@ class TestCalibration:
         assert master.ki == pytest.approx(PID_MASTER_DEFAULT.ki, rel=0.15)
         assert slave.ki == pytest.approx(PID_SLAVE_DEFAULT.ki, rel=0.15)
 
+    def test_calibration_shares_slave_response_exactly(self, plant):
+        # both taps bisect against one slave response, to the same ki as one tap alone
+        ss = build_state_space(plant.params)
+        master, slave = calibrate_pid_defaults(plant, ss)
+        assert master.ki == calibrate_integral_gain(plant, ss, "master", 11.0,
+                                                    kd=PID_MASTER_DEFAULT.kd)
+        assert slave.ki == calibrate_integral_gain(plant, ss, "slave", 3.0, kd=0.0)
+
     @pytest.mark.parametrize("with_delay", [True, False])
     @pytest.mark.parametrize("cfg", [PID_MASTER_DEFAULT, PID_SLAVE_DEFAULT])
     def test_gain_margin_matches_pointwise_scan(self, plant, cfg, with_delay):
