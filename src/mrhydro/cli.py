@@ -193,7 +193,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (synthesis.SynthesisError, PlantError, sim.ScenarioError,
-            analysis.AnalysisError) as exc:
+            analysis.AnalysisError, controllers.FrfError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -283,34 +283,97 @@ def make_controller(name: str, plant: Plant, gains: GainSet | None = None,
 DESIGN_FREQS = np.logspace(math.log10(0.05), math.log10(400.0), 3000)
 DESIGN_FREQS.flags.writeable = False
 
-# Frequencies per stacked solve: a fixed block keeps the (block, n, n) work arrays
-# small, where one 3000-deep stack of the 15-state LQGI loop adds ~21 MB of peak memory.
-_SOLVE_BLOCK = 64
+# Frequencies per block of the residue evaluation: a fixed block keeps the (block, n)
+# work arrays small, where the whole 3000-point grid at once adds ~8 MB of peak memory.
+_FRF_BLOCK = 256
+
+# Certificate of each design FRF point: the largest componentwise backward error
+# it may carry, and the largest refinement step relative to the solution.
+FRF_BACKWARD_BOUND = 1e-13
+FRF_STEP_BOUND = 1e-6
+
+
+class FrfError(RuntimeError):
+    """A design frequency response that its certificate does not cover."""
+
+
+def _rank_one(blk):
+    """u, w with outer(u, w) equal to the block up to rounding, zeros for a zero block.
+
+    A block of higher rank gives a wrong solution, which the certificate refuses."""
+    if not blk.any():
+        return np.zeros(blk.shape[0]), np.zeros(blk.shape[1])
+    u = blk[:, np.argmax(np.abs(blk).max(axis=0))]
+    i = np.argmax(np.abs(u))
+    return u, blk[i] / u[i]
 
 
 def _plant_output_frf(freqs, M, b, row, tau: float) -> np.ndarray:
-    """row @ x[:n] with (sI - M) x = b at each s = j*2*pi*f, in stacks of _SOLVE_BLOCK.
+    """row @ x[:n] with (sI - M(s)) x = b(s) at each s = j*2*pi*f, in blocks of _FRF_BLOCK.
 
     The first n = len(row) states are the plant's; its input terms M[:n, n:]
-    and b[:n] carry the delay exp(-s*tau).  Each block starts from 0.0 - M
-    and adds s on the diagonal: the same operations, signed zeros included,
-    as s*I - M."""
-    n, size = len(row), len(b)
-    s_all = 2j * np.pi * np.asarray(freqs, dtype=float)
-    d_all = np.exp(-s_all * tau)
-    base = 0.0 - M   # not -M, which is -0.0 where M is 0.0
-    lhs_block = np.empty((_SOLVE_BLOCK, size, size), dtype=complex)
-    rhs_block = np.empty((_SOLVE_BLOCK, size, 1), dtype=complex)
+    and b[:n] carry the delay d = exp(-s*tau).  The plant input is scalar, so
+    M[:n, n:] = u w^T and the delay is a scalar loop around the delay-free M0:
+    x is a residue sum over the eigenvalues of the balanced M0, closed by
+    Sherman-Morrison, then one step of iterative refinement.  Each point is
+    certified by its componentwise backward error
+    max|r| / (|s||x| + |M(s)||x| + |b(s)|), r taken from M and b as passed
+    (Oettli & Prager, Numer. Math. 6, 1964; Skeel, Math. Comp. 35, 1980), and
+    by the refinement step, which measures what the residue sum missed: where
+    M0 has no eigenvector basis or s sits on a pole, the backward error passes
+    a huge answer but the step does not.  FrfError past either bound.
+    """
+    n = len(row)
+    delayed, bd = np.zeros_like(M), np.zeros_like(b)
+    delayed[:n, n:], bd[:n] = M[:n, n:], b[:n]
+    m0, b0 = M - delayed, b - bd
+    u, w = _rank_one(M[:n, n:])
+    bal, t = linalg.matrix_balance(m0)
+    try:
+        lam, vec = np.linalg.eig(bal)
+        v, v_inv = t @ vec, np.linalg.inv(vec) @ np.linalg.inv(t)
+    except np.linalg.LinAlgError as exc:
+        raise FrfError(f"no eigenvector basis of the delay-free loop: {exc}") from exc
+    u_eig, w_eig = v_inv[:, :n] @ u, w @ v[n:]
+    b0_eig, bd_eig = v_inv @ b0, v_inv @ bd
+    m0_t, delayed_t = m0.T.astype(complex), delayed.T.astype(complex)   # cast once, not per block
+    abs_m0_t, abs_delayed_t = np.abs(m0.T), np.abs(delayed.T)
+
+    f = np.asarray(freqs, dtype=float)
+    s_all = 2j * np.pi * f
     out = np.empty(len(s_all), dtype=complex)
-    for lo in range(0, len(s_all), _SOLVE_BLOCK):
-        s, d = s_all[lo:lo + _SOLVE_BLOCK], d_all[lo:lo + _SOLVE_BLOCK]
-        lhs, rhs = lhs_block[:len(s)], rhs_block[:len(s)]
-        lhs[:] = base
-        lhs.reshape(len(s), size * size)[:, ::size + 1] += s[:, None]
-        lhs[:, :n, n:] *= d[:, None, None]
-        rhs[:, :, 0] = b
-        rhs[:, :n, 0] *= d[:, None]
-        out[lo:lo + len(s)] = np.linalg.solve(lhs, rhs)[:, :n, 0] @ row
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for lo in range(0, len(s_all), _FRF_BLOCK):
+            s = s_all[lo:lo + _FRF_BLOCK, None]
+            d = np.exp(-tau * s)
+            g = 1.0 / (s - lam)
+            gu = g * u_eig
+            dl = d / (1.0 - d * (g @ (w_eig * u_eig))[:, None])
+
+            def solve(rhs_eig):
+                z = g * rhs_eig
+                z += dl * (z @ w_eig)[:, None] * gu
+                return z @ v.T
+
+            def residual(x):
+                return b_s + x @ m0_t + (d * x) @ delayed_t - s * x
+
+            b_s = b0 + d * bd
+            x = solve(b0_eig + d * bd_eig)
+            dx = solve(residual(x) @ v_inv.T)
+            x += dx
+            ax, r = np.abs(x), np.abs(residual(x))
+            scale = np.abs(s) * ax + ax @ abs_m0_t + (np.abs(d) * ax) @ abs_delayed_t + np.abs(b_s)
+            step, size_x = np.abs(dx).max(axis=1), ax.max(axis=1)
+            bad = ~((r <= FRF_BACKWARD_BOUND * scale).all(axis=1)   # NaN fails too
+                    & (step <= FRF_STEP_BOUND * size_x))
+            if bad.any():
+                k = np.argmax(bad)
+                raise FrfError(f"FRF at {float(f[lo + k])!r} Hz not certified: backward error "
+                               f"{np.max(r[k] / scale[k]):.3g}, refinement step "
+                               f"{step[k] / size_x[k]:.3g} of max|x| "
+                               f"(bounds {FRF_BACKWARD_BOUND:.0e}, {FRF_STEP_BOUND:.0e})")
+            out[lo:lo + len(s)] = x[:, :n] @ row
     return out
 
 
@@ -367,9 +430,10 @@ def gain_margin_db(loop: np.ndarray, freqs) -> float:
 
 
 def _pid_bandwidth(c, g_slave, g_tap) -> float | None:
-    """Closed-loop bandwidth of C(j*omega) and tap responses sampled on DESIGN_FREQS."""
+    """Closed-loop bandwidth of C(j*omega) and tap responses sampled on DESIGN_FREQS,
+    or on its first len(c) points."""
     resp = g_slave * c / (1.0 + c * g_tap)
-    return crossing_bandwidth(DESIGN_FREQS, 20.0 * np.log10(np.abs(resp)),
+    return crossing_bandwidth(DESIGN_FREQS[:len(resp)], 20.0 * np.log10(np.abs(resp)),
                               np.degrees(np.unwrap(np.angle(resp))))
 
 
@@ -379,12 +443,24 @@ def linear_pid_bandwidth(plant: Plant, ss: StateSpace, cfg: PidConfig) -> float 
 
 
 def _bisect_integral_gain(g_slave, g_tap, target_hz: float, kd: float) -> float:
-    """Bisect ki, with kp = 0, until the loop of these tap responses hits target_hz."""
+    """Bisect ki, with kp = 0, until the loop of these tap responses hits target_hz.
+
+    Each step decides bw >= target_hz on the grid prefix through the first point
+    above the target: the crossing is the first hit, and np.unwrap is cumulative,
+    so a hit there gives the full grid's bandwidth.  A prefix without a hit
+    puts any crossing above the target, so only then is the whole grid scanned,
+    to tell a crossing from none.
+    """
     w, kd_term = _pid_jw_parts(kd, PidConfig.deriv_filter_hz, DESIGN_FREQS)
+    k = max(int(np.searchsorted(DESIGN_FREQS, target_hz, side="right")) + 1, 2)
+    prefix = (w[:k], None if kd_term is None else kd_term[:k], g_slave[:k], g_tap[:k])
     lo, hi = 1e-2, 5e3
     for _ in range(60):
         mid = math.sqrt(lo * hi)
-        bw = _pid_bandwidth(_pid_c_of_jw(0.0, mid, w, kd_term), g_slave, g_tap)
+        for w_, kd_, g_s, g_t in (prefix, (w, kd_term, g_slave, g_tap)):
+            bw = _pid_bandwidth(_pid_c_of_jw(0.0, mid, w_, kd_), g_s, g_t)
+            if bw is not None:
+                break
         if bw is not None and bw >= target_hz:
             hi = mid
         else:

@@ -1,6 +1,19 @@
+import warnings
 from dataclasses import replace
 
 import pytest
+
+# hypothesis reports a failing example through hypothesis.extra._patching, whose
+# import (through libcst) raises mypy_extensions' TypedDict DeprecationWarning.
+# Under filterwarnings = error that turns one failing @given test into an
+# INTERNALERROR that ends the session, so import it here with that one warning off.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", message="mypy_extensions.TypedDict is deprecated",
+                            category=DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:   # without libcst hypothesis skips the patch too
+        pass
 
 from mrhydro.controllers import Command
 from mrhydro.plant import Plant, PlantParams

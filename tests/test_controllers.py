@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +15,8 @@ from mrhydro.controllers import (DESIGN_FREQS, DitherConfig, LqgiController,
                                  linear_pid_bandwidth, lqgi_closed_loop_frf,
                                  make_controller, pid_loop_gain,
                                  pressure_command_frf)
-from mrhydro.plant import Plant, PlantParams, build_state_space
-from mrhydro.synthesis import synthesize
+from mrhydro.plant import Plant, PlantParams, StateSpace, build_state_space
+from mrhydro.synthesis import closed_loop_input, closed_loop_matrix, synthesize
 
 DT = 1e-3
 
@@ -334,6 +335,24 @@ class TestCalibration:
                                                     kd=PID_MASTER_DEFAULT.kd)
         assert slave.ki == calibrate_integral_gain(plant, ss, "slave", 3.0, kd=0.0)
 
+    @pytest.mark.parametrize("delayed", [True, False])
+    def test_calibration_matches_full_grid_bisection(self, plant, delayed):
+        # the bisection decides most steps on a grid prefix; the public bandwidth
+        # scans the whole grid on every step and must give the same ki
+        plant = plant if delayed else undelayed(plant)
+        ss = build_state_space(plant.params)
+        master, slave = calibrate_pid_defaults(plant, ss)
+        for cfg, target in ((master, 11.0), (slave, 3.0)):
+            lo, hi = 1e-2, 5e3
+            for _ in range(60):
+                mid = math.sqrt(lo * hi)
+                bw = linear_pid_bandwidth(plant, ss, replace(cfg, ki=mid))
+                if bw is not None and bw >= target:
+                    hi = mid
+                else:
+                    lo = mid
+            assert cfg.ki == math.sqrt(lo * hi)
+
     @pytest.mark.parametrize("with_delay", [True, False])
     @pytest.mark.parametrize("cfg", [PID_MASTER_DEFAULT, PID_SLAVE_DEFAULT])
     def test_gain_margin_matches_pointwise_scan(self, plant, cfg, with_delay):
@@ -384,38 +403,50 @@ def reference_pressure_frf(plant, ss, freqs, output, with_delay):
 
 
 def reference_lqgi_frf(plant, ss, gains, freqs):
-    """Plant, estimator and integral state written out per frequency; the
-    clutch delay sits on the plant input only."""
+    """Plant, estimator and integral state written out, each frequency solved in
+    30-digit arithmetic; the clutch delay sits on the plant input only."""
     A, B, C, C_d, L = ss.A, ss.B[:, 0], ss.C, ss.C_d[0], gains.L
     K_x, k_i, K_ff = gains.K_x, gains.K_integral, gains.K_ff
+    fixed, delayed = np.zeros((15, 15)), np.zeros((15, 15))
+    fixed[0:7, 0:7] = A
+    delayed[0:7, 7:14] = -np.outer(B, K_x)
+    delayed[0:7, 14] = -B * k_i
+    fixed[7:14, 0:7] = L @ C
+    fixed[7:14, 7:14] = A - L @ C - np.outer(B, K_x)
+    fixed[7:14, 14] = -B * k_i
+    fixed[14, 7:14] = -C_d
+    rhs_fixed = np.concatenate((np.zeros(7), B * K_ff, [1.0]))
+    rhs_delayed = np.concatenate((B * K_ff, np.zeros(8)))
     out = np.empty(len(freqs), dtype=complex)
-    for i, f in enumerate(freqs):
-        s = 2j * math.pi * f
-        d = np.exp(-s * plant.tau_delay)
-        M = np.zeros((15, 15), dtype=complex)
-        M[0:7, 0:7] = A
-        M[0:7, 7:14] = -np.outer(B, K_x) * d
-        M[0:7, 14] = -B * k_i * d
-        M[7:14, 0:7] = L @ C
-        M[7:14, 7:14] = A - L @ C - np.outer(B, K_x)
-        M[7:14, 14] = -B * k_i
-        M[14, 7:14] = -C_d
-        rhs = np.concatenate((B * K_ff * d, B * K_ff, [1.0]))
-        out[i] = C_d @ np.linalg.solve(s * np.eye(15) - M, rhs)[0:7]
+    with mpmath.workdps(30):
+        m_fixed, m_delayed = mpmath.matrix(fixed.tolist()), mpmath.matrix(delayed.tolist())
+        r_fixed, r_delayed = mpmath.matrix(rhs_fixed.tolist()), mpmath.matrix(rhs_delayed.tolist())
+        for i, f in enumerate(freqs):
+            s = 2j * mpmath.pi * f
+            d = mpmath.exp(-s * plant.tau_delay)
+            x = mpmath.lu_solve(s * mpmath.eye(15) - m_fixed - d * m_delayed,
+                                r_fixed + d * r_delayed)
+            out[i] = complex(mpmath.fsum(float(C_d[k]) * x[k] for k in range(7)))
     return out
 
 
-BLOCK = controllers._SOLVE_BLOCK
+def checked_points(n, spread):
+    """Indices of an n-point grid that the 30-digit reference checks (about 25 ms
+    a point): `spread` of them evenly spaced, and both sides of every edge
+    between 256-point blocks of the evaluator."""
+    edges = [i for k in range(256, n, 256) for i in (k - 1, k)]
+    return sorted(set(np.linspace(0, n - 1, spread).astype(int).tolist()) | set(edges))
 
 
 class TestStackedFrf:
-    """The block-stacked solves against one plain solve per frequency."""
+    """The residue evaluator against one plain solve per frequency (the pressure
+    taps) and against one 30-digit solve per frequency (the LQGI loop)."""
 
     @pytest.fixture(scope="class")
     def ss(self, plant):
         return build_state_space(plant.params)
 
-    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3000])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 3000])
     @pytest.mark.parametrize("with_delay", [True, False])
     @pytest.mark.parametrize("output", ["slave", "master"])
     def test_pressure_frf_matches_per_frequency_solve(self, plant, ss, n, output,
@@ -425,18 +456,18 @@ class TestStackedFrf:
             pressure_command_frf(plant, ss, freqs, output=output, with_delay=with_delay),
             reference_pressure_frf(plant, ss, freqs, output, with_delay), rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3000])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 3000])
     @pytest.mark.parametrize("delayed", [True, False])
     def test_lqgi_frf_matches_per_frequency_solve(self, plant, ss, gains, n, delayed):
         plant = plant if delayed else undelayed(plant)
         freqs = np.logspace(math.log10(0.05), math.log10(400.0), n)
-        np.testing.assert_allclose(lqgi_closed_loop_frf(plant, ss, gains, freqs),
-                                   reference_lqgi_frf(plant, ss, gains, freqs),
+        i = checked_points(n, spread=16)
+        np.testing.assert_allclose(lqgi_closed_loop_frf(plant, ss, gains, freqs)[i],
+                                   reference_lqgi_frf(plant, ss, gains, freqs[i]),
                                    rtol=1e-12, atol=0)
 
     @settings(max_examples=25, deadline=None)
-    @given(freqs=st.lists(st.floats(0.01, 1000.0), min_size=1, max_size=3 * BLOCK + 5)
-           .map(sorted),
+    @given(freqs=st.lists(st.floats(0.01, 1000.0), min_size=1, max_size=773).map(sorted),
            output=st.sampled_from(["slave", "master"]), with_delay=st.booleans())
     def test_random_grids_match_per_frequency_solve(self, plant, ss, gains, freqs, output,
                                                     with_delay):
@@ -444,6 +475,50 @@ class TestStackedFrf:
             pressure_command_frf(plant, ss, freqs, output=output, with_delay=with_delay),
             reference_pressure_frf(plant, ss, freqs, output, with_delay), rtol=1e-12, atol=0)
         plant = plant if with_delay else undelayed(plant)
-        np.testing.assert_allclose(lqgi_closed_loop_frf(plant, ss, gains, freqs),
-                                   reference_lqgi_frf(plant, ss, gains, freqs),
+        i = checked_points(len(freqs), spread=3)
+        np.testing.assert_allclose(lqgi_closed_loop_frf(plant, ss, gains, freqs)[i],
+                                   reference_lqgi_frf(plant, ss, gains, np.array(freqs)[i]),
                                    rtol=1e-12, atol=0)
+
+
+def _state_space(A):
+    """A 7-state design model around A, every state driven and read."""
+    return StateSpace(A=A, B=np.ones((7, 1)), C=np.ones((4, 7)), C_d=np.ones((1, 7)))
+
+
+class TestFrfCertificate:
+    """Every FRF point is certified, and what cannot be certified raises."""
+
+    @pytest.mark.parametrize("size", [2, 7])
+    def test_jordan_block_is_refused(self, plant, size):
+        # a Jordan block has no eigenvector basis for the residue sum
+        A = -10.0 * np.eye(7)
+        A[7 - size:, 7 - size:] = -np.eye(size) + np.eye(size, k=1)
+        with pytest.raises(controllers.FrfError):
+            pressure_command_frf(plant, _state_space(A), [0.1, 1.0, 10.0])
+
+    @pytest.mark.parametrize("pole_hz", [0.0, 5.0])
+    def test_grid_point_on_an_imaginary_axis_pole_is_refused(self, plant, pole_hz):
+        # an integrator at 0 Hz, an undamped oscillator at 5 Hz: sI - A is singular
+        A = -np.eye(7)
+        w = 2.0 * math.pi * pole_hz
+        A[0:2, 0:2] = [[0.0, 1.0], [-w * w, 0.0]]
+        with pytest.raises(controllers.FrfError, match=f"at {pole_hz!r} Hz"):
+            pressure_command_frf(plant, _state_space(A), [pole_hz, 20.0])
+
+    def test_delay_block_of_rank_two_is_refused(self, plant, gains):
+        # the delay loop is closed as rank one; a block that is not is caught
+        ss = build_state_space(plant.params)
+        M, b = closed_loop_matrix(ss, gains), closed_loop_input(ss, gains)
+        M[0, 7] += np.abs(M[:7, 7:]).max()
+        with pytest.raises(controllers.FrfError):
+            controllers._plant_output_frf(DESIGN_FREQS, M, b, ss.C_d[0], plant.tau_delay)
+
+    def test_every_call_computes_the_certificate(self, plant, gains, monkeypatch):
+        # a zero bound refuses any rounding in the residual, so these calls raise
+        ss = build_state_space(plant.params)
+        monkeypatch.setattr(controllers, "FRF_BACKWARD_BOUND", 0.0)
+        with pytest.raises(controllers.FrfError):
+            pressure_command_frf(plant, ss, DESIGN_FREQS)
+        with pytest.raises(controllers.FrfError):
+            lqgi_closed_loop_frf(plant, ss, gains, DESIGN_FREQS)
