@@ -379,7 +379,9 @@ def _plant_output_frf(freqs, M, b, row, tau: float) -> np.ndarray:
 
 def pressure_command_frf(plant: Plant, ss: StateSpace, freqs, output: str = "slave",
                          with_delay: bool = True) -> np.ndarray:
-    """Complex response of a pressure tap to the pressure command."""
+    """Complex response of a pressure tap, "slave" or "master", to the pressure command."""
+    if output not in ("slave", "master"):
+        raise ValueError(f"pressure tap must be 'slave' or 'master', got {output!r}")
     row = ss.C_d[0] if output == "slave" else ss.C[3]
     tau = plant.tau_delay if with_delay else 0.0
     return _plant_output_frf(freqs, ss.A, ss.B[:, 0], row, tau) * plant.area_slave

@@ -335,11 +335,8 @@ class Plant:
             raise FloatingPointError(f"non-finite clutch force request {force}")
         current, saturated = self.current_from_torque(
             min(max(force, 0.0), self.force_max) / self.force_per_torque)
-        return current, self.clutch_force(current), saturated or force < 0.0
-
-    def clutch_force(self, current: float) -> float:
-        """Static screw force the clutch delivers at a coil current."""
-        return self.mr_torque_from_current(current) * self.force_per_torque
+        return (current, self.mr_torque_from_current(current) * self.force_per_torque,
+                saturated or force < 0.0)
 
     # ---------------- pressures from a state ----------------
 

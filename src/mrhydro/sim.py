@@ -1,14 +1,14 @@
 """Fixed-step nonlinear time-domain simulation engine.
 
-Scenarios cover blocked-output reference tracking (step, sine dwell,
-current chirp) and prescribed-motion backdriving.  Controllers run at
-1 kHz with the command held between ticks.  The clutch pure delay is a
-deque of tick commands in run_scenario, so the delayed command is constant
-over each tick, or over its two pieces when the delay is not a whole
-number of ticks.  The plant integrates each piece with classical
-fourth-order steps at 10 kHz in one Plant.rk4_step call.  A run stops at
-its last whole control tick, so a duration that is not a multiple of
-control_dt ends the trace at the tick before it.
+Scenarios cover blocked-output reference tracking (step, sine dwell) and
+prescribed-motion backdriving.  Controllers run at 1 kHz with the command
+held between ticks.  The clutch pure delay is a deque of tick commands in
+run_scenario, so the delayed command is constant over each tick, or over
+its two pieces when the delay is not a whole number of ticks.  The plant
+integrates each piece with classical fourth-order steps at 10 kHz in one
+Plant.rk4_step call.  A run stops at its last whole control tick, so a
+duration that is not a multiple of control_dt ends the trace at the tick
+before it.
 """
 from __future__ import annotations
 
@@ -21,8 +21,7 @@ import numpy as np
 
 from . import analysis
 from .plant import Plant, PlantError, TWO_PI, check_numbers, known_keys, write_json
-from .controllers import (CONTROL_DT, SIM_DT, Command, ControllerFault,
-                          LqgiController, make_controller)
+from .controllers import CONTROL_DT, SIM_DT, ControllerFault, LqgiController, make_controller
 from .synthesis import NoiseCovariances
 
 # 1 Hz backdrive displacement amplitude reproducing the published baseline
@@ -31,7 +30,7 @@ from .synthesis import NoiseCovariances
 # tests/test_sim.py.
 BACKDRIVE_AMPLITUDE_1HZ = 1.445e-3  # [m]
 
-SCENARIO_KINDS = ("step", "chirp", "sine_dwell", "backdrive")
+SCENARIO_KINDS = ("step", "sine_dwell", "backdrive")
 
 STEP_SETTLE = 1.0   # a step run's length after the step [s]
 
@@ -56,12 +55,6 @@ class Scenario:
     torque_offset: float = 10.0      # dwell offset [N.m]
     freq_hz: float = 1.0             # dwell frequency [Hz]
 
-    # chirp (open-loop current injection)
-    chirp_f0: float = 0.0
-    chirp_f1: float = 200.0
-    chirp_i_offset: float = 2.0      # [A]
-    chirp_i_amplitude: float = 0.5   # [A]
-
     # backdrive profile (prescribed third-mass motion)
     backdrive_amplitude: float = BACKDRIVE_AMPLITUDE_1HZ  # [m]
     backdrive_freq: float = 1.0      # [Hz]
@@ -85,8 +78,7 @@ class Scenario:
                       positive=("sim_dt", "control_dt") + kind_rate.get(self.kind, ()),
                       non_negative=("pre_hold",),
                       finite=("torque_amplitude", "torque_offset", "torque_command",
-                              "backdrive_amplitude", "chirp_f0", "chirp_f1", "chirp_i_offset",
-                              "chirp_i_amplitude"))
+                              "backdrive_amplitude"))
         if self.duration is not None:   # None: derived from the profile
             check_numbers(self, ScenarioError, positive=("duration",))
         if self.ramp_torque_end is not None:   # None: the command is held
@@ -109,9 +101,7 @@ class Scenario:
             return self.pre_hold + STEP_SETTLE
         if self.kind == "sine_dwell":
             return max(0.6, 5.0 / self.freq_hz) + analysis.FIT_CYCLES / self.freq_hz
-        if self.kind == "backdrive":
-            return self.pre_hold + self.backdrive_cycles / self.backdrive_freq
-        return 4.0  # chirp
+        return self.pre_hold + self.backdrive_cycles / self.backdrive_freq   # backdrive
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -237,14 +227,13 @@ def _reference(sc: Scenario):
     if sc.kind == "sine_dwell":
         off, amp, w = sc.torque_offset, sc.torque_amplitude, TWO_PI * sc.freq_hz
         return lambda t: off + amp * math.sin(w * t)
-    if sc.kind == "backdrive":
-        if sc.ramp_torque_end is not None:
-            t_total = sc.total_duration()
-            c0, c1 = sc.torque_command, sc.ramp_torque_end
-            return lambda t: c0 + (c1 - c0) * min(t / t_total, 1.0)
-        cmd = sc.torque_command
-        return lambda t: cmd
-    return lambda t: 0.0  # chirp drives current directly
+    # backdrive: the held command, or its ramp
+    if sc.ramp_torque_end is not None:
+        t_total = sc.total_duration()
+        c0, c1 = sc.torque_command, sc.ramp_torque_end
+        return lambda t: c0 + (c1 - c0) * min(t / t_total, 1.0)
+    cmd = sc.torque_command
+    return lambda t: cmd
 
 
 def _backdrive_profile(sc: Scenario):
@@ -286,14 +275,13 @@ def run_scenario(sc: Scenario, plant: Plant | None = None, controller=None,
     n_delay = delay_steps(plant.tau_delay, dt)
     if sc.friction_mode is not None:
         plant = Plant(plant.params.with_friction(mode=sc.friction_mode))
-    if sc.kind != "chirp":
-        if controller is None:
-            controller = make_controller(sc.controller, plant, gains=gains, dt=sc.control_dt,
-                                         **(controller_kwargs or {}))
-        elif not math.isclose(getattr(controller, "dt", sc.control_dt), sc.control_dt,
-                              rel_tol=1e-9):
-            raise ScenarioError(f"controller runs at dt={controller.dt} s, "
-                                f"scenario at control_dt={sc.control_dt} s")
+    if controller is None:
+        controller = make_controller(sc.controller, plant, gains=gains, dt=sc.control_dt,
+                                     **(controller_kwargs or {}))
+    elif not math.isclose(getattr(controller, "dt", sc.control_dt), sc.control_dt,
+                          rel_tol=1e-9):
+        raise ScenarioError(f"controller runs at dt={controller.dt} s, "
+                            f"scenario at control_dt={sc.control_dt} s")
 
     ticks_per_ctrl = int(round(sc.control_dt / dt))
     duration = sc.total_duration()
@@ -308,7 +296,6 @@ def run_scenario(sc: Scenario, plant: Plant | None = None, controller=None,
 
     ref = _reference(sc)
     backdrive = _backdrive_profile(sc) if sc.kind == "backdrive" else None
-    chirp_rate = (sc.chirp_f1 - sc.chirp_f0) / (2.0 * duration)
 
     # the clutch delay of n_delay = q * ticks_per_ctrl + split steps: after
     # tick j's command is appended, line[0] holds tick j - q - 1's command
@@ -342,16 +329,8 @@ def run_scenario(sc: Scenario, plant: Plant | None = None, controller=None,
                 meas = (meas[0] + nz[0], meas[1] + nz[1], meas[2] + nz[2],
                         meas[3] + nz[3], meas[4] + nz[4])
             r_now = ref(t)
-            if sc.kind == "chirp":
-                phase = sc.chirp_f0 * t + chirp_rate * t * t
-                current = sc.chirp_i_offset + sc.chirp_i_amplitude * math.sin(TWO_PI * phase)
-                current = min(max(current, 0.0), plant.params.clutch.current_max)
-                cmd = Command(current=current, force=plant.clutch_force(current),
-                              pressure_cmd=0.0, saturated=False)
-                p_desired = 0.0
-            else:
-                p_desired = plant.pressure_from_torque(r_now)
-                cmd = controller.step(t, p_desired, meas)
+            p_desired = plant.pressure_from_torque(r_now)
+            cmd = controller.step(t, p_desired, meas)
             # one row, values in TRACE_SCHEMA order
             row = (t, *state, *meas, r_now, p_desired, pm, ps,
                    plant.torque_from_pressure(ps), cmd.current, cmd.force,

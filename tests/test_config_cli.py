@@ -46,6 +46,8 @@ class TestSettingsCheckThemselves:
         ({"plant": {"geometry": {"p_dc": math.inf}}}, "synth", "plant"),
         ({"dither": {"frequency": math.nan}}, "synth", "dither"),
         ({"scenario": {"kind": "waltz"}}, "run", "scenario"),
+        ({"scenario": {"kind": "chirp"}}, "run", "scenario"),
+        ({"scenario": {"chirp_f1": 100.0}}, "run", "scenario"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_bad_setting_is_a_config_error(self, tmp_path, capsys, config, command, section):
         cfgfile = tmp_path / "cfg.json"
@@ -167,6 +169,13 @@ class TestCliRun:
         f1 = d1 / "trace_step_open_loop_seed3.csv"
         f2 = d2 / "trace_step_open_loop_seed3.csv"
         assert f1.read_bytes() == f2.read_bytes()
+
+    def test_unknown_kind_refused_by_the_parser(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--kind", "chirp", "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'chirp'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_negative_seed_is_an_error(self, tmp_path, capsys):
         rc = main(["run", "--seed", "-1", "--out-dir", str(tmp_path)])

@@ -456,6 +456,10 @@ class TestStackedFrf:
             pressure_command_frf(plant, ss, freqs, output=output, with_delay=with_delay),
             reference_pressure_frf(plant, ss, freqs, output, with_delay), rtol=1e-12, atol=0)
 
+    def test_unknown_tap_refused(self, plant, ss):
+        with pytest.raises(ValueError, match="'bogus'"):
+            pressure_command_frf(plant, ss, [1.0, 10.0], output="bogus")
+
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 3000])
     @pytest.mark.parametrize("delayed", [True, False])
     def test_lqgi_frf_matches_per_frequency_solve(self, plant, ss, gains, n, delayed):

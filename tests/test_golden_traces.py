@@ -19,7 +19,6 @@ STRIDE = 100
 
 RUNS = {f"step_{name}": step_scenario(name, settle=0.2, noise=True, seed=11)
         for name in CONTROLLER_NAMES}
-RUNS["chirp"] = Scenario(kind="chirp", duration=0.5)
 RUNS["backdrive_5hz"] = backdrive_scenario("pid_master", torque_command=10.0,
                                            backdrive_freq=5.0, backdrive_cycles=2)
 # the friction compensator in stick-slip friction
@@ -30,7 +29,6 @@ RUNS["backdrive_1hz_stick_slip_friction_comp"] = backdrive_scenario(
 # integrates in two pieces, and the last tick of each run is cut short
 RUNS["step_open_loop_tick_1.5ms"] = step_scenario("open_loop", settle=0.2, noise=True, seed=11,
                                                   control_dt=1.5e-3)
-RUNS["chirp_tick_1.5ms"] = Scenario(kind="chirp", duration=0.5, control_dt=1.5e-3)
 
 
 def sampled_columns(sc: Scenario) -> dict:

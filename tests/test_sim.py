@@ -66,6 +66,22 @@ class TestLinearOracle:
         assert rms <= 0.005
 
 
+class _CurrentSweep:
+    """Stub controller at dt = 0.1 ms commanding, through plant.drive, the force
+    of a coil-current sweep rising 100 Hz per second, 2 + 0.5 sin(2 pi 50 t^2) A."""
+
+    dt = 1e-4
+
+    def __init__(self, plant: Plant):
+        self.plant = plant
+
+    def step(self, t, p_desired, meas):
+        current = 2.0 + 0.5 * math.sin(2.0 * math.pi * 50.0 * t * t)
+        force = self.plant.mr_torque_from_current(current) * self.plant.force_per_torque
+        current, force, saturated = self.plant.drive(force)
+        return Command(current=current, force=force, pressure_cmd=0.0, saturated=saturated)
+
+
 class TestDelayRealization:
     def test_cross_correlation_peaks_at_tau(self):
         # with a nearly instantaneous lag the clutch-force increment tracks
@@ -74,8 +90,8 @@ class TestDelayRealization:
         params = PlantParams().with_friction(mode="off")
         params = replace(params, clutch=replace(params.clutch, omega_c=2e4))
         plant = Plant(params)
-        sc = Scenario(kind="chirp", duration=2.0, control_dt=1e-4)
-        tr = run_scenario(sc, plant=plant)
+        sc = Scenario(kind="step", torque_amplitude=0.0, duration=2.0, control_dt=1e-4)
+        tr = run_scenario(sc, plant=plant, controller=_CurrentSweep(plant))
         # command change active at index i; force increment over [i, i+1)
         # sits at diff index i, so the peak lag is the delay bin count
         c = np.diff(tr.force_cmd, prepend=tr.force_cmd[0])
@@ -231,17 +247,6 @@ class TestStepHalving:
         rms = math.sqrt(float(np.mean(diff**2)))
         ref = math.sqrt(float(np.mean(tr1.p_slave[:n] ** 2)))
         assert rms / ref <= 1e-3
-
-
-class TestChirp:
-    def test_current_injection_profile(self):
-        sc = Scenario(kind="chirp", duration=2.0)
-        tr = run_scenario(sc)
-        assert sc.chirp_f0 == 0.0 and sc.chirp_f1 == 200.0
-        assert np.all(tr.current >= 0.0) and np.all(tr.current <= 3.0)
-        assert np.abs(tr.current - 2.0).max() == pytest.approx(0.5, abs=0.02)
-        # response has appreciable energy (model validation style run)
-        assert tr.p_slave.max() > 2 * Plant().p_dc
 
 
 class TestAbort:
@@ -404,8 +409,7 @@ class TestScenarioValidation:
             duration=data.draw(st.none() | positive), pre_hold=data.draw(st.floats(0.0, 10.0)),
             seed=data.draw(st.integers(0, 2**32 - 1)), noise=data.draw(st.booleans()),
             torque_amplitude=data.draw(FINITE), torque_offset=data.draw(FINITE),
-            freq_hz=data.draw(positive), chirp_f0=data.draw(FINITE), chirp_f1=data.draw(FINITE),
-            chirp_i_offset=data.draw(FINITE), chirp_i_amplitude=data.draw(FINITE),
+            freq_hz=data.draw(positive),
             backdrive_amplitude=data.draw(FINITE), backdrive_freq=data.draw(positive),
             backdrive_cycles=data.draw(st.integers(1, 1000)),
             torque_command=data.draw(FINITE), ramp_torque_end=data.draw(st.none() | FINITE),
@@ -430,8 +434,8 @@ class TestScenarioValidation:
         ({"kind": "backdrive", "torque_command": math.nan}, "torque_command"),
         ({"kind": "backdrive", "ramp_torque_end": -math.inf}, "ramp_torque_end"),
         ({"kind": "backdrive", "backdrive_amplitude": math.nan}, "backdrive_amplitude"),
-        ({"kind": "chirp", "chirp_f1": math.inf}, "chirp_f1"),
-        ({"kind": "chirp", "chirp_i_offset": math.nan}, "chirp_i_offset"),
+        ({"duration": 0.0}, "duration"),
+        ({"kind": "sine_dwell", "freq_hz": math.nan}, "freq_hz"),
         ({"pre_hold": -1.0}, "pre_hold"),
         ({"kind": "backdrive", "pre_hold": math.nan}, "pre_hold"),
         ({"seed": -1}, "seed"),
