@@ -387,28 +387,18 @@ def pressure_command_frf(plant: Plant, ss: StateSpace, freqs, output: str = "sla
     return _plant_output_frf(freqs, ss.A, ss.B[:, 0], row, tau) * plant.area_slave
 
 
-def _pid_jw_parts(kd: float, deriv_filter_hz: float, freqs):
-    """The j*omega grid and the filtered derivative term of C(j*omega), None
-    without one: the parts that do not depend on kp or ki."""
-    w = 2j * np.pi * np.asarray(freqs, dtype=float)
-    if not kd:
-        return w, None
-    # derivative is filtered in the implementation; include the roll-off
-    wc = TWO_PI * deriv_filter_hz
-    return w, kd * w * (wc / (w + wc))
-
-
-def _pid_c_of_jw(kp: float, ki: float, w, kd_term) -> np.ndarray:
-    c = kp + ki / w
-    return c if kd_term is None else c + kd_term
+def _pid_c(cfg: PidConfig, w) -> np.ndarray:
+    """The PID's continuous C(s) at s = w, with the derivative filter the implementation
+    runs; with kd = 0 the derivative term is an exact complex zero."""
+    wc = TWO_PI * cfg.deriv_filter_hz
+    return cfg.kp + cfg.ki / w + cfg.kd * w * (wc / (w + wc))
 
 
 def pid_loop_gain(plant: Plant, ss: StateSpace, cfg: PidConfig, freqs,
                   with_delay: bool = True) -> np.ndarray:
     g_tap = pressure_command_frf(plant, ss, freqs, output=cfg.feedback_tap,
                                  with_delay=with_delay)
-    w, kd_term = _pid_jw_parts(cfg.kd, cfg.deriv_filter_hz, freqs)
-    return _pid_c_of_jw(cfg.kp, cfg.ki, w, kd_term) * g_tap
+    return _pid_c(cfg, 2j * np.pi * np.asarray(freqs, dtype=float)) * g_tap
 
 
 def _tap_frfs(plant, ss, tap):
@@ -440,12 +430,12 @@ def _pid_bandwidth(c, g_slave, g_tap) -> float | None:
 
 
 def linear_pid_bandwidth(plant: Plant, ss: StateSpace, cfg: PidConfig) -> float | None:
-    c = _pid_c_of_jw(cfg.kp, cfg.ki, *_pid_jw_parts(cfg.kd, cfg.deriv_filter_hz, DESIGN_FREQS))
-    return _pid_bandwidth(c, *_tap_frfs(plant, ss, cfg.feedback_tap))
+    return _pid_bandwidth(_pid_c(cfg, 2j * np.pi * DESIGN_FREQS),
+                          *_tap_frfs(plant, ss, cfg.feedback_tap))
 
 
-def _bisect_integral_gain(g_slave, g_tap, target_hz: float, kd: float) -> float:
-    """Bisect ki, with kp = 0, until the loop of these tap responses hits target_hz.
+def _bisect_integral_gain(g_slave, g_tap, target_hz: float, cfg: PidConfig) -> PidConfig:
+    """cfg with its ki bisected until the loop of these tap responses hits target_hz.
 
     Each step decides bw >= target_hz on the grid prefix through the first point
     above the target: the crossing is the first hit, and np.unwrap is cumulative,
@@ -453,47 +443,37 @@ def _bisect_integral_gain(g_slave, g_tap, target_hz: float, kd: float) -> float:
     puts any crossing above the target, so only then is the whole grid scanned,
     to tell a crossing from none.
     """
-    w, kd_term = _pid_jw_parts(kd, PidConfig.deriv_filter_hz, DESIGN_FREQS)
+    w = 2j * np.pi * DESIGN_FREQS
+    c_rest = _pid_c(replace(cfg, ki=0.0), w)
     k = max(int(np.searchsorted(DESIGN_FREQS, target_hz, side="right")) + 1, 2)
-    prefix = (w[:k], None if kd_term is None else kd_term[:k], g_slave[:k], g_tap[:k])
     lo, hi = 1e-2, 5e3
     for _ in range(60):
         mid = math.sqrt(lo * hi)
-        for w_, kd_, g_s, g_t in (prefix, (w, kd_term, g_slave, g_tap)):
-            bw = _pid_bandwidth(_pid_c_of_jw(0.0, mid, w_, kd_), g_s, g_t)
+        for n in (k, len(w)):
+            bw = _pid_bandwidth(mid / w[:n] + c_rest[:n], g_slave[:n], g_tap[:n])
             if bw is not None:
                 break
         if bw is not None and bw >= target_hz:
             hi = mid
         else:
             lo = mid
-    return math.sqrt(lo * hi)
-
-
-def calibrate_integral_gain(plant: Plant, ss: StateSpace, tap: str, target_hz: float,
-                            kd: float = 0.0) -> float:
-    """Bisect the integral gain until the linear loop hits the target bandwidth.
-
-    The tap responses do not depend on the gain, so they are computed once.
-    """
-    return _bisect_integral_gain(*_tap_frfs(plant, ss, tap), target_hz, kd)
+    return replace(cfg, ki=math.sqrt(lo * hi))
 
 
 def calibrate_pid_defaults(plant: Plant, ss: StateSpace) -> tuple[PidConfig, PidConfig]:
     """Reproduce the shipped PID defaults from the published bandwidths.
 
-    Each tap targets its REFERENCE_RESULTS bandwidth: the master tap's 11 Hz
-    needs the small kd for margin at the first resonance; the slave tap's
-    3 Hz takes pure integral action.  Both taps share one slave response.
+    Each shipped default's ki is bisected until its tap hits the REFERENCE_RESULTS
+    bandwidth: the master tap's 11 Hz needs the small kd for margin at the first
+    resonance; the slave tap's 3 Hz takes pure integral action.  Both taps share
+    one slave response.
     """
     col = [attr for attr, _, _ in REPORT_COLUMNS].index("bandwidth")
     g_slave, g_master = _tap_frfs(plant, ss, "master")
-    ki_m = _bisect_integral_gain(g_slave, g_master, REFERENCE_RESULTS["pid_master"][col],
-                                 PID_MASTER_DEFAULT.kd)
-    ki_s = _bisect_integral_gain(g_slave, g_slave, REFERENCE_RESULTS["pid_slave"][col], 0.0)
-    master = PidConfig(kp=0.0, ki=ki_m, kd=PID_MASTER_DEFAULT.kd, feedback_tap="master")
-    slave = PidConfig(kp=0.0, ki=ki_s, kd=0.0, feedback_tap="slave")
-    return master, slave
+    return (_bisect_integral_gain(g_slave, g_master, REFERENCE_RESULTS["pid_master"][col],
+                                  PID_MASTER_DEFAULT),
+            _bisect_integral_gain(g_slave, g_slave, REFERENCE_RESULTS["pid_slave"][col],
+                                  PID_SLAVE_DEFAULT))
 
 
 def lqgi_closed_loop_frf(plant: Plant, ss: StateSpace, gains: GainSet, freqs) -> np.ndarray:

@@ -251,7 +251,7 @@ class Plant:
         self.params = params
         t, c, g = params.transmission, params.clutch, params.geometry
         # scalar attributes for the hot integration loop
-        self.k1, self.k2, self.k3 = t.k1, t.k2, t.k3
+        self.k1, self.k2 = t.k1, t.k2
         self.b1, self.b2, self.b3 = t.b1, t.b2, t.b3
         self.k12 = t.k1 + t.k2
         self.k23 = t.k2 + t.k3

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, asdict, field
 
@@ -88,8 +89,8 @@ class Scenario:
         ratio = self.control_dt / self.sim_dt
         if abs(ratio - round(ratio)) > 1e-9 or ratio < 1:
             raise ScenarioError("control_dt must be an integer multiple of sim_dt")
-        if self.seed < 0:
-            raise ScenarioError(f"seed must be >= 0, got {self.seed}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ScenarioError(f"seed must be >= 0 and an integer, got {self.seed!r}")
         if not 0.0 < self.total_duration() < math.inf:
             raise ScenarioError(f"total_duration() must be finite and positive, "
                                 f"got {self.total_duration()}")

@@ -147,14 +147,14 @@ def care_residual(A, B, Q, R, P) -> float:
     return float(np.linalg.norm(res) / max(np.linalg.norm(P), 1e-300))
 
 
-def solve_care(A, B, Q, R, tol: float = CARE_RESIDUAL_TOL) -> np.ndarray:
+def solve_care(A, B, Q, R) -> np.ndarray:
     """Stabilizing solution of the continuous algebraic Riccati equation.
 
     Method: joint (Q, R) rescaling to balance the Hamiltonian blocks, a
     diagonal balancing similarity, an ordered real Schur decomposition of
     the Hamiltonian, then Newton refinement through Lyapunov solves.  The
-    returned P is certified to the requested relative residual; failure to
-    certify raises instead of returning a doubtful solution.
+    returned P is certified to the relative residual CARE_RESIDUAL_TOL;
+    failure to certify raises instead of returning a doubtful solution.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.asarray(B, dtype=float)
@@ -203,21 +203,22 @@ def solve_care(A, B, Q, R, tol: float = CARE_RESIDUAL_TOL) -> np.ndarray:
     for _ in range(25):
         res = A.T @ P + P @ A - P @ Gs @ P + Qs
         rel = np.linalg.norm(res) / max(np.linalg.norm(P), 1e-300)
-        if rel <= tol:
+        if rel <= CARE_RESIDUAL_TOL:
             break
         Acl = A - Gs @ P
         if np.linalg.eigvals(Acl).real.max() >= 0.0:
             break
         try:
             dP = linalg.solve_continuous_lyapunov(Acl.T, -res)
-        except Exception:
+        except ValueError:   # numpy's LinAlgError is a ValueError
             break
         P = 0.5 * ((P + dP) + (P + dP).T)
 
     P = P * scale
     rel = care_residual(A, B, Q, R, P)
-    if not np.isfinite(rel) or rel > tol:
-        raise SynthesisError(f"CARE residual {rel:.3e} exceeds tolerance {tol:.1e}")
+    if not np.isfinite(rel) or rel > CARE_RESIDUAL_TOL:
+        raise SynthesisError(f"CARE residual {rel:.3e} exceeds tolerance "
+                             f"{CARE_RESIDUAL_TOL:.1e}")
     return P
 
 

@@ -306,6 +306,17 @@ class TestCliEntry:
         assert f"{command} ignores scenario key(s) ['torque_amplitude']" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "frf", "report", "synth"])
+    @pytest.mark.parametrize("seed", [1.5, 1e30])
+    def test_non_integer_seed_is_an_error(self, tmp_path, capsys, command, seed):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"seed": seed}))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfgfile), command, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: scenario: seed must be >= 0 and an integer, got {seed!r}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["synth"],
         ["run", "--kind", "step", "--seed", "2"],

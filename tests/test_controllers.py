@@ -10,8 +10,7 @@ from mrhydro import controllers
 from mrhydro.controllers import (DESIGN_FREQS, DitherConfig, LqgiController,
                                  OpenLoopController, PidConfig, PidController,
                                  PID_MASTER_DEFAULT, PID_SLAVE_DEFAULT,
-                                 calibrate_integral_gain, calibrate_pid_defaults,
-                                 dither_signal, gain_margin_db,
+                                 calibrate_pid_defaults, dither_signal, gain_margin_db,
                                  linear_pid_bandwidth, lqgi_closed_loop_frf,
                                  make_controller, pid_loop_gain,
                                  pressure_command_frf)
@@ -327,14 +326,6 @@ class TestCalibration:
         assert master.ki == pytest.approx(PID_MASTER_DEFAULT.ki, rel=0.15)
         assert slave.ki == pytest.approx(PID_SLAVE_DEFAULT.ki, rel=0.15)
 
-    def test_calibration_shares_slave_response_exactly(self, plant):
-        # both taps bisect against one slave response, to the same ki as one tap alone
-        ss = build_state_space(plant.params)
-        master, slave = calibrate_pid_defaults(plant, ss)
-        assert master.ki == calibrate_integral_gain(plant, ss, "master", 11.0,
-                                                    kd=PID_MASTER_DEFAULT.kd)
-        assert slave.ki == calibrate_integral_gain(plant, ss, "slave", 3.0, kd=0.0)
-
     @pytest.mark.parametrize("delayed", [True, False])
     def test_calibration_matches_full_grid_bisection(self, plant, delayed):
         # the bisection decides most steps on a grid prefix; the public bandwidth
@@ -370,15 +361,33 @@ class TestCalibration:
         assert gain_margin_db(loop, DESIGN_FREQS) == expected
 
     @pytest.mark.parametrize("delayed", [True, False])
-    @pytest.mark.parametrize("tap, target, kd", [("master", 11.0, PID_MASTER_DEFAULT.kd),
-                                                 ("slave", 3.0, 0.0)])
-    def test_calibrated_gain_hits_target_bandwidth(self, plant, tap, target, kd, delayed):
+    @pytest.mark.parametrize("tap, target", [("master", 11.0), ("slave", 3.0)])
+    def test_calibrated_gain_hits_target_bandwidth(self, plant, tap, target, delayed):
         # the bisection reuses one plant FRF per tap; the public path recomputes it
         plant = plant if delayed else undelayed(plant)
         ss = build_state_space(plant.params)
-        ki = calibrate_integral_gain(plant, ss, tap, target, kd=kd)
-        bw = linear_pid_bandwidth(plant, ss, PidConfig(kp=0.0, ki=ki, kd=kd, feedback_tap=tap))
-        assert bw == pytest.approx(target, rel=1e-6)
+        master, slave = calibrate_pid_defaults(plant, ss)
+        cfg = master if tap == "master" else slave
+        assert cfg.feedback_tap == tap
+        assert linear_pid_bandwidth(plant, ss, cfg) == pytest.approx(target, rel=1e-6)
+
+    @pytest.mark.parametrize("with_delay", [True, False])
+    @pytest.mark.parametrize("cfg", [
+        PID_MASTER_DEFAULT, PID_SLAVE_DEFAULT,
+        PidConfig(kp=0.3, ki=25.0, kd=2e-3, feedback_tap="master", deriv_filter_hz=90.0),
+    ], ids=["master", "slave", "kp_kd_filter"])
+    def test_loop_gain_is_pid_law_times_tap(self, plant, cfg, with_delay):
+        # the calibration and its reference bisection share one C(s); this checks
+        # that law against the PID written out, with its derivative filter
+        ss = build_state_space(plant.params)
+        freqs = np.logspace(math.log10(0.05), math.log10(400.0), 97)
+        s = 2j * np.pi * freqs
+        wc = 2.0 * math.pi * cfg.deriv_filter_hz
+        c = cfg.kp + cfg.ki / s + cfg.kd * s * wc / (s + wc)
+        np.testing.assert_allclose(
+            pid_loop_gain(plant, ss, cfg, freqs, with_delay=with_delay),
+            c * reference_pressure_frf(plant, ss, freqs, cfg.feedback_tap, with_delay),
+            rtol=1e-12, atol=0)
 
     def test_lqgi_linear_frf_dc_unity(self, plant, gains):
         ss = build_state_space(plant.params)

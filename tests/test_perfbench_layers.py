@@ -36,7 +36,9 @@ def test_install_wraps_and_undo_restores(monkeypatch):
         wrapped = {k for k, v in _bindings().items() if before.get(k) is not v}
         assert ("mrhydro.plant", "Plant", "rk4_step") in wrapped
         assert ("mrhydro.plant", "Plant", "derivative") in wrapped
-        assert ("mrhydro.controllers", "linear_pid_bandwidth") in wrapped
+        for name in ("pressure_command_frf", "linear_pid_bandwidth", "calibrate_pid_defaults",
+                     "lqgi_closed_loop_frf"):
+            assert ("mrhydro.controllers", name) in wrapped
         assert ("mrhydro.sim", "run_scenario") in wrapped
         # the wrappers run: one short traced run reaches the plant
         sim.run_scenario(sim.step_scenario("pid_master", pre_hold=0.0, settle=0.01))

@@ -440,6 +440,8 @@ class TestScenarioValidation:
         ({"kind": "backdrive", "pre_hold": math.nan}, "pre_hold"),
         ({"seed": -1}, "seed"),
         ({"kind": "backdrive", "backdrive_freq": 1e-320}, "total_duration"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": 1e30}, "seed"),
     ])
     def test_bad_numbers_named(self, fields, name):
         with pytest.raises(ScenarioError, match=name):
