@@ -36,6 +36,11 @@ def known_keys(cls, data: dict, where: str, error: type) -> dict:
     return data
 
 
+def is_real(value) -> bool:
+    """A real number that is not a bool: bool is a numbers.Real, and JSON true reads as 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_numbers(obj, error: type, positive=(), non_negative=(), finite=()) -> None:
     """Raise error naming the first listed field of obj that is not a finite real number in
     its range.  Each test reads `not low < x < inf`, which NaN and +-inf fail."""
@@ -44,7 +49,7 @@ def check_numbers(obj, error: type, positive=(), non_negative=(), finite=()) -> 
                             (finite, math.isfinite, "finite")):
         for name in names:
             value = getattr(obj, name)
-            if not (isinstance(value, numbers.Real) and ok(value)):
+            if not (is_real(value) and ok(value)):
                 raise error(f"{name} must be {rule}, got {value!r}")
 
 
@@ -95,13 +100,17 @@ class MRClutchParams:
         check_numbers(self, PlantError, positive=("omega_c", "torque_max", "current_max"),
                       non_negative=("tau_delay", "poly_c0"),
                       finite=("poly_c3", "poly_c2", "poly_c1"))
-        # strictly increasing on [0, current_max]: the slope is least at an end or its vertex
+        if not all(s > 0.0 for s in self.extreme_slopes()):   # NaN too
+            raise PlantError("clutch polynomial not monotone on [0, current_max]")
+
+    def extreme_slopes(self) -> list[float]:
+        """The static curve's slope at the points where its least value on [0, current_max]
+        lies: both ends, and the slope's own vertex when that is inside."""
         c3, c2, c1 = self.poly_c3, self.poly_c2, self.poly_c1
         at = [0.0, self.current_max]
         if c3 > 0.0 and 0.0 < -c2 / (3.0 * c3) < self.current_max:
             at.append(-c2 / (3.0 * c3))
-        if not all((3.0 * c3 * i + 2.0 * c2) * i + c1 > 0.0 for i in at):
-            raise PlantError("clutch polynomial not monotone on [0, current_max]")
+        return [(3.0 * c3 * i + 2.0 * c2) * i + c1 for i in at]
 
 
 @dataclass(frozen=True)
@@ -125,7 +134,7 @@ class FrictionParams:
     sign_regularization: float = 2500.0  # slope realizing sign(v) [s/m]
 
     def __post_init__(self):
-        if not 0.0 <= self.mu < 1.0:
+        if not (is_real(self.mu) and 0.0 <= self.mu < 1.0):
             raise PlantError(f"mu must be in [0, 1), got {self.mu!r}")
         check_numbers(self, PlantError, positive=("n_steepness", "sign_regularization"))
         if self.mode not in FRICTION_MODES:
@@ -239,6 +248,34 @@ def build_state_space(params: PlantParams) -> StateSpace:
     return StateSpace(A=A, B=B, C=C, C_d=C_d)
 
 
+# gamma_6 = 6u / (1 - 6u), u the unit roundoff of a double
+_GAMMA6 = 6.0 * 2.0 ** -53 / (1.0 - 6.0 * 2.0 ** -53)
+
+
+def _bisection_start_level(c: MRClutchParams) -> int:
+    """The level K of the clutch bisection that Plant.current_from_torque may jump to.
+
+    Halving [0, current_max] is exact for K levels while K <= 53 - b, b the bit length of
+    the odd part of current_max's significand (and the cell width stays representable), so
+    the level-K brackets are the cells [j*w, (j+1)*w], w = current_max / 2**K.  The float
+    Horner value of the static curve is within gamma_6 * p~(current_max) of the curve, p~
+    having the coefficients' magnitudes (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., eq. 5.3), plus 2**-1070 * (1 + current_max)**2 for underflow.  While
+    the least slope times w exceeds twice that, the float values increase along the cell
+    ends, so the bisection reaches the one cell whose ends bracket a torque.  K keeps one
+    level in hand for the rounding of this bound itself; 0 means no jump.
+    """
+    cm = c.current_max
+    num, den = cm.as_integer_ratio()
+    level = min(53 - (num // (num & -num)).bit_length(), 1075 - den.bit_length())
+    p_abs = ((abs(c.poly_c3) * cm + abs(c.poly_c2)) * cm + abs(c.poly_c1)) * cm + c.poly_c0
+    err = _GAMMA6 * p_abs + 2.0 ** -1070 * (1.0 + cm) * (1.0 + cm)   # inf, not OverflowError
+    s_min = min(c.extreme_slopes())
+    while level > 0 and not s_min * cm / 2.0 ** (level + 1) > 2.0 * err:
+        level -= 1
+    return level
+
+
 class Plant:
     """Nonlinear continuous-time actuator model plus unit conversions.
 
@@ -273,6 +310,9 @@ class Plant:
         i_max = c.current_max
         self.torque_reach = ((c.poly_c3 * i_max + c.poly_c2) * i_max + c.poly_c1) * i_max \
             + c.poly_c0
+        # where current_from_torque may start: a certified bisection level and its cell width
+        self.bisect_level = _bisection_start_level(c)
+        self.bisect_cell = i_max / 2 ** self.bisect_level
 
     # ---------------- clutch statics ----------------
 
@@ -291,6 +331,12 @@ class Plant:
         to the current delivering the rating, and torque at or above the
         reachable maximum T(current_max) to current_max, both with the
         flag set; torque at or below the remnant maps to zero current.
+
+        The result is the midpoint after 60 halvings of [0, current_max] on
+        the float Horner value of the curve.  The halving starts at level
+        bisect_level (see _bisection_start_level) when Newton's cell there
+        brackets the torque, and stops once the bracket is two adjacent
+        floats; both leave the result unchanged.
         """
         c = self.params.clutch
         if not torque >= 0.0:   # NaN too
@@ -306,9 +352,27 @@ class Plant:
         # the bracket stays inside [0, current_max] and 0 < torque <= torque_max,
         # so the rating clamp of mr_torque_from_current cannot change a comparison
         c3, c2, c1, c0 = c.poly_c3, c.poly_c2, c.poly_c1, c.poly_c0
-        lo, hi = 0.0, c.current_max
-        for _ in range(60):
+        lo, hi, steps = 0.0, c.current_max, 60
+        if self.bisect_level:
+            # Newton from the chord picks a level-K cell, taken only when the curve's float
+            # values at its ends bracket the torque, as the bisection's level-K bracket does
+            s2, s1 = 3.0 * c3, 2.0 * c2
+            x = (torque - c0) / (self.torque_reach - c0) * hi
+            for _ in range(4):
+                x -= (((c3 * x + c2) * x + c1) * x + c0 - torque) / ((s2 * x + s1) * x + c1)
+                if x < 0.0:
+                    x = 0.0
+                elif x > hi:
+                    x = hi
+            w = self.bisect_cell
+            a = int(x / w) * w
+            b = a + w
+            if ((c3 * a + c2) * a + c1) * a + c0 < torque <= ((c3 * b + c2) * b + c1) * b + c0:
+                lo, hi, steps = a, b, 60 - self.bisect_level
+        for _ in range(steps):
             mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:   # adjacent floats: no later step moves the bracket
+                break
             if ((c3 * mid + c2) * mid + c1) * mid + c0 < torque:
                 lo = mid
             else:
@@ -348,16 +412,15 @@ class Plant:
 
     # ---------------- dynamics ----------------
 
-    def derivative(self, state, f_cmd_delayed: float, motion=None):
-        """Time derivative of the 7-state vector.
+    def derivative(self, x1, v1, x2, v2, x3, v3, fmr, f_cmd_delayed: float, motion=None):
+        """Time derivative of the 7-state vector (x1, v1, x2, v2, x3, v3, f_mr).
 
-        state: (x1, v1, x2, v2, x3, v3, f_mr) floats.
-        f_cmd_delayed: commanded steady clutch force already delayed by
-        tau_delay (the caller owns the delay buffer).
+        The state comes as seven floats, so RK4 stages pass theirs without
+        building a tuple.  f_cmd_delayed: commanded steady clutch force
+        already delayed by tau_delay (the caller owns the delay buffer).
         motion: None for free output, else the prescribed third-mass
         (v3, a3) at this instant; it replaces the m3 dynamics.
         """
-        x1, v1, x2, v2, x3, v3, fmr = state
         pm = self.k1 * (x1 - x2) / self.area_master
         ff = friction_pressure(self.mu, pm, v1, self.friction_steepness) * self.area_master
         a1 = (-self.k1 * x1 - self.b1 * v1 + self.k1 * x2 + fmr - ff) * self.inv_m1
@@ -376,37 +439,43 @@ class Plant:
 
         Step i runs from t = i*dt to t + dt; all n steps see the one held
         delayed command.  backdrive: None for free output, else a callable
-        t -> (x3, v3, a3) prescribing the third mass.  Each step samples it
-        once each at t, t + dt/2 and t + dt, and the returned x3, v3 are its
-        values at t + dt.  Raises FloatingPointError when the state reached
-        is not finite.
+        t -> (x3, v3, a3) of t alone, prescribing the third mass.  Each step
+        uses its values at t, t + dt/2 and t + dt, taking the one at t from
+        the previous step's end when that time is the same float, and the
+        returned x3, v3 are its values at t + dt.  Raises FloatingPointError
+        when the state reached is not finite.
         """
         deriv = self.derivative
         h = 0.5 * dt
         sixth = dt / 6.0
-        m_start = m_mid = m_end = None
+        m_start = m_mid = m_end = t_end = None
         s0, s1, s2, s3, s4, s5, s6 = state
         for i in range(i0, i0 + n):
             if backdrive is not None:
                 t = i * dt
-                _, v, acc = backdrive(t)
-                m_start = (v, acc)
+                # equal float times share a sample
+                if t == t_end:
+                    m_start = m_end
+                else:
+                    _, v, acc = backdrive(t)
+                    m_start = (v, acc)
                 _, v, acc = backdrive(t + h)
                 m_mid = (v, acc)
-                x3_end, v3_end, acc = backdrive(t + dt)
+                t_end = t + dt
+                x3_end, v3_end, acc = backdrive(t_end)
                 m_end = (v3_end, acc)
             # a, b, c, d: the four stage slopes k1..k4, component by component
-            a0, a1, a2, a3, a4, a5, a6 = deriv((s0, s1, s2, s3, s4, s5, s6), f_cmd_delayed,
+            a0, a1, a2, a3, a4, a5, a6 = deriv(s0, s1, s2, s3, s4, s5, s6, f_cmd_delayed,
                                                m_start)
             b0, b1, b2, b3, b4, b5, b6 = deriv(
-                (s0 + h * a0, s1 + h * a1, s2 + h * a2, s3 + h * a3, s4 + h * a4, s5 + h * a5,
-                 s6 + h * a6), f_cmd_delayed, m_mid)
+                s0 + h * a0, s1 + h * a1, s2 + h * a2, s3 + h * a3, s4 + h * a4, s5 + h * a5,
+                s6 + h * a6, f_cmd_delayed, m_mid)
             c0, c1, c2, c3, c4, c5, c6 = deriv(
-                (s0 + h * b0, s1 + h * b1, s2 + h * b2, s3 + h * b3, s4 + h * b4, s5 + h * b5,
-                 s6 + h * b6), f_cmd_delayed, m_mid)
+                s0 + h * b0, s1 + h * b1, s2 + h * b2, s3 + h * b3, s4 + h * b4, s5 + h * b5,
+                s6 + h * b6, f_cmd_delayed, m_mid)
             d0, d1, d2, d3, d4, d5, d6 = deriv(
-                (s0 + dt * c0, s1 + dt * c1, s2 + dt * c2, s3 + dt * c3, s4 + dt * c4,
-                 s5 + dt * c5, s6 + dt * c6), f_cmd_delayed, m_end)
+                s0 + dt * c0, s1 + dt * c1, s2 + dt * c2, s3 + dt * c3, s4 + dt * c4,
+                s5 + dt * c5, s6 + dt * c6, f_cmd_delayed, m_end)
             s0 += sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
             s1 += sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
             s2 += sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)

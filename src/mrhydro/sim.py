@@ -21,7 +21,7 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 
 from . import analysis
-from .plant import Plant, PlantError, TWO_PI, check_numbers, known_keys, write_json
+from .plant import Plant, PlantError, TWO_PI, check_numbers, is_real, known_keys, write_json
 from .controllers import CONTROL_DT, SIM_DT, ControllerFault, LqgiController, make_controller
 from .synthesis import NoiseCovariances
 
@@ -84,12 +84,13 @@ class Scenario:
             check_numbers(self, ScenarioError, positive=("duration",))
         if self.ramp_torque_end is not None:   # None: the command is held
             check_numbers(self, ScenarioError, finite=("ramp_torque_end",))
-        if self.kind == "backdrive" and self.backdrive_cycles < 1:
+        if self.kind == "backdrive" and not (is_real(self.backdrive_cycles)
+                                             and self.backdrive_cycles >= 1):
             raise ScenarioError("backdrive_cycles must be at least 1")
         ratio = self.control_dt / self.sim_dt
         if abs(ratio - round(ratio)) > 1e-9 or ratio < 1:
             raise ScenarioError("control_dt must be an integer multiple of sim_dt")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        if not (is_real(self.seed) and isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ScenarioError(f"seed must be >= 0 and an integer, got {self.seed!r}")
         if not 0.0 < self.total_duration() < math.inf:
             raise ScenarioError(f"total_duration() must be finite and positive, "

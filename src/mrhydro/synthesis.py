@@ -13,8 +13,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy import linalg
 
-from .plant import (PlantParams, StateSpace, build_state_space, check_numbers, known_keys,
-                    write_json)
+from .plant import (PlantParams, StateSpace, build_state_space, check_numbers, is_real,
+                    known_keys, write_json)
 
 CARE_RESIDUAL_TOL = 1e-8
 
@@ -64,9 +64,9 @@ class NoiseCovariances:
                 raise SynthesisError(f"{name} must be a sequence of {size} entries, got {value!r}")
             # JSON gives lists; tuples keep the record hashable
             object.__setattr__(self, name, tuple(value))
-        if not all(0.0 < v < math.inf for v in self.r_diag):
+        if not all(is_real(v) and 0.0 < v < math.inf for v in self.r_diag):
             raise SynthesisError(f"r_diag entries must be finite and > 0, got {self.r_diag}")
-        if not all(0.0 <= v < math.inf for v in self.d_diag):
+        if not all(is_real(v) and 0.0 <= v < math.inf for v in self.d_diag):
             raise SynthesisError(f"d_diag entries must be finite and >= 0, got {self.d_diag}")
         check_numbers(self, SynthesisError, non_negative=("rho_l",))
 

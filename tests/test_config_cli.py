@@ -24,7 +24,8 @@ class TestSettingsCheckThemselves:
     @pytest.mark.parametrize("base, error, name, bad", [
         pytest.param(base, error, f.name, bad, id=f"{type(base).__name__}.{f.name}={bad}")
         for base, error in SETTINGS for f in fields(base)
-        if isinstance(getattr(base, f.name), float) for bad in (math.nan, math.inf, -math.inf)])
+        if isinstance(getattr(base, f.name), float)
+        for bad in (math.nan, math.inf, -math.inf, True, False)])
     def test_non_finite_float_refused(self, base, error, name, bad):
         with pytest.raises(error, match=name):
             replace(base, **{name: bad})
@@ -32,7 +33,8 @@ class TestSettingsCheckThemselves:
     @pytest.mark.parametrize("changes, name", [
         ({"r_diag": 5}, "r_diag"), ({"r_diag": (1.0, 1.0, 1.0)}, "r_diag"),
         ({"r_diag": (1.0, 1.0, math.nan, 1.0)}, "r_diag"),
-        ({"d_diag": (1.0,) * 6 + (math.inf,)}, "d_diag"), ({"d_diag": "1234567"}, "d_diag")])
+        ({"d_diag": (1.0,) * 6 + (math.inf,)}, "d_diag"), ({"d_diag": "1234567"}, "d_diag"),
+        ({"r_diag": (True, 1.0, 1.0, 1.0)}, "r_diag"), ({"d_diag": (1.0,) * 6 + (False,)}, "d_diag")])
     def test_noise_diagonals_checked(self, changes, name):
         with pytest.raises(SynthesisError, match=name):
             NoiseCovariances(**changes)
@@ -48,6 +50,8 @@ class TestSettingsCheckThemselves:
         ({"scenario": {"kind": "waltz"}}, "run", "scenario"),
         ({"scenario": {"kind": "chirp"}}, "run", "scenario"),
         ({"scenario": {"chirp_f1": 100.0}}, "run", "scenario"),
+        ({"weights": {"rho": True}}, "synth", "weights"),
+        ({"seed": True}, "run", "scenario"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_bad_setting_is_a_config_error(self, tmp_path, capsys, config, command, section):
         cfgfile = tmp_path / "cfg.json"

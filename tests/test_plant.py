@@ -3,7 +3,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mrhydro.plant import (FRICTION_MODES, MRClutchParams, Plant, PlantError, PlantParams,
                            TransmissionParams, build_state_space, friction_pressure)
@@ -56,9 +56,9 @@ def reference_rk4_step(plant, state, dt, f_cmd, profile=None, t=0.0):
     """
     def slope(s, at):
         if profile is None:
-            return plant.derivative(s, f_cmd)
+            return plant.derivative(*s, f_cmd)
         _, v3, a3 = profile(at)
-        return plant.derivative(s, f_cmd, (v3, a3))
+        return plant.derivative(*s, f_cmd, (v3, a3))
 
     k1 = slope(state, t)
     s2 = tuple(state[j] + 0.5 * dt * k1[j] for j in range(7))
@@ -74,6 +74,13 @@ def reference_rk4_step(plant, state, dt, f_cmd, profile=None, t=0.0):
         x3, v3, _ = profile(t + dt)
         out = out[:4] + (x3, v3) + out[6:]
     return out
+
+
+def shared_and_fresh(dt, n):
+    """How many of steps 1 .. n-1 start at the float (i-1)*dt + dt, where the previous
+    step ended, and how many do not."""
+    same = sum(i * dt == (i - 1) * dt + dt for i in range(1, n))
+    return same, n - 1 - same
 
 
 def sine_motion(amp=1.5e-3, freq=5.0, t0=0.02):
@@ -141,6 +148,40 @@ class TestClutchStatics:
         assert plant.mr_torque_from_current(3.0) == pytest.approx(1.25, abs=1e-15)
         current, _ = plant.current_from_torque(torque)
         assert plant.mr_torque_from_current(current) == pytest.approx(torque, abs=1e-12)
+
+    # (c3, c2, c1, c0, current_max), often not monotone; a place in the torque range: a
+    # fraction of it, or k ulps above the remnant (k > 0) or below T(current_max) (k < 0)
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(st.floats(-0.05, 0.05), st.floats(-0.2, 0.2), st.floats(1e-3, 1.0),
+                     st.floats(0.0, 0.1), st.floats(0.5, 5.0) | st.just(2.7)),
+           st.floats(0.0, 1.0) | st.integers(1, 1000) | st.integers(-1000, -1))
+    @example((-0.015, 0.104, 0.225, 0.044, 3.0), 0.5)       # the shipped clutch
+    @example((-0.015, 0.104, 0.225, 0.044, 2.7), 3)         # a long significand: K = 1
+    @example((0.1, -0.3, 0.3 + 1e-6, 0.044, 3.0), -2)       # least slope 1e-6, at 1 A
+    @example((0.1, -0.3, 0.3 + 1e-6, 0.0, 3.0), 0.09)       # torque near the vertex
+    def test_inversion_equals_bisection_for_any_clutch(self, coefficients, place):
+        c3, c2, c1, c0, current_max = coefficients
+        try:
+            clutch = MRClutchParams(poly_c3=c3, poly_c2=c2, poly_c1=c1, poly_c0=c0,
+                                    torque_max=100.0, current_max=current_max)
+        except PlantError:
+            assume(False)
+        plant = Plant(PlantParams(clutch=clutch))
+        low, high = c0, plant.torque_reach
+        if isinstance(place, float):
+            torque = low + place * (high - low)
+        else:
+            torque = low + place * math.ulp(low) if place > 0 else high + place * math.ulp(high)
+        assert plant.current_from_torque(torque) == reference_current_from_torque(plant, torque)
+
+    def test_bisection_start_level(self):
+        # shipped: the slope bound allows level 47, one is kept in hand; the grid allows 51
+        assert Plant().bisect_level == 46
+        # 2.7's significand has an odd part of 52 bits: one exact halving
+        assert Plant(PlantParams(clutch=MRClutchParams(current_max=2.7))).bisect_level == 1
+        # a bound that overflows allows no jump
+        huge = MRClutchParams(poly_c3=0.05, poly_c2=0.0, current_max=1e300)
+        assert Plant(PlantParams(clutch=huge)).bisect_level == 0
 
     @pytest.mark.parametrize("torque_max", [2.0, 1.0])
     def test_saturation_flag_at_and_above_rating(self, torque_max):
@@ -229,8 +270,8 @@ class TestFriction:
         state = (1e-3, 2e-3, 0.0, 0.0, 0.0, 0.0, 300.0)
         p_master = plant.master_pressure(state)
         loss = friction_pressure(0.14, p_master, state[1], plant.friction_steepness)
-        a1 = plant.derivative(state, 0.0)[1]
-        a1_free = off.derivative(state, 0.0)[1]
+        a1 = plant.derivative(*state, 0.0)[1]
+        a1_free = off.derivative(*state, 0.0)[1]
         assert a1_free - a1 == pytest.approx(loss * plant.area_master * plant.inv_m1,
                                              rel=1e-9)
 
@@ -297,7 +338,7 @@ class TestStateSpace:
         for _ in range(20):
             x = rng.standard_normal(7) * [1e-3, 1e-2, 1e-3, 1e-2, 1e-3, 1e-2, 100.0]
             u = float(rng.uniform(0, 1000))
-            dx = np.array(plant.derivative(tuple(x), u))
+            dx = np.array(plant.derivative(*x, u))
             np.testing.assert_allclose(dx, ss.A @ x + ss.B[:, 0] * u, rtol=1e-12, atol=1e-9)
 
     def test_finite_difference_jacobian(self):
@@ -311,14 +352,14 @@ class TestStateSpace:
             xp, xm = x0.copy(), x0.copy()
             xp[j] += eps
             xm[j] -= eps
-            jac[:, j] = (np.array(plant.derivative(tuple(xp), 0.0)) -
-                         np.array(plant.derivative(tuple(xm), 0.0))) / (2 * eps)
+            jac[:, j] = (np.array(plant.derivative(*xp, 0.0)) -
+                         np.array(plant.derivative(*xm, 0.0))) / (2 * eps)
         np.testing.assert_allclose(jac, ss.A, rtol=1e-6, atol=1e-4)
 
 
 class TestDynamics:
     def test_equilibrium_zero_derivative(self, plant):
-        dx = plant.derivative((0.0,) * 7, 0.0)
+        dx = plant.derivative(*(0.0,) * 7, 0.0)
         assert all(v == 0.0 for v in dx)
 
     def test_blocked_static_force_balance(self):
@@ -370,13 +411,15 @@ class TestDynamics:
             assert e_next <= energy * (1.0 + 1e-12) + 1e-15
             energy = e_next
 
+    # 5e-5 s is the halved step of the convergence check
+    @pytest.mark.parametrize("dt", [1e-4, 5e-5])
     @pytest.mark.parametrize("mode", FRICTION_MODES)
     @pytest.mark.parametrize("prescribed", [False, True], ids=["free", "backdrive"])
-    def test_rk4_step_equals_stagewise_reference(self, mode, prescribed):
+    def test_rk4_step_equals_stagewise_reference(self, mode, prescribed, dt):
         plant = Plant(PlantParams().with_friction(mode=mode))
         profile = sine_motion() if prescribed else None
         state = ref = (0.0,) * 7
-        dt = 1e-4
+        assert all(shared_and_fresh(dt, 2500))
         for i in range(2500):
             t = i * dt
             f_cmd = 900.0 + 400.0 * math.sin(2.0 * math.pi * 7.0 * t)
@@ -386,15 +429,18 @@ class TestDynamics:
         # the friction term was live: piston moving under line pressure
         assert ref[1] != 0.0 and plant.master_pressure(ref) > 0.0
 
+    @pytest.mark.parametrize("dt", [1e-4, 5e-5])
     @pytest.mark.parametrize("mode", FRICTION_MODES)
     @pytest.mark.parametrize("prescribed", [False, True], ids=["free", "backdrive"])
-    def test_multistep_call_equals_single_steps(self, mode, prescribed):
-        # pieces of 7 and 8 steps, as 15-step ticks split by a delay of 7 mod 15
-        # steps; the piece over steps 195..201 crosses the motion start (t0 = 0.02 s)
+    def test_multistep_call_equals_single_steps(self, mode, prescribed, dt):
+        # pieces of 7 and 8 steps, as 15-step ticks split by a delay of 7 mod 15 steps;
+        # the pieces over steps 195..201 at 1e-4 s and 397..404 at 5e-5 s cross the
+        # motion start (t0 = 0.02 s).  Within a piece a step reuses the previous step's
+        # end sample only where the two float times are equal, and both kinds occur.
         plant = Plant(PlantParams().with_friction(mode=mode))
         profile = sine_motion() if prescribed else None
         state = ref = (0.0,) * 7
-        dt = 1e-4
+        assert all(shared_and_fresh(dt, 2500))
         i = 0
         while i < 2500:
             n = 7 if i % 15 == 0 else 8

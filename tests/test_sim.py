@@ -442,6 +442,9 @@ class TestScenarioValidation:
         ({"kind": "backdrive", "backdrive_freq": 1e-320}, "total_duration"),
         ({"seed": 1.5}, "seed"),
         ({"seed": 1e30}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"seed": False}, "seed"),
+        ({"kind": "backdrive", "backdrive_cycles": True}, "backdrive_cycles"),
     ])
     def test_bad_numbers_named(self, fields, name):
         with pytest.raises(ScenarioError, match=name):
