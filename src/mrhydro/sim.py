@@ -35,6 +35,10 @@ SCENARIO_KINDS = ("step", "sine_dwell", "backdrive")
 
 STEP_SETTLE = 1.0   # a step run's length after the step [s]
 
+# trace rows that to_csv converts to Python floats at a time; it formats
+# them one row per %, since one % per block holds MBs of text at once
+CSV_BLOCK_ROWS = 64
+
 
 class ScenarioError(ValueError):
     """Inconsistent scenario configuration."""
@@ -176,9 +180,14 @@ class SimTrace:
         hash so the run can be reproduced exactly.
         """
         cols = self.columns()
-        header = ",".join(cols)
         data = np.column_stack(list(cols.values()))
-        np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
+        # %.17g of a Python float is the text numpy.savetxt writes for the float64
+        row_fmt = ",".join(["%.17g"] * len(cols)) + "\n"
+        with open(path, "w") as fh:
+            fh.write(",".join(cols) + "\n")
+            for lo in range(0, len(data), CSV_BLOCK_ROWS):
+                fh.writelines(row_fmt % tuple(r)
+                              for r in data[lo:lo + CSV_BLOCK_ROWS].tolist())
         write_json(f"{path}.meta.json",
                    {k: getattr(self, k) for k in ("scenario", "plant_hash", "seed", "aborted")})
 
@@ -210,9 +219,12 @@ def read_trace_csv(path) -> SimTrace:
     fields take the SimTrace defaults and whose unknown keys raise ValueError."""
     with open(path) as fh:
         names = fh.readline().strip().split(",")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.size == 0:   # header only: a run aborted at its first tick
-        data = data.reshape(0, len(names))
+        body = fh.tell()
+        if fh.readline():
+            fh.seek(body)
+            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        else:   # header only: a run aborted at its first tick
+            data = np.empty((0, len(names)))
     try:
         with open(f"{path}.meta.json") as fh:
             meta = known_keys(SimTrace, json.load(fh), f"{path}.meta.json", ValueError)
@@ -327,7 +339,7 @@ def run_scenario(sc: Scenario, plant: Plant | None = None, controller=None,
             ps = plant.slave_pressure(state)
             meas = (state[0], state[1], state[4], pm, ps)
             if noise is not None:
-                nz = noise[j]
+                nz = noise[j].tolist()   # Python-float sums: the same IEEE additions
                 meas = (meas[0] + nz[0], meas[1] + nz[1], meas[2] + nz[2],
                         meas[3] + nz[3], meas[4] + nz[4])
             r_now = ref(t)

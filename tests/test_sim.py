@@ -13,12 +13,13 @@ from scipy.signal import cont2discrete
 from mrhydro.analysis import REFERENCE_RESULTS, torque_deviation
 from mrhydro.controllers import CONTROLLER_NAMES, Command, ControllerFault, make_controller
 from mrhydro.plant import FRICTION_MODES, Plant, PlantError, PlantParams, build_state_space
-from mrhydro.sim import (BACKDRIVE_AMPLITUDE_1HZ, SCENARIO_KINDS, TRACE_SCHEMA, Scenario,
-                         ScenarioError, SimTrace, backdrive_scenario, dwell_scenario,
-                         measure_controller_row, read_trace_csv, run_scenario, step_scenario)
+from mrhydro.sim import (BACKDRIVE_AMPLITUDE_1HZ, CSV_BLOCK_ROWS, SCENARIO_KINDS,
+                         TRACE_SCHEMA, Scenario, ScenarioError, SimTrace, backdrive_scenario,
+                         dwell_scenario, measure_controller_row, read_trace_csv, run_scenario,
+                         step_scenario)
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
-from mrhydro.synthesis import synthesize
+from mrhydro.synthesis import NoiseCovariances, synthesize
 
 
 class TestEquilibrium:
@@ -229,6 +230,17 @@ class TestReproducibility:
         t2 = run_scenario(step_scenario("pid_master", settle=0.3, noise=True, seed=2))
         assert not np.array_equal(t1.meas, t2.meas)
 
+    @pytest.mark.parametrize("name", CONTROLLER_NAMES)
+    def test_noise_is_added_exactly(self, name):
+        seed = 11
+        tr = run_scenario(step_scenario(name, settle=0.3, noise=True, seed=seed))
+        assert tr.aborted is None
+        clean = np.column_stack([tr.state[:, 0], tr.state[:, 1], tr.state[:, 4],
+                                 tr.p_master, tr.p_slave])
+        r = NoiseCovariances.r_diag
+        draws = np.random.default_rng(seed).standard_normal((len(tr.t), 5)) * np.sqrt(r + r[3:])
+        assert np.array_equal(tr.meas, clean + draws)
+
     def test_noise_off_is_clean(self):
         tr = run_scenario(step_scenario("open_loop", settle=0.3, noise=False))
         np.testing.assert_array_equal(tr.meas[:, 0], tr.state[:, 0])
@@ -278,7 +290,63 @@ class TestMeasureRow:
         assert seen[0].t[-1] > 1.0
 
 
+class _FailsAtOnce:
+    dt = 1e-3
+
+    def step(self, t, p_desired, meas):
+        raise ControllerFault("no first command")
+
+
+def _header_only_trace() -> SimTrace:
+    """The trace of a run aborted at its first tick: no rows."""
+    return run_scenario(step_scenario("pid_slave", settle=0.2), controller=_FailsAtOnce())
+
+
+def _special_values_trace() -> SimTrace:
+    """A hand-built trace whose every column holds signed zeros, the
+    smallest subnormal, the largest finite values, nan and both infinities."""
+    special = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+               math.nan, math.inf, -math.inf, 1.0 / 3.0]
+    n = len(special)
+    series = {}
+    for k, (name, heads) in enumerate(TRACE_SCHEMA.items()):
+        width = 1 if isinstance(heads, str) else len(heads)
+        cols = [np.roll(special, k + j) for j in range(width)]
+        series[name] = cols[0] if isinstance(heads, str) else np.column_stack(cols)
+    series["saturated"] = np.arange(n) % 2 == 0
+    return SimTrace(**series)
+
+
+def _savetxt_reference(tr: SimTrace, path) -> None:
+    """The trace table as numpy.savetxt writes it: the writer's byte reference."""
+    cols = tr.columns()
+    np.savetxt(path, np.column_stack(list(cols.values())), delimiter=",",
+               header=",".join(cols), comments="", fmt="%.17g")
+
+
 class TestTraceIO:
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: run_scenario(step_scenario("lqgi", noise=True, seed=7)),
+                     id="noisy_lqgi"),
+        pytest.param(lambda: run_scenario(step_scenario("pid_slave", noise=True, seed=8)),
+                     id="noisy_pid_slave"),
+        pytest.param(lambda: run_scenario(Scenario(duration=(2 * CSV_BLOCK_ROWS + 5) * 1e-3)),
+                     id="partial_last_block"),
+        pytest.param(_header_only_trace, id="header_only"),
+        pytest.param(_special_values_trace, id="special_values"),
+    ])
+    def test_csv_bytes_equal_savetxt(self, tmp_path, make):
+        tr = make()
+        path, ref = tmp_path / "t.csv", tmp_path / "ref.csv"
+        tr.to_csv(path)
+        _savetxt_reference(tr, ref)
+        assert path.read_bytes() == ref.read_bytes()
+        want = np.column_stack(list(tr.columns().values()))
+        got = np.column_stack(list(read_trace_csv(path).columns().values()))
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_csv_round_trip(self, tmp_path):
         sc = step_scenario("lqgi", settle=0.2, noise=True, seed=5)
         tr = run_scenario(sc)
@@ -343,15 +411,8 @@ class TestTraceIO:
         assert (again.scenario, again.plant_hash, again.seed, again.aborted) == (
             tr.scenario, tr.plant_hash, tr.seed, tr.aborted)
 
-    @pytest.mark.filterwarnings("ignore:loadtxt")   # numpy notes the header-only file
     def test_zero_row_trace_round_trip(self, tmp_path):
-        class FailsAtOnce:
-            dt = 1e-3
-
-            def step(self, t, p_desired, meas):
-                raise ControllerFault("no first command")
-
-        tr = run_scenario(step_scenario("pid_slave", settle=0.2), controller=FailsAtOnce())
+        tr = _header_only_trace()
         assert len(tr.t) == 0 and tr.aborted == "ControllerFault: no first command"
         path = tmp_path / "t.csv"
         tr.to_csv(path)
