@@ -1,9 +1,9 @@
 """Command-line entry point: synth, run, frf, report.
 
-Every output directory gets the resolved configuration (with its hash and
-seed) written next to the results so any run can be reproduced exactly
-from its own artifacts.  Only run takes a scenario section; the other
-commands run fixed scenarios and refuse one.
+Every output directory gets config.json, every resolved setting with its
+hash, written next to the results; `mrhydro --config <dir>/config.json`
+reproduces the run exactly from its own artifacts.  Only run takes a
+scenario section; the other commands run fixed scenarios and refuse one.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import analysis, controllers, sim, synthesis
 from .config import ConfigError, RunConfig, load_run_config
-from .plant import Plant, PlantError, build_state_space, write_json
+from .plant import Plant, PlantError, build_state_space
 from .sim import FRF_GRID_DEFAULT
 
 
@@ -38,29 +38,26 @@ def _resolve(args) -> RunConfig:
 
 
 def _make_gains(cfg: RunConfig):
-    return synthesis.synthesize(cfg.plant_params(), cfg.cost_weights(),
-                                cfg.noise_covariances())
+    return synthesis.synthesize(cfg.plant, cfg.weights, cfg.noise_cov)
 
 
 def _controller_kwargs(cfg: RunConfig) -> dict:
-    return {"dither": cfg.dither_config(), "pid_master": cfg.pid_config("pid_master"),
-            "pid_slave": cfg.pid_config("pid_slave")}
+    return {"dither": cfg.dither, "pid_master": cfg.pid_master, "pid_slave": cfg.pid_slave}
 
 
 def cmd_synth(cfg: RunConfig, outdir: Path, args) -> int:
-    params = cfg.plant_params()
-    ss = build_state_space(params)
+    ss = build_state_space(cfg.plant)
     gains = _make_gains(cfg)
     gains.save(outdir / "gains.json")
 
     cl = synthesis.closed_loop_matrix(ss, gains)
     ev = np.linalg.eigvals(cl)
     dc = synthesis.closed_loop_dc_gain(ss, gains)
-    plant = Plant(params)
+    plant = Plant(cfg.plant)
     freqs = controllers.DESIGN_FREQS
     gm_m, gm_s = (controllers.gain_margin_db(controllers.pid_loop_gain(
-        plant, ss, cfg.pid_config(section), freqs, with_delay=False), freqs)
-        for section in ("pid_master", "pid_slave"))
+        plant, ss, pid, freqs, with_delay=False), freqs)
+        for pid in (cfg.pid_master, cfg.pid_slave))
     print(f"gains written to {outdir / 'gains.json'}")
     print(f"|K| = {np.linalg.norm(gains.K):.6g}, K_ff = {gains.K_ff:.6g}, "
           f"|L| = {np.linalg.norm(gains.L):.6g}")
@@ -72,8 +69,8 @@ def cmd_synth(cfg: RunConfig, outdir: Path, args) -> int:
 
 
 def cmd_run(cfg: RunConfig, outdir: Path, args) -> int:
-    scenario = cfg.scenario_for_run()
-    plant = Plant(cfg.plant_params())
+    scenario = cfg.scenario_for_run
+    plant = Plant(cfg.plant)
     gains = _make_gains(cfg) if cfg.controller == "lqgi" else None
     trace = sim.run_scenario(scenario, plant=plant, gains=gains,
                              controller_kwargs=_controller_kwargs(cfg))
@@ -87,7 +84,7 @@ def cmd_run(cfg: RunConfig, outdir: Path, args) -> int:
 def cmd_frf(cfg: RunConfig, outdir: Path, args) -> int:
     gains = _make_gains(cfg) if cfg.controller == "lqgi" else None
     points = sim.dwell_frf(cfg.controller, args.freqs or FRF_GRID_DEFAULT,
-                           plant=Plant(cfg.plant_params()), gains=gains,
+                           plant=Plant(cfg.plant), gains=gains,
                            controller_kwargs=_controller_kwargs(cfg), seed=cfg.seed)
     bw = analysis.bandwidth(points)
     path = outdir / f"frf_{cfg.controller}.csv"
@@ -107,7 +104,7 @@ def _write_frf_csv(path, points) -> None:
 
 
 def cmd_report(cfg: RunConfig, outdir: Path, args) -> int:
-    plant = Plant(cfg.plant_params())
+    plant = Plant(cfg.plant)
     gains = _make_gains(cfg)
 
     def hook(label, obj):
@@ -187,7 +184,7 @@ def main(argv=None) -> int:
         outdir = Path(cfg.output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
         code = args.func(cfg, outdir, args)
-        write_json(outdir / "config.json", {**cfg.to_dict(), "_hash": cfg.content_hash()})
+        cfg.save(outdir / "config.json")
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

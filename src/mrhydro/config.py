@@ -3,17 +3,19 @@
 Precedence: built-in defaults, then the config file, then command-line
 flags; the last writer wins.  Unknown keys anywhere are rejected with the
 offending key named, so a typo cannot silently fall back to a default.
+`RunConfig.save` writes every resolved setting; `load_run_config` reads it back.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
-from functools import partial
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from functools import cached_property
 
 from .controllers import (CONTROLLER_NAMES, DitherConfig, PidConfig,
                           PID_MASTER_DEFAULT, PID_SLAVE_DEFAULT)
-from .plant import PlantParams, json_hash, known_keys
-from .sim import Scenario, delay_steps
+from .plant import PlantParams, json_hash, known_keys, write_json
+from .sim import Scenario, ScenarioError, delay_steps
 from .synthesis import CostWeights, NoiseCovariances, SynthesisError
 
 
@@ -21,74 +23,61 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@contextmanager
+def _section(name: str):
+    """Re-raise a bad value in section `name` as a ConfigError naming it."""
+    try:
+        yield
+    except ConfigError:
+        raise   # known_keys already names the section
+    except (ValueError, TypeError, SynthesisError) as exc:   # TypeError: "x" for a number
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+@dataclass(frozen=True)
 class RunConfig:
     """Everything one command needs, resolved and hashable."""
 
-    plant: dict = field(default_factory=dict)       # nested parameter overrides
+    plant: PlantParams = PlantParams()
     controller: str = "open_loop"
-    dither: dict = field(default_factory=dict)
-    pid_master: dict = field(default_factory=dict)
-    pid_slave: dict = field(default_factory=dict)
-    weights: dict = field(default_factory=dict)
-    noise_cov: dict = field(default_factory=dict)
-    scenario: dict = field(default_factory=dict)
+    dither: DitherConfig = DitherConfig()
+    pid_master: PidConfig = PID_MASTER_DEFAULT
+    pid_slave: PidConfig = PID_SLAVE_DEFAULT
+    weights: CostWeights = CostWeights()
+    noise_cov: NoiseCovariances = NoiseCovariances()
+    scenario: dict = field(default_factory=dict)   # the run command's Scenario fields
     output_dir: str = "."
     seed: int = 0
 
     def __post_init__(self):
+        """The checks no one section makes; each section checked itself when built."""
         if self.controller not in CONTROLLER_NAMES:
             raise ConfigError(
                 f"unknown controller '{self.controller}'; choose from {CONTROLLER_NAMES}")
-        # each section's settings check themselves when built
-        for section, build in (("plant", self.plant_params), ("dither", self.dither_config),
-                               ("pid_master", partial(self.pid_config, "pid_master")),
-                               ("pid_slave", partial(self.pid_config, "pid_slave")),
-                               ("weights", self.cost_weights),
-                               ("noise_cov", self.noise_covariances),
-                               ("scenario", self.scenario_for_run),
-                               ("plant", self._delay_steps)):
-            try:
-                build()
-            except ConfigError:
-                raise   # known_keys already names the section
-            except (ValueError, TypeError, SynthesisError) as exc:   # TypeError: "x" for a number
-                raise ConfigError(f"{section}: {exc}") from exc
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a path string, got {self.output_dir!r}")
+        with _section("scenario"):
+            sim_dt = self.scenario_for_run.sim_dt
+        with _section("plant"):   # run_scenario takes the clutch delay in whole sim_dt steps
+            delay_steps(self.plant.clutch.tau_delay, sim_dt)
 
-    def plant_params(self) -> PlantParams:
-        return PlantParams.from_dict(self.plant)
-
-    def dither_config(self) -> DitherConfig:
-        return DitherConfig(**known_keys(DitherConfig, self.dither, "dither", ConfigError))
-
-    def pid_config(self, section: str) -> PidConfig:
-        """The pid_master or pid_slave section over its shipped default."""
-        default = PID_MASTER_DEFAULT if section == "pid_master" else PID_SLAVE_DEFAULT
-        return replace(default, **known_keys(PidConfig, getattr(self, section), section,
-                                             ConfigError))
-
-    def cost_weights(self) -> CostWeights:
-        return CostWeights(**known_keys(CostWeights, self.weights, "weights", ConfigError))
-
-    def noise_covariances(self) -> NoiseCovariances:
-        return NoiseCovariances(**known_keys(NoiseCovariances, self.noise_cov, "noise_cov",
-                                             ConfigError))
-
+    @cached_property
     def scenario_for_run(self) -> Scenario:
         """The run command's scenario: the scenario section with this controller and seed."""
-        return Scenario.from_dict({**self.scenario, "controller": self.controller,
-                                   "seed": self.seed})
-
-    def _delay_steps(self) -> int:
-        """The clutch delay in whole steps of the run's sim_dt, as run_scenario takes it."""
-        return delay_steps(self.plant_params().clutch.tau_delay, self.scenario_for_run().sim_dt)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+        given = known_keys(Scenario, self.scenario, "scenario", ScenarioError)
+        for key in ("controller", "seed"):
+            if key in given:
+                raise ScenarioError(f"set '{key}' at the top level of the config, "
+                                    "not in its scenario section")
+        return Scenario(**given, controller=self.controller, seed=self.seed)
 
     def content_hash(self) -> str:
-        """Hash of the experiment; where its outputs go is not part of it."""
-        return json_hash({k: v for k, v in self.to_dict().items() if k != "output_dir"})
+        """Hash of the resolved experiment; where its outputs go is not part of it."""
+        return json_hash({k: v for k, v in asdict(self).items() if k != "output_dir"})
+
+    def save(self, path) -> None:
+        """config.json: every resolved setting and the hash, as load_run_config reads it."""
+        write_json(path, {**asdict(self), "_hash": self.content_hash()})
 
 
 def load_run_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
@@ -102,6 +91,7 @@ def load_run_config(path: str | None = None, overrides: dict | None = None) -> R
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
+        data.pop("_hash", None)   # unchecked: layers and edits change it; save re-hashes
         layers.update(data)
     if overrides:
         for key, val in overrides.items():
@@ -109,4 +99,12 @@ def load_run_config(path: str | None = None, overrides: dict | None = None) -> R
                 layers[key] = {**layers[key], **val}
             else:
                 layers[key] = val
-    return RunConfig(**known_keys(RunConfig, layers, "run config", ConfigError))
+    known_keys(RunConfig, layers, "run config", ConfigError)
+    for f in fields(RunConfig):   # each settings section over its shipped default, once
+        if f.name in layers and is_dataclass(f.default):
+            with _section(f.name):
+                layers[f.name] = (
+                    PlantParams.from_dict(layers[f.name]) if f.name == "plant" else
+                    replace(f.default, **known_keys(type(f.default), layers[f.name], f.name,
+                                                    ConfigError)))
+    return RunConfig(**layers)

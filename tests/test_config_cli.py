@@ -8,9 +8,9 @@ from mrhydro import sim
 from mrhydro.analysis import REFERENCE_RESULTS, RowResult
 from mrhydro.cli import main
 from mrhydro.config import ConfigError, RunConfig, load_run_config
-from mrhydro.controllers import PID_MASTER_DEFAULT, DitherConfig
+from mrhydro.controllers import PID_MASTER_DEFAULT, PID_SLAVE_DEFAULT, DitherConfig
 from mrhydro.plant import (FrictionParams, GeometryParams, MRClutchParams, PlantError,
-                           TransmissionParams)
+                           PlantParams, TransmissionParams)
 from mrhydro.synthesis import CostWeights, NoiseCovariances, SynthesisError
 
 # one instance of each frozen settings type, with the error its check raises
@@ -68,7 +68,8 @@ class TestRunConfig:
     def test_defaults_validate(self):
         cfg = RunConfig()
         assert cfg.controller == "open_loop"
-        assert cfg.plant_params().content_hash()
+        assert cfg.plant == PlantParams() and cfg.pid_master == PID_MASTER_DEFAULT
+        assert load_run_config() == cfg
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="controler"):
@@ -76,21 +77,23 @@ class TestRunConfig:
 
     def test_unknown_nested_keys_named(self):
         with pytest.raises(ConfigError, match="bogus"):
-            RunConfig(plant={"friction": {"bogus": 1}})
+            load_run_config(overrides={"plant": {"friction": {"bogus": 1}}})
         with pytest.raises(ConfigError, match="slope"):
-            RunConfig(dither={"slope": 0.1})
+            load_run_config(overrides={"dither": {"slope": 0.1}})
 
     @pytest.mark.parametrize("section", ["pid_master", "pid_slave"])
     def test_unknown_pid_key_named(self, section):
         with pytest.raises(ConfigError, match=rf"^unknown key\(s\) in {section}: \['kq'\]$"):
-            RunConfig(**{section: {"kq": 1.0}})
+            load_run_config(overrides={section: {"kq": 1.0}})
 
     @pytest.mark.parametrize("section", [{"dither": 5}, {"plant": {"clutch": [1.0]}}])
     def test_non_object_section_named(self, section):
         with pytest.raises(ConfigError, match="must be an object, got "):
-            RunConfig(**section)
+            load_run_config(overrides=section)
 
     def test_unknown_controller_rejected(self):
+        with pytest.raises(ConfigError, match="pid_elbow"):
+            load_run_config(overrides={"controller": "pid_elbow"})
         with pytest.raises(ConfigError, match="pid_elbow"):
             RunConfig(controller="pid_elbow")
 
@@ -102,23 +105,30 @@ class TestRunConfig:
                                                     "weights": {"rho_i": 500.0}})
         assert cfg.controller == "pid_slave"
         assert cfg.seed == 9
-        # nested dicts merge key-wise
-        assert cfg.weights == {"rho": 2e-4, "rho_i": 500.0}
+        # nested dicts merge key-wise, over the shipped default
+        assert cfg.weights == CostWeights(rho=2e-4, rho_i=500.0)
 
     def test_hash_reflects_content(self):
         assert RunConfig().content_hash() == RunConfig().content_hash()
         assert RunConfig().content_hash() != RunConfig(seed=1).content_hash()
 
+    def test_hash_covers_resolved_values(self):
+        # one experiment, one hash: spelling out a default changes nothing
+        spelled = load_run_config(overrides={"weights": {"rho": CostWeights().rho},
+                                             "pid_master": {"ki": PID_MASTER_DEFAULT.ki}})
+        assert spelled == load_run_config()
+        assert spelled.content_hash() == load_run_config().content_hash()
+
     def test_hash_ignores_output_dir(self):
-        here, there = RunConfig(output_dir="a"), RunConfig(output_dir="b/c")
+        here = load_run_config(overrides={"output_dir": "a"})
+        there = load_run_config(overrides={"output_dir": "b/c"})
         assert here.content_hash() == there.content_hash()
-        assert there.to_dict()["output_dir"] == "b/c"
+        assert there.output_dir == "b/c"
 
     def test_pid_overrides_merge_with_defaults(self):
-        cfg = RunConfig(pid_master={"ki": 55.0})
-        master, slave = cfg.pid_config("pid_master"), cfg.pid_config("pid_slave")
-        assert master.ki == 55.0 and master.kd == 1.0e-3
-        assert slave.ki == 19.0
+        cfg = load_run_config(overrides={"pid_master": {"ki": 55.0}})
+        assert cfg.pid_master.ki == 55.0 and cfg.pid_master.kd == 1.0e-3
+        assert cfg.pid_slave == PID_SLAVE_DEFAULT
 
 
 class TestCliSynth:
@@ -185,6 +195,17 @@ class TestCliRun:
         rc = main(["run", "--seed", "-1", "--out-dir", str(tmp_path)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error: scenario: seed must be >= 0")
+
+    @pytest.mark.parametrize("key, value", [("controller", "lqgi"), ("seed", 5)])
+    def test_scenario_section_refuses_top_level_keys(self, tmp_path, capsys, key, value):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"scenario": {key: value, "noise": True}}))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfgfile), "run", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: scenario: set '{key}' at the top level of the config, "
+            "not in its scenario section\n")
+        assert not out.exists()
 
     def test_fractional_delay_refused_before_the_run(self, tmp_path, capsys):
         # 0.15 ms is 1.5 steps of the default 0.1 ms sim_dt
@@ -333,7 +354,41 @@ class TestCliEntry:
         out = tmp_path / "out"
         assert main(argv + ["--out-dir", str(out)]) == 0
         echo = json.loads((out / "config.json").read_text())
-        cfg = RunConfig(**{k: v for k, v in echo.items() if k != "_hash"})
+        cfg = load_run_config(str(out / "config.json"))
         assert echo["_hash"] == cfg.content_hash()
         assert echo["output_dir"] == str(out)
         assert echo["seed"] == (2 if argv[0] == "run" else 0)
+
+    @pytest.mark.parametrize("argv", [
+        ["synth"],
+        ["run", "--kind", "step", "--controller", "lqgi", "--seed", "2"],
+        ["frf", "--freqs", "50", "100"],
+        ["report", "--only", "open_loop"],
+    ], ids=lambda argv: argv[0])
+    def test_config_json_reloads(self, tmp_path, monkeypatch, argv):
+        # an output directory's config.json reproduces its run through --config
+        monkeypatch.setattr(sim, "measure_controller_row",
+                            lambda name, **kw: RowResult(*REFERENCE_RESULTS[name]))
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"weights": {"rho": 2e-4}}))
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["--config", str(cfgfile)] + argv + ["--out-dir", str(first)]) == 0
+        assert main(["--config", str(first / "config.json"), argv[0]] + argv[1:]
+                    + ["--out-dir", str(again)]) == 0
+        hashes = [json.loads((d / "config.json").read_text())["_hash"] for d in (first, again)]
+        assert hashes[0] == hashes[1]
+        if argv[0] == "run":
+            name = "trace_step_lqgi_seed2.csv"
+            assert (first / name).read_bytes() == (again / name).read_bytes()
+
+    @pytest.mark.parametrize("command", ["synth", "run", "frf", "report"])
+    def test_non_string_output_dir_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                                     command):
+        monkeypatch.chdir(tmp_path)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"output_dir": 5}))
+        assert main(["--config", str(cfgfile), command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output_dir must be a path string, got 5")
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
