@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from functools import cached_property
 
 from .controllers import (CONTROLLER_NAMES, DitherConfig, PidConfig,
                           PID_MASTER_DEFAULT, PID_SLAVE_DEFAULT)
-from .plant import PlantParams, json_hash, known_keys, write_json
+from .plant import PlantParams, build_record, json_hash, known_keys, write_json
 from .sim import Scenario, ScenarioError, delay_steps
 from .synthesis import CostWeights, NoiseCovariances, SynthesisError
 
@@ -29,7 +29,7 @@ def _section(name: str):
     try:
         yield
     except ConfigError:
-        raise   # known_keys already names the section
+        raise   # build_record already names the path
     except (ValueError, TypeError, SynthesisError) as exc:   # TypeError: "x" for a number
         raise ConfigError(f"{name}: {exc}") from exc
 
@@ -51,6 +51,10 @@ class RunConfig:
 
     def __post_init__(self):
         """The checks no one section makes; each section checked itself when built."""
+        for f in fields(self):   # a dict in a settings section's place would fail much later
+            if is_dataclass(f.default) and not isinstance(getattr(self, f.name), type(f.default)):
+                raise ConfigError(f"{f.name} must be a {type(f.default).__name__}, "
+                                  f"got {getattr(self, f.name)!r}")
         if self.controller not in CONTROLLER_NAMES:
             raise ConfigError(
                 f"unknown controller '{self.controller}'; choose from {CONTROLLER_NAMES}")
@@ -64,12 +68,13 @@ class RunConfig:
     @cached_property
     def scenario_for_run(self) -> Scenario:
         """The run command's scenario: the scenario section with this controller and seed."""
-        given = known_keys(Scenario, self.scenario, "scenario", ScenarioError)
+        run = build_record(Scenario(controller=self.controller, seed=self.seed), self.scenario,
+                           "scenario", ScenarioError)
         for key in ("controller", "seed"):
-            if key in given:
+            if key in self.scenario:
                 raise ScenarioError(f"set '{key}' at the top level of the config, "
                                     "not in its scenario section")
-        return Scenario(**given, controller=self.controller, seed=self.seed)
+        return run
 
     def content_hash(self) -> str:
         """Hash of the resolved experiment; where its outputs go is not part of it."""
@@ -87,24 +92,18 @@ def load_run_config(path: str | None = None, overrides: dict | None = None) -> R
         try:
             with open(path) as fh:
                 data = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:   # ValueError: bad JSON, UTF-8 or a >4300-digit int
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
         data.pop("_hash", None)   # unchecked: layers and edits change it; save re-hashes
         layers.update(data)
-    if overrides:
-        for key, val in overrides.items():
-            if isinstance(val, dict) and isinstance(layers.get(key), dict):
-                layers[key] = {**layers[key], **val}
-            else:
-                layers[key] = val
+    for key, val in (overrides or {}).items():   # a section merges key-wise over the file's
+        merge = isinstance(val, dict) and isinstance(layers.get(key), dict)
+        layers[key] = {**layers[key], **val} if merge else val
     known_keys(RunConfig, layers, "run config", ConfigError)
     for f in fields(RunConfig):   # each settings section over its shipped default, once
         if f.name in layers and is_dataclass(f.default):
             with _section(f.name):
-                layers[f.name] = (
-                    PlantParams.from_dict(layers[f.name]) if f.name == "plant" else
-                    replace(f.default, **known_keys(type(f.default), layers[f.name], f.name,
-                                                    ConfigError)))
+                layers[f.name] = build_record(f.default, layers[f.name], f.name, ConfigError)
     return RunConfig(**layers)

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 
 import numpy as np
 
@@ -36,21 +36,45 @@ def known_keys(cls, data: dict, where: str, error: type) -> dict:
     return data
 
 
+def build_record(default, data: dict, where: str, error: type):
+    """default with the fields that JSON object data names replaced; a field whose default
+    is itself a record is built over that default the same way.  A non-object or an
+    unknown key raises error naming its path; a bad value, the record's own error."""
+    known_keys(type(default), data, where, error)
+    return replace(default, **{
+        name: build_record(getattr(default, name), value, f"{where}.{name}", error)
+        if is_dataclass(getattr(default, name)) else value for name, value in data.items()})
+
+
 def is_real(value) -> bool:
     """A real number that is not a bool: bool is a numbers.Real, and JSON true reads as 1."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def check_numbers(obj, error: type, positive=(), non_negative=(), finite=()) -> None:
-    """Raise error naming the first listed field of obj that is not a finite real number in
-    its range.  Each test reads `not low < x < inf`, which NaN and +-inf fail."""
-    for names, ok, rule in ((positive, lambda v: 0.0 < v < math.inf, "finite and > 0"),
-                            (non_negative, lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
-                            (finite, math.isfinite, "finite")):
+# check_numbers' rules: name -> (the test of a value as a float, what its message says)
+_RULES = {"positive": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
+          "non_negative": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+          "finite": (math.isfinite, "finite"), "fraction": (lambda v: 0.0 <= v < 1.0, "in [0, 1)")}
+
+
+def checked_float(value, rule: str, name: str, error: type) -> float:
+    """value as a float once it is a real number that passes _RULES[rule]; else error naming
+    name.  Each test reads like `not low < x < inf`, which NaN and +-inf fail."""
+    ok, says = _RULES[rule]
+    try:
+        number = float(value) if is_real(value) else math.nan
+    except OverflowError:   # an int that no float can hold
+        raise error(f"{name} must be {says}, got an integer too large for a float") from None
+    if not ok(number):
+        raise error(f"{name} must be {says}, got {value!r}")
+    return number
+
+
+def check_numbers(obj, error: type, **rules) -> None:
+    """Store each field of obj that rules lists (rule=(name, ...)) as its checked_float."""
+    for rule, names in rules.items():
         for name in names:
-            value = getattr(obj, name)
-            if not (is_real(value) and ok(value)):
-                raise error(f"{name} must be {rule}, got {value!r}")
+            object.__setattr__(obj, name, checked_float(getattr(obj, name), rule, name, error))
 
 
 def write_json(path, record) -> None:
@@ -134,9 +158,8 @@ class FrictionParams:
     sign_regularization: float = 2500.0  # slope realizing sign(v) [s/m]
 
     def __post_init__(self):
-        if not (is_real(self.mu) and 0.0 <= self.mu < 1.0):
-            raise PlantError(f"mu must be in [0, 1), got {self.mu!r}")
-        check_numbers(self, PlantError, positive=("n_steepness", "sign_regularization"))
+        check_numbers(self, PlantError, fraction=("mu",),
+                      positive=("n_steepness", "sign_regularization"))
         if self.mode not in FRICTION_MODES:
             raise PlantError(f"friction mode must be one of {FRICTION_MODES}")
 
@@ -177,21 +200,9 @@ class PlantParams:
     friction: FrictionParams = field(default_factory=FrictionParams)
     geometry: GeometryParams = field(default_factory=GeometryParams)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PlantParams":
-        """Build from a nested dict; unknown keys are rejected."""
-        known_keys(cls, data, "plant", PlantError)
-        return cls(**{   # each section's default factory is its class
-            name: f.default_factory(**known_keys(f.default_factory, data.get(name, {}),
-                                                 f"plant.{name}", PlantError))
-            for name, f in cls.__dataclass_fields__.items()})
-
     def content_hash(self) -> str:
         """Short stable hash for provenance records."""
-        return json_hash(self.to_dict())
+        return json_hash(asdict(self))
 
     def with_friction(self, **changes) -> "PlantParams":
         return replace(self, friction=replace(self.friction, **changes))

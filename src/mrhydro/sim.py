@@ -96,6 +96,8 @@ class Scenario:
             raise ScenarioError("control_dt must be an integer multiple of sim_dt")
         if not (is_real(self.seed) and isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ScenarioError(f"seed must be >= 0 and an integer, got {self.seed!r}")
+        if self.seed >= 2**64:
+            raise ScenarioError(f"seed must be below 2**64, got {self.seed.bit_length()} bits")
         if not 0.0 < self.total_duration() < math.inf:
             raise ScenarioError(f"total_duration() must be finite and positive, "
                                 f"got {self.total_duration()}")
@@ -108,13 +110,6 @@ class Scenario:
         if self.kind == "sine_dwell":
             return max(0.6, 5.0 / self.freq_hz) + analysis.FIT_CYCLES / self.freq_hz
         return self.pre_hold + self.backdrive_cycles / self.backdrive_freq   # backdrive
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Scenario":
-        return cls(**known_keys(cls, data, "scenario", ScenarioError))
 
 
 # SimTrace series -> CSV column names: one name for a 1-D series, one per
@@ -355,7 +350,7 @@ def run_scenario(sc: Scenario, plant: Plant | None = None, controller=None,
         aborted = f"{type(exc).__name__}: {exc}"
         n_rows = j   # rows 0 .. j - 1 are complete
 
-    return SimTrace(**_split_table(table[:n_rows], heads), scenario=sc.to_dict(),
+    return SimTrace(**_split_table(table[:n_rows], heads), scenario=asdict(sc),
                     plant_hash=plant.params.content_hash(), seed=sc.seed, aborted=aborted)
 
 

@@ -13,8 +13,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy import linalg
 
-from .plant import (PlantParams, StateSpace, build_state_space, check_numbers, is_real,
-                    known_keys, write_json)
+from .plant import (PlantParams, StateSpace, build_record, build_state_space, checked_float,
+                    check_numbers, known_keys, write_json)
 
 CARE_RESIDUAL_TOL = 1e-8
 
@@ -58,16 +58,13 @@ class NoiseCovariances:
     d_diag: tuple = (1.0, 1e5, 1.0, 1.0, 1.0, 1e6, 1.0)
 
     def __post_init__(self):
-        for name, size in (("r_diag", 4), ("d_diag", 7)):
+        for name, size, rule in (("r_diag", 4, "positive"), ("d_diag", 7, "non_negative")):
             value = getattr(self, name)
             if not isinstance(value, (list, tuple)) or len(value) != size:
                 raise SynthesisError(f"{name} must be a sequence of {size} entries, got {value!r}")
             # JSON gives lists; tuples keep the record hashable
-            object.__setattr__(self, name, tuple(value))
-        if not all(is_real(v) and 0.0 < v < math.inf for v in self.r_diag):
-            raise SynthesisError(f"r_diag entries must be finite and > 0, got {self.r_diag}")
-        if not all(is_real(v) and 0.0 <= v < math.inf for v in self.d_diag):
-            raise SynthesisError(f"d_diag entries must be finite and >= 0, got {self.d_diag}")
+            object.__setattr__(self, name, tuple(
+                checked_float(v, rule, f"{name} entries", SynthesisError) for v in value))
         check_numbers(self, SynthesisError, non_negative=("rho_l",))
 
     def R(self) -> np.ndarray:
@@ -129,15 +126,10 @@ class GainSet:
             if arrays[name].shape != shape:
                 raise SynthesisError(f"gains.{name} has shape {arrays[name].shape}, "
                                      f"expected {shape}")
-        return cls(
-            **arrays,
-            K_ff=float(payload["K_ff"]),
-            weights=CostWeights(**known_keys(CostWeights, payload["weights"], "gains.weights",
-                                             SynthesisError)),
-            noise=NoiseCovariances(**known_keys(NoiseCovariances, payload["noise"],
-                                                "gains.noise", SynthesisError)),
-            plant_hash=payload.get("plant_hash", ""),
-        )
+        sections = {name: build_record(kind(), payload[name], f"gains.{name}", SynthesisError)
+                    for name, kind in (("weights", CostWeights), ("noise", NoiseCovariances))}
+        return cls(**arrays, **sections, K_ff=float(payload["K_ff"]),
+                   plant_hash=payload.get("plant_hash", ""))
 
 
 def care_residual(A, B, Q, R, P) -> float:

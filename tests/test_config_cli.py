@@ -1,16 +1,17 @@
 import json
 import math
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mrhydro import sim
 from mrhydro.analysis import REFERENCE_RESULTS, RowResult
 from mrhydro.cli import main
 from mrhydro.config import ConfigError, RunConfig, load_run_config
 from mrhydro.controllers import PID_MASTER_DEFAULT, PID_SLAVE_DEFAULT, DitherConfig
-from mrhydro.plant import (FrictionParams, GeometryParams, MRClutchParams, PlantError,
-                           PlantParams, TransmissionParams)
+from mrhydro.plant import (FRICTION_MODES, FrictionParams, GeometryParams, MRClutchParams,
+                           PlantError, PlantParams, TransmissionParams, build_record)
 from mrhydro.synthesis import CostWeights, NoiseCovariances, SynthesisError
 
 # one instance of each frozen settings type, with the error its check raises
@@ -19,13 +20,33 @@ SETTINGS = [(TransmissionParams(), PlantError), (MRClutchParams(), PlantError),
             (CostWeights(), SynthesisError), (NoiseCovariances(), SynthesisError),
             (PID_MASTER_DEFAULT, ValueError), (DitherConfig(), ValueError)]
 
+HUGE_INT = 10**400   # a JSON integer that no float can hold
+
+# the allowed values of each settings field that is a choice
+CHOICES = {"mode": FRICTION_MODES, "feedback_tap": ("master", "slave")}
+
+
+def near(value, name=""):
+    """Records like value: each number within 10% of its own, each choice any allowed one."""
+    if is_dataclass(value):
+        return st.builds(lambda **kw: replace(value, **kw),
+                         **{f.name: near(getattr(value, f.name), f.name) for f in fields(value)})
+    if isinstance(value, bool):
+        return st.booleans()
+    if isinstance(value, str):
+        return st.sampled_from(CHOICES[name])
+    if isinstance(value, tuple):
+        return st.tuples(*map(near, value))
+    return st.floats(0.9, 1.1).map(lambda scale: scale * value)
+
 
 class TestSettingsCheckThemselves:
     @pytest.mark.parametrize("base, error, name, bad", [
-        pytest.param(base, error, f.name, bad, id=f"{type(base).__name__}.{f.name}={bad}")
+        pytest.param(base, error, f.name, bad,
+                     id=f"{type(base).__name__}.{f.name}={'10**400' if bad is HUGE_INT else bad}")
         for base, error in SETTINGS for f in fields(base)
         if isinstance(getattr(base, f.name), float)
-        for bad in (math.nan, math.inf, -math.inf, True, False)])
+        for bad in (math.nan, math.inf, -math.inf, True, False, HUGE_INT)])
     def test_non_finite_float_refused(self, base, error, name, bad):
         with pytest.raises(error, match=name):
             replace(base, **{name: bad})
@@ -34,7 +55,9 @@ class TestSettingsCheckThemselves:
         ({"r_diag": 5}, "r_diag"), ({"r_diag": (1.0, 1.0, 1.0)}, "r_diag"),
         ({"r_diag": (1.0, 1.0, math.nan, 1.0)}, "r_diag"),
         ({"d_diag": (1.0,) * 6 + (math.inf,)}, "d_diag"), ({"d_diag": "1234567"}, "d_diag"),
-        ({"r_diag": (True, 1.0, 1.0, 1.0)}, "r_diag"), ({"d_diag": (1.0,) * 6 + (False,)}, "d_diag")])
+        ({"r_diag": (True, 1.0, 1.0, 1.0)}, "r_diag"), ({"d_diag": (1.0,) * 6 + (False,)}, "d_diag"),
+        ({"r_diag": (HUGE_INT, 1.0, 1.0, 1.0)}, "r_diag"),
+        ({"d_diag": (1.0,) * 6 + (HUGE_INT,)}, "d_diag")])
     def test_noise_diagonals_checked(self, changes, name):
         with pytest.raises(SynthesisError, match=name):
             NoiseCovariances(**changes)
@@ -52,6 +75,13 @@ class TestSettingsCheckThemselves:
         ({"scenario": {"chirp_f1": 100.0}}, "run", "scenario"),
         ({"weights": {"rho": True}}, "synth", "weights"),
         ({"seed": True}, "run", "scenario"),
+        ({"weights": {"rho": HUGE_INT}}, "synth", "weights"),
+        ({"noise_cov": {"r_diag": [HUGE_INT, 1.0, 1.0, 1.0]}}, "frf", "noise_cov"),
+        ({"pid_master": {"kp": HUGE_INT}}, "report", "pid_master"),
+        ({"plant": {"friction": {"mu": HUGE_INT}}}, "synth", "plant"),
+        ({"scenario": {"torque_amplitude": HUGE_INT}}, "run", "scenario"),
+        ({"seed": HUGE_INT}, "run", "scenario"),
+        ({"seed": 2**64}, "synth", "scenario"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_bad_setting_is_a_config_error(self, tmp_path, capsys, config, command, section):
         cfgfile = tmp_path / "cfg.json"
@@ -62,6 +92,15 @@ class TestSettingsCheckThemselves:
         assert err.startswith(f"config error: {section}: ")
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("default, error", SETTINGS + [(PlantParams(), PlantError)],
+                             ids=lambda v: type(v).__name__ if is_dataclass(v) else None)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_json_round_trip(self, default, error, data):
+        record = data.draw(near(default))
+        text = json.dumps(asdict(record))
+        assert build_record(default, json.loads(text), "section", error) == record
 
 
 class TestRunConfig:
@@ -119,6 +158,24 @@ class TestRunConfig:
         assert spelled == load_run_config()
         assert spelled.content_hash() == load_run_config().content_hash()
 
+    @pytest.mark.parametrize("ints, floats", [
+        ({"weights": {"rho_i": 1000}}, {"weights": {"rho_i": 1000.0}}),
+        ({"plant": {"friction": {"mu": 0}}}, {"plant": {"friction": {"mu": 0.0}}}),
+        ({"noise_cov": {"d_diag": [1, 100000, 1, 1, 1, 1000000, 1]}},
+         {"noise_cov": {"d_diag": [1.0, 1e5, 1.0, 1.0, 1.0, 1e6, 1.0]}}),
+    ], ids=["rho_i", "mu", "d_diag"])
+    def test_integer_spelling_hashes_as_its_float(self, ints, floats):
+        as_ints, as_floats = load_run_config(overrides=ints), load_run_config(overrides=floats)
+        assert as_ints == as_floats
+        assert as_ints.content_hash() == as_floats.content_hash()
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)
+                                      if is_dataclass(f.default)])
+    def test_dict_section_refused(self, name):
+        # the dict would otherwise fail far from here, e.g. deep inside synthesize
+        with pytest.raises(ConfigError, match=rf"^{name} must be a [A-Za-z]+, got \{{"):
+            RunConfig(**{name: asdict(getattr(RunConfig(), name))})
+
     def test_hash_ignores_output_dir(self):
         here = load_run_config(overrides={"output_dir": "a"})
         there = load_run_config(overrides={"output_dir": "b/c"})
@@ -159,8 +216,9 @@ class TestCliSynth:
         assert "scenari" in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("content", [None, b"{\"seed\": 1,", b"\xff\xfe{}"],
-                             ids=["missing", "malformed", "not-utf8"])
+    @pytest.mark.parametrize("content", [None, b"{\"seed\": 1,", b"\xff\xfe{}",
+                                         b"{\"seed\": " + b"1" * 4301 + b"}"],
+                             ids=["missing", "malformed", "not-utf8", "4301-digit-int"])
     def test_unreadable_config_file_is_a_config_error(self, tmp_path, capsys, content):
         cfgfile = tmp_path / "cfg.json"
         if content is not None:

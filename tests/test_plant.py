@@ -1,12 +1,14 @@
+import json
 import math
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from mrhydro.plant import (FRICTION_MODES, MRClutchParams, Plant, PlantError, PlantParams,
-                           TransmissionParams, build_state_space, friction_pressure)
+                           TransmissionParams, build_record, build_state_space,
+                           friction_pressure)
 from mrhydro.sim import Scenario
 
 
@@ -478,16 +480,19 @@ class TestParams:
             PlantParams().with_friction(mode="nope")
 
     def test_dict_round_trip_and_fail_closed(self):
-        params = PlantParams()
-        again = PlantParams.from_dict(params.to_dict())
+        params = PlantParams().with_friction(mu=0.1)
+        again = build_record(PlantParams(), json.loads(json.dumps(asdict(params))), "plant",
+                             PlantError)
         assert again == params
-        with pytest.raises(PlantError, match="unknown"):
-            PlantParams.from_dict({"transmision": {}})
-        with pytest.raises(PlantError, match="unknown"):
-            PlantParams.from_dict({"friction": {"mu": 0.1, "bogus": 1}})
+        with pytest.raises(PlantError, match=r"^unknown key\(s\) in plant: \['transmision'\]$"):
+            build_record(PlantParams(), {"transmision": {}}, "plant", PlantError)
+        with pytest.raises(PlantError,
+                           match=r"^unknown key\(s\) in plant\.friction: \['bogus'\]$"):
+            build_record(PlantParams(), {"friction": {"mu": 0.1, "bogus": 1}}, "plant",
+                         PlantError)
 
     def test_empty_dict_reproduces_defaults(self):
-        assert PlantParams.from_dict({}) == PlantParams()
+        assert build_record(PlantParams(), {}, "plant", PlantError) == PlantParams()
 
     def test_hash_stability(self):
         assert PlantParams().content_hash() == PlantParams().content_hash()

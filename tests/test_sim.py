@@ -1,7 +1,7 @@
 import json
 import math
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,14 +12,21 @@ from scipy.signal import cont2discrete
 
 from mrhydro.analysis import REFERENCE_RESULTS, torque_deviation
 from mrhydro.controllers import CONTROLLER_NAMES, Command, ControllerFault, make_controller
-from mrhydro.plant import FRICTION_MODES, Plant, PlantError, PlantParams, build_state_space
+from mrhydro.plant import (FRICTION_MODES, Plant, PlantError, PlantParams, build_record,
+                           build_state_space)
 from mrhydro.sim import (BACKDRIVE_AMPLITUDE_1HZ, CSV_BLOCK_ROWS, SCENARIO_KINDS,
                          TRACE_SCHEMA, Scenario, ScenarioError, SimTrace, backdrive_scenario,
                          dwell_scenario, measure_controller_row, read_trace_csv, run_scenario,
                          step_scenario)
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
 from mrhydro.synthesis import NoiseCovariances, synthesize
+
+
+def _json_round_trip(sc: Scenario) -> Scenario:
+    """sc written as JSON and built back over the default scenario, as a config reads it."""
+    return build_record(Scenario(), json.loads(json.dumps(asdict(sc))), "scenario", ScenarioError)
 
 
 class TestEquilibrium:
@@ -444,8 +451,10 @@ class TestTraceIO:
 
 class TestScenarioValidation:
     def test_unknown_key_rejected(self):
-        with pytest.raises(ScenarioError, match="unknown"):
-            Scenario.from_dict({"kind": "step", "tork_amplitude": 3.0})
+        with pytest.raises(ScenarioError,
+                           match=r"^unknown key\(s\) in scenario: \['tork_amplitude'\]$"):
+            build_record(Scenario(), {"kind": "step", "tork_amplitude": 3.0}, "scenario",
+                         ScenarioError)
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ScenarioError):
@@ -457,7 +466,7 @@ class TestScenarioValidation:
 
     def test_round_trip(self):
         sc = backdrive_scenario("lqgi", torque_command=10.0, backdrive_freq=5.0)
-        assert Scenario.from_dict(sc.to_dict()) == sc
+        assert _json_round_trip(sc) == sc
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -476,7 +485,7 @@ class TestScenarioValidation:
             torque_command=data.draw(FINITE), ramp_torque_end=data.draw(st.none() | FINITE),
             friction_mode=data.draw(st.none() | st.sampled_from(FRICTION_MODES)),
             sim_dt=sim_dt, control_dt=data.draw(st.integers(1, 20)) * sim_dt)
-        assert Scenario.from_dict(sc.to_dict()) == sc
+        assert _json_round_trip(sc) == sc
 
     @pytest.mark.parametrize("fields, name", [
         ({"sim_dt": 0.0}, "sim_dt"),
@@ -506,6 +515,8 @@ class TestScenarioValidation:
         ({"seed": True}, "seed"),
         ({"seed": False}, "seed"),
         ({"kind": "backdrive", "backdrive_cycles": True}, "backdrive_cycles"),
+        ({"seed": 2**64}, "seed must be below"),
+        ({"torque_amplitude": 10**400}, "torque_amplitude"),
     ])
     def test_bad_numbers_named(self, fields, name):
         with pytest.raises(ScenarioError, match=name):
