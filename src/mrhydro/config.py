@@ -61,9 +61,11 @@ class RunConfig:
         if not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir must be a path string, got {self.output_dir!r}")
         with _section("scenario"):
-            sim_dt = self.scenario_for_run.sim_dt
+            run = self.scenario_for_run
+        # the named keys as resolved, so 6 and 6.0 hash the same and config.json loads back
+        object.__setattr__(self, "scenario", {k: getattr(run, k) for k in self.scenario})
         with _section("plant"):   # run_scenario takes the clutch delay in whole sim_dt steps
-            delay_steps(self.plant.clutch.tau_delay, sim_dt)
+            delay_steps(self.plant.clutch.tau_delay, run.sim_dt)
 
     @cached_property
     def scenario_for_run(self) -> Scenario:

@@ -18,8 +18,8 @@ import numpy as np
 from scipy import linalg
 
 from .analysis import REFERENCE_RESULTS, REPORT_COLUMNS, LowPass, crossing_bandwidth
-from .plant import (Plant, StateSpace, TWO_PI, build_state_space, check_numbers,
-                    friction_pressure)
+from .plant import (Plant, StateSpace, TWO_PI, build_state_space, check_choices,
+                    check_numbers, friction_pressure)
 from .synthesis import GainSet, closed_loop_input, closed_loop_matrix, synthesize
 
 CONTROL_DT = 1e-3   # 1 kHz loop rate
@@ -51,6 +51,7 @@ class DitherConfig:
     def __post_init__(self):
         check_numbers(self, ValueError, positive=("frequency",),
                       finite=("amplitude_slope", "amplitude_floor"))
+        check_choices(self, ValueError, enabled=(False, True))
 
 
 def dither_signal(t: float, p_desired: float, cfg: DitherConfig) -> float:
@@ -138,8 +139,7 @@ class PidConfig:
     deriv_filter_hz: float = 150.0
 
     def __post_init__(self):
-        if self.feedback_tap not in ("master", "slave"):
-            raise ValueError("feedback_tap must be 'master' or 'slave'")
+        check_choices(self, ValueError, feedback_tap=("master", "slave"))
         check_numbers(self, ValueError, positive=("deriv_filter_hz",), finite=("kp", "ki", "kd"))
 
 

@@ -77,6 +77,15 @@ def check_numbers(obj, error: type, **rules) -> None:
             object.__setattr__(obj, name, checked_float(getattr(obj, name), rule, name, error))
 
 
+def check_choices(obj, error: type, **choices) -> None:
+    """Refuse each field of obj that choices lists (name=(allowed, ...)) unless it is one of
+    its allowed values and of the same type, so a flag takes True or False, not 1 or "no"."""
+    for name, allowed in choices.items():
+        value = getattr(obj, name)
+        if not any(type(value) is type(ok) and value == ok for ok in allowed):
+            raise error(f"{name} must be one of {allowed}, got {value!r}")
+
+
 def write_json(path, record) -> None:
     """Indented, key-sorted JSON with a final newline."""
     with open(path, "w") as fh:
@@ -160,8 +169,7 @@ class FrictionParams:
     def __post_init__(self):
         check_numbers(self, PlantError, fraction=("mu",),
                       positive=("n_steepness", "sign_regularization"))
-        if self.mode not in FRICTION_MODES:
-            raise PlantError(f"friction mode must be one of {FRICTION_MODES}")
+        check_choices(self, PlantError, mode=FRICTION_MODES)
 
 
 # Geometry defaults are derived from the hard numbers available: 29 N.m at

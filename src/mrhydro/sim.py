@@ -21,8 +21,10 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 
 from . import analysis
-from .plant import Plant, PlantError, TWO_PI, check_numbers, is_real, known_keys, write_json
-from .controllers import CONTROL_DT, SIM_DT, ControllerFault, LqgiController, make_controller
+from .plant import (FRICTION_MODES, Plant, PlantError, TWO_PI, check_choices, checked_float,
+                    check_numbers, is_real, known_keys, write_json)
+from .controllers import (CONTROL_DT, CONTROLLER_NAMES, SIM_DT, ControllerFault,
+                          LqgiController, make_controller)
 from .synthesis import NoiseCovariances
 
 # 1 Hz backdrive displacement amplitude reproducing the published baseline
@@ -76,11 +78,10 @@ class Scenario:
         # prescribed motion keeps reversing the piston, where friction sticks
         if self.kind == "backdrive" and self.friction_mode is None:
             object.__setattr__(self, "friction_mode", "stick_slip_sign")
-        if self.kind not in SCENARIO_KINDS:
-            raise ScenarioError(f"kind must be one of {SCENARIO_KINDS}")
-        kind_rate = {"sine_dwell": ("freq_hz",), "backdrive": ("backdrive_freq",)}
-        check_numbers(self, ScenarioError,
-                      positive=("sim_dt", "control_dt") + kind_rate.get(self.kind, ()),
+        check_choices(self, ScenarioError, kind=SCENARIO_KINDS, controller=CONTROLLER_NAMES,
+                      noise=(False, True), friction_mode=(None,) + FRICTION_MODES)
+        check_numbers(self, ScenarioError, positive=("sim_dt", "control_dt", "freq_hz",
+                                                     "backdrive_freq"),
                       non_negative=("pre_hold",),
                       finite=("torque_amplitude", "torque_offset", "torque_command",
                               "backdrive_amplitude"))
@@ -88,8 +89,7 @@ class Scenario:
             check_numbers(self, ScenarioError, positive=("duration",))
         if self.ramp_torque_end is not None:   # None: the command is held
             check_numbers(self, ScenarioError, finite=("ramp_torque_end",))
-        if self.kind == "backdrive" and not (is_real(self.backdrive_cycles)
-                                             and self.backdrive_cycles >= 1):
+        if checked_float(self.backdrive_cycles, "positive", "backdrive_cycles", ScenarioError) < 1:
             raise ScenarioError("backdrive_cycles must be at least 1")
         ratio = self.control_dt / self.sim_dt
         if abs(ratio - round(ratio)) > 1e-9 or ratio < 1:

@@ -6,15 +6,14 @@ solution by its residual, independent of the method used to obtain it.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import linalg
 
-from .plant import (PlantParams, StateSpace, build_record, build_state_space, checked_float,
-                    check_numbers, known_keys, write_json)
+from .plant import (PlantParams, StateSpace, build_state_space, checked_float, check_numbers,
+                    write_json)
 
 CARE_RESIDUAL_TOL = 1e-8
 
@@ -106,30 +105,6 @@ class GainSet:
             "noise": asdict(self.noise),
             "plant_hash": self.plant_hash,
         })
-
-    @classmethod
-    def load(cls, path) -> "GainSet":
-        """Read a save() file.  An unknown key at any level, a missing or
-        non-object section, or a K or L that is ragged or not shaped for the
-        7-state model raises SynthesisError naming the field."""
-        with open(path) as fh:
-            payload = known_keys(cls, json.load(fh), "gains", SynthesisError)
-        missing = [k for k in ("K", "K_ff", "L", "weights", "noise") if k not in payload]
-        if missing:
-            raise SynthesisError(f"gains lacks {missing}")
-        arrays = {}
-        for name, shape in (("K", (8,)), ("L", (7, 4))):
-            try:
-                arrays[name] = np.asarray(payload[name], dtype=float)
-            except (TypeError, ValueError) as exc:   # ragged rows, non-numbers
-                raise SynthesisError(f"gains.{name} is not a numeric array: {exc}") from None
-            if arrays[name].shape != shape:
-                raise SynthesisError(f"gains.{name} has shape {arrays[name].shape}, "
-                                     f"expected {shape}")
-        sections = {name: build_record(kind(), payload[name], f"gains.{name}", SynthesisError)
-                    for name, kind in (("weights", CostWeights), ("noise", NoiseCovariances))}
-        return cls(**arrays, **sections, K_ff=float(payload["K_ff"]),
-                   plant_hash=payload.get("plant_hash", ""))
 
 
 def care_residual(A, B, Q, R, P) -> float:

@@ -20,6 +20,9 @@ SETTINGS = [(TransmissionParams(), PlantError), (MRClutchParams(), PlantError),
             (CostWeights(), SynthesisError), (NoiseCovariances(), SynthesisError),
             (PID_MASTER_DEFAULT, ValueError), (DitherConfig(), ValueError)]
 
+# the settings types and the scenario: every field of each checks itself when built
+CHECKED = SETTINGS + [(sim.Scenario(), sim.ScenarioError)]
+
 HUGE_INT = 10**400   # a JSON integer that no float can hold
 
 # the allowed values of each settings field that is a choice
@@ -44,10 +47,21 @@ class TestSettingsCheckThemselves:
     @pytest.mark.parametrize("base, error, name, bad", [
         pytest.param(base, error, f.name, bad,
                      id=f"{type(base).__name__}.{f.name}={'10**400' if bad is HUGE_INT else bad}")
-        for base, error in SETTINGS for f in fields(base)
+        for base, error in CHECKED for f in fields(base)
         if isinstance(getattr(base, f.name), float)
         for bad in (math.nan, math.inf, -math.inf, True, False, HUGE_INT)])
     def test_non_finite_float_refused(self, base, error, name, bad):
+        with pytest.raises(error, match=name):
+            replace(base, **{name: bad})
+
+    @pytest.mark.parametrize("base, error, name, bad", [
+        pytest.param(base, error, f.name, bad, id=f"{type(base).__name__}.{f.name}={bad!r}")
+        for base, error in CHECKED for f in fields(base)
+        if not isinstance(getattr(base, f.name), float)
+        # "x", and a value of the wrong type: 1 for a flag, True for anything else
+        for bad in ("x", 1 if isinstance(getattr(base, f.name), bool) else True)])
+    def test_wrong_type_refused(self, base, error, name, bad):
+        # every field has a rule, so one added without one fails here
         with pytest.raises(error, match=name):
             replace(base, **{name: bad})
 
@@ -82,6 +96,9 @@ class TestSettingsCheckThemselves:
         ({"scenario": {"torque_amplitude": HUGE_INT}}, "run", "scenario"),
         ({"seed": HUGE_INT}, "run", "scenario"),
         ({"seed": 2**64}, "synth", "scenario"),
+        ({"dither": {"enabled": "no"}}, "synth", "dither"),
+        ({"scenario": {"noise": "no"}}, "run", "scenario"),
+        ({"scenario": {"friction_mode": "sticky"}}, "run", "scenario"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_bad_setting_is_a_config_error(self, tmp_path, capsys, config, command, section):
         cfgfile = tmp_path / "cfg.json"
@@ -163,11 +180,19 @@ class TestRunConfig:
         ({"plant": {"friction": {"mu": 0}}}, {"plant": {"friction": {"mu": 0.0}}}),
         ({"noise_cov": {"d_diag": [1, 100000, 1, 1, 1, 1000000, 1]}},
          {"noise_cov": {"d_diag": [1.0, 1e5, 1.0, 1.0, 1.0, 1e6, 1.0]}}),
-    ], ids=["rho_i", "mu", "d_diag"])
-    def test_integer_spelling_hashes_as_its_float(self, ints, floats):
+        ({"scenario": {"torque_amplitude": 6}}, {"scenario": {"torque_amplitude": 6.0}}),
+    ], ids=["rho_i", "mu", "d_diag", "torque_amplitude"])
+    def test_integer_spelling_hashes_as_its_float(self, tmp_path, ints, floats):
         as_ints, as_floats = load_run_config(overrides=ints), load_run_config(overrides=floats)
         assert as_ints == as_floats
         assert as_ints.content_hash() == as_floats.content_hash()
+        saved = []   # one output directory, since config.json records it
+        for config in (ints, floats):
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            assert main(["--config", str(tmp_path / "cfg.json"), "run",
+                         "--out-dir", str(tmp_path / "out")]) == 0
+            saved.append((tmp_path / "out" / "config.json").read_bytes())
+        assert saved[0] == saved[1]
 
     @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)
                                       if is_dataclass(f.default)])

@@ -517,6 +517,15 @@ class TestScenarioValidation:
         ({"kind": "backdrive", "backdrive_cycles": True}, "backdrive_cycles"),
         ({"seed": 2**64}, "seed must be below"),
         ({"torque_amplitude": 10**400}, "torque_amplitude"),
+        ({"noise": "no"}, "noise"),
+        ({"noise": 1}, "noise"),
+        ({"friction_mode": "sticky"}, "friction_mode"),
+        ({"controller": "bogus"}, "controller"),
+        ({"freq_hz": "x"}, "freq_hz"),
+        ({"backdrive_freq": None}, "backdrive_freq"),
+        ({"backdrive_cycles": "x"}, "backdrive_cycles"),
+        ({"kind": "backdrive", "backdrive_cycles": 10**400}, "backdrive_cycles"),
+        ({"kind": "backdrive", "backdrive_cycles": 0.5}, "backdrive_cycles"),
     ])
     def test_bad_numbers_named(self, fields, name):
         with pytest.raises(ScenarioError, match=name):

@@ -192,17 +192,20 @@ class TestStabilityCertificates:
         assert gains.plant_hash == PlantParams().content_hash()
 
 
+def assert_saved_as_held(gs, path):
+    """The save() file holds each gain, the weights, the noise and the provenance as gs does."""
+    saved = json.loads(Path(path).read_text())
+    assert saved.keys() == {"K", "K_ff", "L", "weights", "noise", "plant_hash"}
+    assert np.array_equal(saved["K"], gs.K) and np.array_equal(saved["L"], gs.L)
+    assert saved["K_ff"] == gs.K_ff and saved["plant_hash"] == gs.plant_hash
+    assert CostWeights(**saved["weights"]) == gs.weights
+    assert NoiseCovariances(**saved["noise"]) == gs.noise
+
+
 class TestGainSetIO:
-    def test_save_load_round_trip(self, gains, tmp_path):
-        path = tmp_path / "gains.json"
-        gains.save(path)
-        again = GainSet.load(path)
-        np.testing.assert_array_equal(again.K, gains.K)
-        np.testing.assert_array_equal(again.L, gains.L)
-        assert again.K_ff == gains.K_ff
-        assert again.weights == gains.weights
-        assert again.noise == gains.noise
-        assert again.plant_hash == gains.plant_hash
+    def test_save_writes_the_record(self, gains, tmp_path):
+        gains.save(tmp_path / "gains.json")
+        assert_saved_as_held(gains, tmp_path / "gains.json")
 
     @settings(max_examples=50, deadline=None)
     @given(K=arrays(float, 8, elements=st.floats(allow_nan=False, allow_infinity=False)),
@@ -217,75 +220,8 @@ class TestGainSetIO:
     def test_random_gain_sets_round_trip(self, K, K_ff, L, weights, noise, plant_hash):
         gs = GainSet(K=K, K_ff=K_ff, L=L, weights=weights, noise=noise, plant_hash=plant_hash)
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "gains.json"
-            gs.save(path)
-            again = GainSet.load(path)
-        assert np.array_equal(again.K, gs.K) and np.array_equal(again.L, gs.L)
-        assert again.K_ff == gs.K_ff
-        assert again.weights == gs.weights
-        assert again.noise == gs.noise
-        assert again.plant_hash == gs.plant_hash
-
-    @pytest.mark.parametrize("section, key", [(None, "K_fff"), ("weights", "rho_typo"),
-                                              ("noise", "rho_ll")])
-    def test_unknown_key_named(self, gains, tmp_path, section, key):
-        path = tmp_path / "gains.json"
-        gains.save(path)
-        payload = json.loads(path.read_text())
-        (payload[section] if section else payload)[key] = 1.0
-        path.write_text(json.dumps(payload))
-        where = f"gains.{section}" if section else "gains"
-        with pytest.raises(SynthesisError, match=rf"^unknown key\(s\) in {where}: \['{key}'\]$"):
-            GainSet.load(path)
-
-    def test_missing_gain_named(self, gains, tmp_path):
-        path = tmp_path / "gains.json"
-        gains.save(path)
-        payload = json.loads(path.read_text())
-        del payload["K_ff"]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(SynthesisError, match=r"^gains lacks \['K_ff'\]$"):
-            GainSet.load(path)
-
-    def test_misshaped_estimator_gain_named(self, gains, tmp_path):
-        # an L with 3 rows would only fail later, inside an LQGI run
-        path = tmp_path / "gains.json"
-        gains.save(path)
-        payload = json.loads(path.read_text())
-        payload["L"] = payload["L"][:3]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(SynthesisError,
-                           match=r"^gains\.L has shape \(3, 4\), expected \(7, 4\)$"):
-            GainSet.load(path)
-
-    def test_ragged_estimator_gain_named(self, gains, tmp_path):
-        # the field is named, where numpy alone says only "inhomogeneous shape"
-        path = tmp_path / "gains.json"
-        gains.save(path)
-        payload = json.loads(path.read_text())
-        payload["L"][0] = payload["L"][0][:3]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(SynthesisError, match=r"^gains\.L is not a numeric array: "):
-            GainSet.load(path)
-
-    def test_non_object_weights_named(self, gains, tmp_path):
-        # the section is named, where iterating it alone says "'int' object is not iterable"
-        path = tmp_path / "gains.json"
-        gains.save(path)
-        payload = json.loads(path.read_text())
-        payload["weights"] = 5
-        path.write_text(json.dumps(payload))
-        with pytest.raises(SynthesisError, match=r"^gains\.weights must be an object, got 5$"):
-            GainSet.load(path)
-
-    def test_non_sequence_noise_diagonal_named(self, gains, tmp_path):
-        path = tmp_path / "gains.json"
-        gains.save(path)
-        payload = json.loads(path.read_text())
-        payload["noise"]["r_diag"] = 5
-        path.write_text(json.dumps(payload))
-        with pytest.raises(SynthesisError, match=r"^r_diag must be a sequence of 4 entries, got 5$"):
-            GainSet.load(path)
+            gs.save(Path(tmp) / "gains.json")
+            assert_saved_as_held(gs, Path(tmp) / "gains.json")
 
     def test_save_is_byte_stable(self, gains, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
