@@ -16,12 +16,12 @@ from .controllers import (Command, ControllerFault, DitherConfig, LqgiController
                           calibrate_pid_defaults, dither_signal, make_controller)
 from .sim import (BACKDRIVE_AMPLITUDE_1HZ, FRF_GRID_DEFAULT, Scenario,
                   ScenarioError, SimTrace, backdrive_scenario, dwell_scenario,
-                  friction_id_scenario, measure_controller_row,
+                  friction_id_scenario, measure_controller_row, measure_evidence,
                   read_trace_csv, run_scenario, step_scenario)
-from .analysis import (ComparisonReport, DitherStudy, FrfPoint, FrictionIdResult,
-                       RowResult, StepMetrics, bandwidth, comparison_report,
+from .analysis import (ComparisonReport, DitherStudy, Evidence, FrfPoint, FrictionIdResult,
+                       RowResult, StepMetrics, Verdict, bandwidth, comparison_report,
                        dither_smoothing, frf_from_sine_dwell, identify_friction,
-                       step_metrics, torque_deviation)
+                       step_metrics, torque_deviation, verdicts)
 from .config import ConfigError, RunConfig, load_run_config
 
 __version__ = "0.1.0"

@@ -3,13 +3,16 @@
 Frequency response by per-frequency sine dwell with least-squares fits,
 bandwidth by the first -3 dB / -135 deg crossing, step metrics, peak
 backdriving torque deviation, friction-coefficient identification, the
-dither smoothing study, and the benchmark comparison table.
+dither smoothing study, the benchmark comparison table and the acceptance
+verdicts.
 """
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import astuple, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -322,13 +325,38 @@ class RowResult:
     dev_5hz_10: float | None = None
 
 
-# per-cell acceptance windows where the benchmark defines one
-_CELL_CHECKS = {
-    ("open_loop", "bandwidth"): (17.5, 32.5),
-    ("open_loop", "rise_ms"): (16.6 * 0.7, 16.6 * 1.3),
-    ("open_loop", "overshoot"): (22.0, 46.0),
-    ("open_loop", "dev_5hz_10"): (3.0, 5.4),
-    ("lqgi", "dev_5hz_10"): (1.2, 2.4),
+def _window(name: str, attr: str, lo: float, hi: float) -> tuple:
+    return f"{name}.{attr} in [{lo:.3g}, {hi:.3g}]", ((name, attr),), lambda v: lo <= v <= hi
+
+
+_DEV = tuple((name, "dev_5hz_10") for name in REFERENCE_RESULTS)
+_STEP = tuple((name, attr) for attr in ("bandwidth", "rise_ms", "overshoot")
+              for name in ("open_loop", "lqgi"))
+
+# The matrix legs of the acceptance verdicts, by verdict label: a leg's label, the (row,
+# column) cells it reads and its test of their values; in this order, comparison_report's
+# checks.  A one-cell window is checked when its row is present, and a missing cell fails
+# it; a cross-row leg, only when every cell it reads was measured.  0 marks open loop.
+MATRIX_LEGS = {
+    "open-loop baseline step": (
+        _window("open_loop", "bandwidth", 17.5, 32.5),
+        _window("open_loop", "rise_ms", 16.6 * 0.7, 16.6 * 1.3),
+        _window("open_loop", "overshoot", 22.0, 46.0)),
+    "5 Hz backdrive magnitudes": (
+        _window("open_loop", "dev_5hz_10", 3.0, 5.4),
+        _window("lqgi", "dev_5hz_10", 1.2, 2.4),
+        ("5 Hz ordering: lqgi smallest", _DEV, lambda ol, fc, pm, ps, lq: lq < min(ol, fc, pm, ps)),
+        ("5 Hz ordering: master ~ slave PID", _DEV,
+         lambda ol, fc, pm, ps, lq: abs(math.log(pm / ps)) <= math.log(1.3))),
+    "ordering PIDs < open-loop": (
+        ("5 Hz ordering: PIDs < open_loop", _DEV, lambda ol, fc, pm, ps, lq: max(pm, ps) < ol),),
+    "ordering open-loop < friction-comp": (
+        ("5 Hz ordering: open_loop < friction_comp", _DEV, lambda ol, fc, *_: ol < fc),),
+    "LQGI step": (
+        ("lqgi bandwidth >= max(28, open_loop)", _STEP,
+         lambda bw0, bw, rise0, rise, ov0, ov: bw >= 28.0 and bw >= bw0),
+        ("lqgi overshoot < open_loop", _STEP, lambda bw0, bw, rise0, rise, ov0, ov: ov < ov0),
+        ("lqgi rise <= open_loop", _STEP, lambda bw0, bw, rise0, rise, ov0, ov: rise <= rise0)),
 }
 
 
@@ -387,26 +415,115 @@ def comparison_report(rows: dict) -> ComparisonReport:
     if unknown:
         raise AnalysisError(f"unknown controller row(s): {sorted(unknown)}")
     checks = {}
-    for (name, attr), (lo, hi) in _CELL_CHECKS.items():
-        row = rows.get(name)
-        if row is not None:
-            val = getattr(row, attr)
-            checks[f"{name}.{attr} in [{lo:.3g}, {hi:.3g}]"] = val is not None and lo <= val <= hi
-    r = {n: rows.get(n) for n in REFERENCE_RESULTS}
-    if all(r[n] and r[n].dev_5hz_10 is not None for n in r):
-        d = {n: r[n].dev_5hz_10 for n in r}
-        checks["5 Hz ordering: lqgi smallest"] = (
-            d["lqgi"] < min(v for n, v in d.items() if n != "lqgi"))
-        checks["5 Hz ordering: master ~ slave PID"] = (
-            abs(math.log(d["pid_master"] / d["pid_slave"])) <= math.log(1.3))
-        checks["5 Hz ordering: PIDs < open_loop"] = (
-            max(d["pid_master"], d["pid_slave"]) < d["open_loop"])
-        checks["5 Hz ordering: open_loop < friction_comp"] = d["open_loop"] < d["friction_comp"]
-    ol, lq = r["open_loop"], r["lqgi"]
-    if ol and lq and None not in (ol.bandwidth, lq.bandwidth, ol.rise_ms,
-                                  lq.rise_ms, ol.overshoot, lq.overshoot):
-        checks["lqgi bandwidth >= max(28, open_loop)"] = (
-            lq.bandwidth >= 28.0 and lq.bandwidth >= ol.bandwidth)
-        checks["lqgi overshoot < open_loop"] = lq.overshoot < ol.overshoot
-        checks["lqgi rise <= open_loop"] = lq.rise_ms <= ol.rise_ms
+    for label, cells, test in (leg for legs in MATRIX_LEGS.values() for leg in legs):
+        if all(name in rows for name, _ in cells):
+            values = [getattr(rows[name], attr) for name, attr in cells]
+            if None not in values:
+                checks[label] = test(*values)
+            elif len(cells) == 1:
+                checks[label] = False
     return ComparisonReport(rows=dict(rows), checks=checks)
+
+
+# ---------------- acceptance verdicts ----------------
+
+# What the acceptance verdicts read; a field not measured is None.  Evidence: the matrix
+# rows (name -> RowResult), their wall time [s] and the model evidence.  CareBatch: the
+# scalar CARE's error, a seeded batch's largest residual and its wall time [s].
+# LinearLoop: the LQGI weights and noise covariances, the linear DC gain and the largest
+# closed-loop eigenvalue real part [rad/s].  PidDesign: each tap's linear bandwidth [Hz]
+# (nan: none in range) and delay-free gain margin [dB], and the slave tap's overshoot on
+# the friction-free plant [%].  StepHalving: the worst relative RMS change of p_slave
+# when sim_dt halves, and whether a seeded noisy LQGI run repeats bit for bit.
+CareBatch = namedtuple("CareBatch", "scalar_err worst_residual seconds")
+LinearLoop = namedtuple("LinearLoop", "weights noise dc_gain max_real")
+PidDesign = namedtuple("PidDesign", "bw_master bw_slave gm_master gm_slave slave_overshoot")
+StepHalving = namedtuple("StepHalving", "worst_rms reproducible")
+Evidence = namedtuple("Evidence", "rows matrix_s care loop friction pid dither halving",
+                      defaults=(None,) * 7)
+
+
+class Verdict(NamedTuple):
+    number: int
+    label: str
+    ok: bool | None   # None: its evidence was not measured
+    detail: str = ""
+
+    def line(self) -> str:
+        said = "not measured" if self.ok is None else f"{'PASS' if self.ok else 'FAIL'} -- "
+        return f"ACCEPTANCE {self.number} ({self.label}): {said}{self.detail}"
+
+
+def _published_weights(lp: LinearLoop) -> bool:
+    return (lp.weights.rho == 1e-4 and lp.weights.rho_i == 1000.0 and lp.noise.rho_l == 3e-5
+            and tuple(lp.noise.r_diag) == (3.6e-9, 1e-6, 2.5e-11, 5.6e5)
+            and tuple(lp.noise.d_diag) == (1.0, 1e5, 1.0, 1.0, 1.0, 1e6, 1.0))
+
+
+def verdicts(ev: Evidence) -> list:
+    """The twelve ACCEPTANCE verdicts of an evidence record, in criterion order.  A matrix
+    criterion is decided by its MATRIX_LEGS; an unmeasured cell in its detail reads nan."""
+    checks = comparison_report(ev.rows).checks
+    r = {n: RowResult(*(math.nan if v is None else v for v in astuple(row)))
+         for n, row in ev.rows.items()}
+
+    def legs(label):   # the leg verdicts of criterion label; None while a row is absent
+        group = MATRIX_LEGS[label]
+        if all(n in r for _, cells, _ in group for n, _ in cells):
+            return [checks.get(leg, False) for leg, _, _ in group]
+
+    def dither(d):
+        spread, ripple = d.spread_on / d.spread_off, d.ripple_slave / d.ripple_master
+        return (spread <= 0.5 and ripple <= 0.35,
+                f"reversal-band spread {d.spread_off / 1e3:.0f} -> {d.spread_on / 1e3:.0f} kPa, "
+                f"ratio {spread:.2f} (<=0.5); slave/master 150 Hz ripple {ripple:.3f} (<=0.35)")
+
+    ol, lq = r.get("open_loop"), r.get("lqgi")
+    dev = {n: r[n].dev_5hz_10 for n in REFERENCE_RESULTS if n in r}
+    table = (
+        (1, "CARE correctness", ev.care, lambda c: (
+            c.scalar_err <= 1e-10 and c.worst_residual <= 1e-8 and c.seconds < 5.0,
+            f"scalar err {c.scalar_err:.2e} (<=1e-10), worst residual "
+            f"{c.worst_residual:.2e} (<=1e-8), 100 cases in {c.seconds:.2f} s (<5)")),
+        (2, "feedforward exactness", ev.loop, lambda lp: (
+            abs(lp.dc_gain - 1.0) <= 1e-6,
+            f"linear closed-loop DC gain {lp.dc_gain:.9f} (1 +- 1e-6)")),
+        (3, "stability certificates", ev.loop, lambda lp: (
+            _published_weights(lp) and lp.max_real < 0.0,
+            f"default weights in effect: {_published_weights(lp)}; 15-state max "
+            f"eigenvalue real part {lp.max_real:.4g} rad/s (<0)")),
+        (4, "friction identification", ev.friction, lambda f: (
+            abs(f.mu - 0.14) <= 0.01 and f.r_squared >= 0.97,
+            f"mu {f.mu:.4f} (0.14 +- 0.01), R^2 {f.r_squared:.4f} (>=0.97) "
+            f"over {f.n_cycles} cycles")),
+        (5, "open-loop baseline step", legs("open-loop baseline step"), lambda oks: (all(oks),
+            f"bandwidth {ol.bandwidth:.1f} Hz (25 +- 30%), rise {ol.rise_ms:.1f} ms "
+            f"(16.6 +- 30%), overshoot {ol.overshoot:.1f}% (34 +- 12 pp)")),
+        (6, "LQGI step", legs("LQGI step"), lambda oks: (all(oks),
+            f"bandwidth {lq.bandwidth:.1f} Hz (>=28 and >= baseline {ol.bandwidth:.1f}), "
+            f"overshoot {lq.overshoot:.1f}% (< {ol.overshoot:.1f}), rise {lq.rise_ms:.1f} ms "
+            f"(<= {ol.rise_ms:.1f})")),
+        (7, "PID calibration", ev.pid, lambda p: (
+            abs(p.bw_master - 11.0) <= 3.0 and abs(p.bw_slave - 3.0) <= 1.5
+            and p.slave_overshoot <= 5.0 and p.gm_master >= 6.0 and p.gm_slave >= 6.0,
+            f"master {p.bw_master:.2f} Hz (11 +- 3) GM {p.gm_master:.1f} dB (>=6); "
+            f"slave {p.bw_slave:.2f} Hz (3 +- 1.5) GM {p.gm_slave:.1f} dB (>=6); "
+            f"slave design overshoot {p.slave_overshoot:.2f}% (<=5)")),
+        (8, "5 Hz backdrive magnitudes", legs("5 Hz backdrive magnitudes"), lambda oks: (all(oks),
+            ", ".join(f"{n}={v:.2f}" for n, v in dev.items())
+            + f"; LQGI in [1.2, 2.4]: {oks[1]}; open-loop in [3.0, 5.4]: {oks[0]}; "
+            f"LQGI smallest: {oks[2]}; master ~ slave: {oks[3]}")),
+        (8, "ordering PIDs < open-loop", legs("ordering PIDs < open-loop"), lambda oks: (all(oks),
+            f"max PID {max(dev['pid_master'], dev['pid_slave']):.2f} vs "
+            f"open-loop {dev['open_loop']:.2f}")),
+        (8, "ordering open-loop < friction-comp", legs("ordering open-loop < friction-comp"),
+         lambda oks: (all(oks), f"open-loop {dev['open_loop']:.2f} vs friction-comp "
+                                f"{dev['friction_comp']:.2f}")),
+        (9, "dither smoothing", ev.dither, dither),
+        (10, "numerical hygiene", None if ev.matrix_s is None else ev.halving, lambda h: (
+            h.worst_rms <= 1e-3 and h.reproducible and ev.matrix_s <= 600.0,
+            f"worst step-halving RMS {h.worst_rms:.2e} (<=1e-3), seeded runs bit-identical: "
+            f"{h.reproducible}, full matrix in {ev.matrix_s:.0f} s (<=600)")),
+    )
+    return [Verdict(num, label, None) if seen is None else Verdict(num, label, *judge(seen))
+            for num, label, seen, judge in table]

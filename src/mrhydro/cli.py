@@ -54,10 +54,8 @@ def cmd_synth(cfg: RunConfig, outdir: Path, args) -> int:
     ev = np.linalg.eigvals(cl)
     dc = synthesis.closed_loop_dc_gain(ss, gains)
     plant = Plant(cfg.plant)
-    freqs = controllers.DESIGN_FREQS
-    gm_m, gm_s = (controllers.gain_margin_db(controllers.pid_loop_gain(
-        plant, ss, pid, freqs, with_delay=False), freqs)
-        for pid in (cfg.pid_master, cfg.pid_slave))
+    gm_m, gm_s = (controllers.pid_gain_margin_db(plant, ss, pid)
+                  for pid in (cfg.pid_master, cfg.pid_slave))
     print(f"gains written to {outdir / 'gains.json'}")
     print(f"|K| = {np.linalg.norm(gains.K):.6g}, K_ff = {gains.K_ff:.6g}, "
           f"|L| = {np.linalg.norm(gains.L):.6g}")
@@ -120,11 +118,18 @@ def cmd_report(cfg: RunConfig, outdir: Path, args) -> int:
                                                 controller_kwargs=_controller_kwargs(cfg),
                                                 seed=cfg.seed, trace_hook=hook)
         print(f"  measured {name} ({time.time() - t0:.0f} s elapsed)")
+    evidence = analysis.Evidence(rows)
+    if len(rows) == len(analysis.REFERENCE_RESULTS):   # a full matrix: the model evidence too
+        evidence = sim.measure_evidence(rows, time.time() - t0, plant, gains,
+                                        cfg.pid_master, cfg.pid_slave)
     report = analysis.comparison_report(rows)
     text = report.render_text()
+    verdicts = "".join(v.line() + "\n" for v in analysis.verdicts(evidence))
     (outdir / "comparison.txt").write_text(text)
     (outdir / "comparison.csv").write_text(report.to_csv())
+    (outdir / "verdicts.txt").write_text(verdicts)
     print(text)
+    print(verdicts)
     print(f"report completed in {time.time() - t0:.0f} s; files in {outdir}")
     return 0
 

@@ -421,6 +421,12 @@ def gain_margin_db(loop: np.ndarray, freqs) -> float:
     return gm
 
 
+def pid_gain_margin_db(plant: Plant, ss: StateSpace, cfg: PidConfig) -> float:
+    """Gain margin of a PID loop on the delay-free linear model over DESIGN_FREQS."""
+    return float(gain_margin_db(pid_loop_gain(plant, ss, cfg, DESIGN_FREQS, with_delay=False),
+                                DESIGN_FREQS))
+
+
 def _pid_bandwidth(c, g_slave, g_tap) -> float | None:
     """Closed-loop bandwidth of C(j*omega) and tap responses sampled on DESIGN_FREQS,
     or on its first len(c) points."""

@@ -86,6 +86,16 @@ def check_choices(obj, error: type, **choices) -> None:
             raise error(f"{name} must be one of {allowed}, got {value!r}")
 
 
+def check_whole(obj, error: type, **lows) -> None:
+    """Refuse each field of obj that lows lists (name=least value) but an integer below 2**64."""
+    for name, low in lows.items():
+        value = getattr(obj, name)
+        if not (is_real(value) and isinstance(value, numbers.Integral) and value >= low):
+            raise error(f"{name} must be >= {low} and an integer, got {value!r}")
+        if value >= 2**64:
+            raise error(f"{name} must be below 2**64, got {value.bit_length()} bits")
+
+
 def write_json(path, record) -> None:
     """Indented, key-sorted JSON with a final newline."""
     with open(path, "w") as fh:

@@ -14,18 +14,20 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
+import time
 from collections import deque
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict, field, replace
 
 import numpy as np
 
 from . import analysis
-from .plant import (FRICTION_MODES, Plant, PlantError, TWO_PI, check_choices, checked_float,
-                    check_numbers, is_real, known_keys, write_json)
-from .controllers import (CONTROL_DT, CONTROLLER_NAMES, SIM_DT, ControllerFault,
-                          LqgiController, make_controller)
-from .synthesis import NoiseCovariances
+from .plant import (FRICTION_MODES, Plant, PlantError, TWO_PI, build_state_space, check_choices,
+                    check_numbers, check_whole, known_keys, write_json)
+from .controllers import (CONTROL_DT, CONTROLLER_NAMES, PID_MASTER_DEFAULT, PID_SLAVE_DEFAULT,
+                          SIM_DT, ControllerFault, DitherConfig, LqgiController, OpenLoopController,
+                          PidConfig, linear_pid_bandwidth, make_controller, pid_gain_margin_db)
+from .synthesis import (NoiseCovariances, care_residual, closed_loop_dc_gain,
+                        closed_loop_matrix, solve_care)
 
 # 1 Hz backdrive displacement amplitude reproducing the published baseline
 # torque deviation of 0.60 N.m at zero commanded torque (open loop, no
@@ -89,15 +91,10 @@ class Scenario:
             check_numbers(self, ScenarioError, positive=("duration",))
         if self.ramp_torque_end is not None:   # None: the command is held
             check_numbers(self, ScenarioError, finite=("ramp_torque_end",))
-        if checked_float(self.backdrive_cycles, "positive", "backdrive_cycles", ScenarioError) < 1:
-            raise ScenarioError("backdrive_cycles must be at least 1")
+        check_whole(self, ScenarioError, seed=0, backdrive_cycles=1)
         ratio = self.control_dt / self.sim_dt
         if abs(ratio - round(ratio)) > 1e-9 or ratio < 1:
             raise ScenarioError("control_dt must be an integer multiple of sim_dt")
-        if not (is_real(self.seed) and isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise ScenarioError(f"seed must be >= 0 and an integer, got {self.seed!r}")
-        if self.seed >= 2**64:
-            raise ScenarioError(f"seed must be below 2**64, got {self.seed.bit_length()} bits")
         if not 0.0 < self.total_duration() < math.inf:
             raise ScenarioError(f"total_duration() must be finite and positive, "
                                 f"got {self.total_duration()}")
@@ -459,3 +456,59 @@ def measure_controller_row(name: str, plant: Plant | None = None, gains=None,
         setattr(row, attr, analysis.torque_deviation(_scored_run(label, sc, trace_hook,
                                                                  **run_kw)))
     return row
+
+
+def measure_evidence(rows: dict, matrix_s: float, plant: Plant, gains,
+                     pid_master: PidConfig = PID_MASTER_DEFAULT,
+                     pid_slave: PidConfig = PID_SLAVE_DEFAULT) -> analysis.Evidence:
+    """The acceptance evidence that analysis.verdicts judges: the matrix rows and their wall
+    time, and the model evidence outside the matrix, measured on plant with the LQGI gains
+    and the two PID settings.  An aborted scored run raises ScenarioError naming it."""
+    ss = build_state_space(plant.params)
+    # the scalar CARE, then a seeded batch of random stable cases, each certified
+    scalar_err = abs(solve_care([[-1.0]], [[1.0]], [[1.0]], [[1.0]]).item() - (math.sqrt(2) - 1))
+    rng = np.random.default_rng(2024)
+    t0, worst = time.perf_counter(), 0.0
+    for _ in range(100):
+        n, m = int(rng.integers(2, 11)), int(rng.integers(1, 4))
+        A = rng.standard_normal((n, n))
+        A -= (np.max(np.linalg.eigvals(A).real) + 0.5) * np.eye(n)
+        B, C = rng.standard_normal((n, m)), rng.standard_normal((max(1, n // 2), n))
+        Q, R = C.T @ C, np.eye(m) * float(rng.uniform(0.1, 10.0))
+        worst = max(worst, care_residual(A, B, Q, R, solve_care(A, B, Q, R)))
+    care = analysis.CareBatch(scalar_err, worst, time.perf_counter() - t0)
+    loop = analysis.LinearLoop(gains.weights, gains.noise, closed_loop_dc_gain(ss, gains),
+                               float(np.linalg.eigvals(closed_loop_matrix(ss, gains)).real.max()))
+    friction = analysis.identify_friction(
+        _scored_run("friction_id", friction_id_scenario(), plant=plant))
+    # the PID calibration on the linear model; the slave tap's step on the friction-free plant
+    design_step = _scored_run("design_step_pid_slave", step_scenario("pid_slave", settle=2.0),
+                              plant=Plant(plant.params.with_friction(mode="off")),
+                              controller_kwargs={"pid_slave": pid_slave})
+    pids = (pid_master, pid_slave)
+    bandwidths = [linear_pid_bandwidth(plant, ss, p) for p in pids]
+    pid = analysis.PidDesign(*(math.nan if bw is None else bw for bw in bandwidths),
+                             *(pid_gain_margin_db(plant, ss, p) for p in pids),
+                             analysis.step_metrics(design_step).overshoot)
+    # the reversal band of a 1 Hz backdrive at 1.31 MPa, without and with dither
+    sc = backdrive_scenario("open_loop", torque_command=plant.torque_from_pressure(1310e3),
+                            backdrive_freq=1.0, backdrive_cycles=4)
+    dithered = OpenLoopController(Plant(plant.params.with_friction(mode="stick_slip_sign")),
+                                  dither=DitherConfig(enabled=True))
+    dither = analysis.dither_smoothing(
+        _scored_run("dither_off", sc, plant=plant),
+        _scored_run("dither_on", sc, plant=plant, controller=dithered))
+    # step halving on each scenario kind, and a seeded noisy LQGI run twice
+    worst = 0.0
+    for sc in (step_scenario("open_loop"), dwell_scenario("open_loop", 10.0),
+               backdrive_scenario("open_loop", torque_command=10.0, backdrive_cycles=2)):
+        p1, p2 = (_scored_run(f"halving_{sc.kind}_{dt:g}", replace(sc, sim_dt=dt),
+                              plant=plant).p_slave for dt in (1e-4, 5e-5))
+        rms = math.sqrt(float(np.mean((p1 - p2) ** 2)))   # the same rows: whole ticks
+        worst = max(worst, rms / math.sqrt(float(np.mean(p1 ** 2))))
+    sc = step_scenario("lqgi", settle=0.3, noise=True, seed=77)
+    t1, t2 = (_scored_run("seeded_lqgi", sc, plant=plant, gains=gains) for _ in range(2))
+    reproducible = all(np.array_equal(getattr(t1, a), getattr(t2, a))
+                       for a in ("state", "meas", "torque", "current", "p_slave", "estimate"))
+    return analysis.Evidence(rows, matrix_s, care, loop, friction, pid, dither,
+                             analysis.StepHalving(worst, reproducible))

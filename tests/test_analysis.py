@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -11,11 +12,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 import mrhydro
-from mrhydro.analysis import (AnalysisError, FrfPoint, LowPass,
-                              REFERENCE_RESULTS, RowResult, bandwidth,
+from mrhydro.analysis import (AnalysisError, Evidence, FrfPoint, LowPass,
+                              REFERENCE_RESULTS, RowResult, Verdict, bandwidth,
                               comparison_report, crossing_bandwidth, dither_smoothing, fit_sine,
                               frf_from_sine_dwell, identify_friction, lowpass,
-                              step_metrics, torque_deviation)
+                              step_metrics, torque_deviation, verdicts)
 from mrhydro.plant import TWO_PI
 
 
@@ -360,6 +361,65 @@ class TestComparisonReport:
     def test_unknown_row_rejected(self):
         with pytest.raises(AnalysisError):
             comparison_report({"pid_elbow": RowResult()})
+
+    def test_labels_are_the_benchmark_reference_keys(self):
+        # perfbench compares the checks key by key against its recorded reference
+        ref = json.loads((Path(__file__).parents[1] / "perfbench" / "reference.json").read_text())
+        assert sorted(comparison_report(self.full_rows()).checks) == sorted(ref["matrix"]["checks"])
+
+    def test_rows_alone_decide_the_matrix_verdicts(self):
+        oks = [v.ok for v in verdicts(Evidence(self.full_rows()))]
+        assert oks == [None] * 4 + [True, True, None, True, True, True, None, None]
+
+    @pytest.mark.parametrize("name, attr, value, legs, flipped", [
+        ("open_loop", "bandwidth", 40.0,
+         {"open_loop.bandwidth in [17.5, 32.5]", "lqgi bandwidth >= max(28, open_loop)"},
+         {"open-loop baseline step", "LQGI step"}),
+        ("open_loop", "rise_ms", 10.0,
+         {"open_loop.rise_ms in [11.6, 21.6]", "lqgi rise <= open_loop"},
+         {"open-loop baseline step", "LQGI step"}),
+        ("open_loop", "overshoot", 15.0,
+         {"open_loop.overshoot in [22, 46]", "lqgi overshoot < open_loop"},
+         {"open-loop baseline step", "LQGI step"}),
+        ("lqgi", "bandwidth", 20.0, {"lqgi bandwidth >= max(28, open_loop)"}, {"LQGI step"}),
+        ("lqgi", "rise_ms", 20.0, {"lqgi rise <= open_loop"}, {"LQGI step"}),
+        ("lqgi", "overshoot", 40.0, {"lqgi overshoot < open_loop"}, {"LQGI step"}),
+        ("open_loop", "dev_5hz_10", 6.0,
+         {"open_loop.dev_5hz_10 in [3, 5.4]", "5 Hz ordering: open_loop < friction_comp"},
+         {"5 Hz backdrive magnitudes", "ordering open-loop < friction-comp"}),
+        ("lqgi", "dev_5hz_10", 9.0,
+         {"lqgi.dev_5hz_10 in [1.2, 2.4]", "5 Hz ordering: lqgi smallest"},
+         {"5 Hz backdrive magnitudes"}),
+        ("pid_master", "dev_5hz_10", 4.5,
+         {"5 Hz ordering: master ~ slave PID", "5 Hz ordering: PIDs < open_loop"},
+         {"5 Hz backdrive magnitudes", "ordering PIDs < open-loop"}),
+        ("pid_slave", "dev_5hz_10", 1.0,
+         {"5 Hz ordering: master ~ slave PID", "5 Hz ordering: lqgi smallest"},
+         {"5 Hz backdrive magnitudes"}),
+        ("friction_comp", "dev_5hz_10", 4.0, {"5 Hz ordering: open_loop < friction_comp"},
+         {"ordering open-loop < friction-comp"}),
+        ("pid_master", "dev_1hz_10", 9.0, set(), set()),
+    ])
+    def test_one_cell_flips_the_legs_that_read_it(self, name, attr, value, legs, flipped):
+        # from the reference rows, where every leg and matrix verdict passes
+        rows = self.full_rows()
+        setattr(rows[name], attr, value)
+        assert {label for label, ok in comparison_report(rows).checks.items() if not ok} == legs
+        assert {v.label for v in verdicts(Evidence(rows)) if v.ok is False} == flipped
+
+    def test_missing_cell_fails_its_verdicts(self):
+        rows = self.full_rows()
+        rows["open_loop"].bandwidth = None
+        assert "lqgi bandwidth >= max(28, open_loop)" not in comparison_report(rows).checks
+        found = {v.label: v for v in verdicts(Evidence(rows))}
+        assert found["open-loop baseline step"].ok is False
+        assert found["open-loop baseline step"].detail.startswith("bandwidth nan Hz")
+        assert found["LQGI step"].ok is False
+
+    def test_verdict_line(self):
+        assert Verdict(6, "LQGI step", None).line() == "ACCEPTANCE 6 (LQGI step): not measured"
+        assert Verdict(4, "x", True, "mu 0.1").line() == "ACCEPTANCE 4 (x): PASS -- mu 0.1"
+        assert Verdict(4, "x", False, "d").line() == "ACCEPTANCE 4 (x): FAIL -- d"
 
     def test_report_is_deterministic(self):
         a = comparison_report(self.full_rows())

@@ -5,7 +5,7 @@ from dataclasses import asdict, fields, is_dataclass, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mrhydro import sim
+from mrhydro import analysis, sim
 from mrhydro.analysis import REFERENCE_RESULTS, RowResult
 from mrhydro.cli import main
 from mrhydro.config import ConfigError, RunConfig, load_run_config
@@ -99,6 +99,7 @@ class TestSettingsCheckThemselves:
         ({"dither": {"enabled": "no"}}, "synth", "dither"),
         ({"scenario": {"noise": "no"}}, "run", "scenario"),
         ({"scenario": {"friction_mode": "sticky"}}, "run", "scenario"),
+        ({"scenario": {"kind": "backdrive", "backdrive_cycles": 2.5}}, "run", "scenario"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_bad_setting_is_a_config_error(self, tmp_path, capsys, config, command, section):
         cfgfile = tmp_path / "cfg.json"
@@ -361,16 +362,25 @@ class TestCliFrf:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def reference_row(name, **kw):
+    return RowResult(*REFERENCE_RESULTS[name])
+
+
+def not_measured(*args, **kw):
+    pytest.fail("report measured the model evidence")
+
+
 class TestCliReport:
     def test_single_row_subset(self, tmp_path, capsys, monkeypatch):
-        # the report layout only; the acceptance matrix measures real rows
+        # the report layout only; the acceptance suite measures real rows
         measured = []
 
         def fake_row(name, **kw):
             measured.append(name)
-            return RowResult(*REFERENCE_RESULTS[name])
+            return reference_row(name)
 
         monkeypatch.setattr(sim, "measure_controller_row", fake_row)
+        monkeypatch.setattr(sim, "measure_evidence", not_measured)
         rc = main(["report", "--only", "open_loop", "--out-dir", str(tmp_path)])
         assert rc == 0 and measured == ["open_loop"]
         text = (tmp_path / "comparison.txt").read_text()
@@ -379,8 +389,39 @@ class TestCliReport:
         assert "[FAIL] lqgi." not in text
         csv = (tmp_path / "comparison.csv").read_text()
         assert csv.splitlines()[0] == "controller,metric,measured,reference"
+        # criterion 5 reads the open-loop row alone; every other one is not measured
+        lines = (tmp_path / "verdicts.txt").read_text().splitlines()
+        assert len(lines) == 12
+        assert lines[4].startswith("ACCEPTANCE 5 (open-loop baseline step): PASS -- bandwidth 25.0")
+        assert all(line.endswith("): not measured") for line in lines[:4] + lines[5:])
 
-    def test_unknown_subset_rejected(self, tmp_path, capsys):
+    def test_full_report_writes_every_verdict(self, tmp_path, monkeypatch):
+        # stubbed rows and model evidence: the report writes what analysis.verdicts judges
+        seen = []
+
+        def fake_evidence(rows, matrix_s, plant, gains, pid_master, pid_slave):
+            assert pid_master == PID_MASTER_DEFAULT and pid_slave == PID_SLAVE_DEFAULT
+            seen.append(analysis.Evidence(
+                rows, matrix_s, analysis.CareBatch(1e-17, 1e-14, 0.1),
+                analysis.LinearLoop(gains.weights, gains.noise, 1.0, -5.0),
+                analysis.FrictionIdResult(0.145, 0.999, 58, 0.0),
+                analysis.PidDesign(11.0, 3.0, 10.0, 8.0, 1.0),
+                analysis.DitherStudy(3e5, 1e5, 2e4, 2e3), analysis.StepHalving(1e-5, True)))
+            return seen[-1]
+
+        monkeypatch.setattr(sim, "measure_controller_row", reference_row)
+        monkeypatch.setattr(sim, "measure_evidence", fake_evidence)
+        assert main(["report", "--out-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "verdicts.txt").read_text().splitlines()
+        assert lines == [v.line() for v in analysis.verdicts(seen[0])]
+        assert [line.split(" (")[0] for line in lines] == [
+            f"ACCEPTANCE {n}" for n in (1, 2, 3, 4, 5, 6, 7, 8, 8, 8, 9, 10)]
+        assert all(": PASS -- " in line for line in lines)
+
+    def test_unknown_subset_rejected(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sim, "measure_controller_row",
+                            lambda name, **kw: pytest.fail("report measured a row"))
+        monkeypatch.setattr(sim, "measure_evidence", not_measured)
         out = tmp_path / "out"
         rc = main(["report", "--only", "open_loop,nope", "--out-dir", str(out)])
         assert rc == 2
@@ -391,11 +432,11 @@ class TestCliReport:
         # the matrix runs fixed scenarios; an override would be silently dropped
         monkeypatch.setattr(sim, "measure_controller_row",
                             lambda name, **kw: pytest.fail("report measured a row"))
+        monkeypatch.setattr(sim, "measure_evidence", not_measured)
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"scenario": {"backdrive_freq": 2.0}}))
         out = tmp_path / "out"
-        rc = main(["--config", str(cfgfile), "report", "--only", "open_loop",
-                   "--out-dir", str(out)])
+        rc = main(["--config", str(cfgfile), "report", "--out-dir", str(out)])
         assert rc == 2
         assert "backdrive_freq" in capsys.readouterr().err
         assert not out.exists()
@@ -432,8 +473,7 @@ class TestCliEntry:
         ["report", "--only", "open_loop"],
     ], ids=lambda argv: argv[0])
     def test_every_command_writes_config(self, tmp_path, monkeypatch, argv):
-        monkeypatch.setattr(sim, "measure_controller_row",
-                            lambda name, **kw: RowResult(*REFERENCE_RESULTS[name]))
+        monkeypatch.setattr(sim, "measure_controller_row", reference_row)
         out = tmp_path / "out"
         assert main(argv + ["--out-dir", str(out)]) == 0
         echo = json.loads((out / "config.json").read_text())
@@ -450,8 +490,7 @@ class TestCliEntry:
     ], ids=lambda argv: argv[0])
     def test_config_json_reloads(self, tmp_path, monkeypatch, argv):
         # an output directory's config.json reproduces its run through --config
-        monkeypatch.setattr(sim, "measure_controller_row",
-                            lambda name, **kw: RowResult(*REFERENCE_RESULTS[name]))
+        monkeypatch.setattr(sim, "measure_controller_row", reference_row)
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"weights": {"rho": 2e-4}}))
         first, again = tmp_path / "first", tmp_path / "again"

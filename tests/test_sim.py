@@ -526,6 +526,9 @@ class TestScenarioValidation:
         ({"backdrive_cycles": "x"}, "backdrive_cycles"),
         ({"kind": "backdrive", "backdrive_cycles": 10**400}, "backdrive_cycles"),
         ({"kind": "backdrive", "backdrive_cycles": 0.5}, "backdrive_cycles"),
+        ({"kind": "backdrive", "backdrive_cycles": 2.5}, "backdrive_cycles"),
+        ({"kind": "backdrive", "backdrive_cycles": 5.0}, "backdrive_cycles"),
+        ({"backdrive_cycles": 5.0}, "backdrive_cycles"),
     ])
     def test_bad_numbers_named(self, fields, name):
         with pytest.raises(ScenarioError, match=name):
