@@ -284,18 +284,17 @@ class DitherStudy:
     spread_on: float         # [Pa] same with dither on
     ripple_master: float     # [Pa] dither-frequency master ripple amplitude
     ripple_slave: float      # [Pa] same at the slave
+    dither_hz: float         # [Hz] the frequency the ripples are fit at
 
 
-def dither_smoothing(trace_off, trace_on) -> DitherStudy:
+def dither_smoothing(trace_off, trace_on, dither_hz: float) -> DitherStudy:
     """Quantify friction smoothing around motion reversals.
 
     Spread = max - min of the low-passed master pressure over samples where
     the prescribed backdrive speed is within the reversal band, first cycle
-    excluded.  Ripple amplitudes come from sinusoid fits at the default
-    dither frequency on the dithered run.
+    excluded.  Ripple amplitudes come from sinusoid fits at dither_hz on
+    the dithered run.
     """
-    from .controllers import DitherConfig  # local: controllers imports analysis
-
     def spread(trace):
         dt = float(trace.t[1] - trace.t[0])
         pm = lowpass(trace.p_master, SPREAD_FILTER_HZ, dt)
@@ -306,10 +305,10 @@ def dither_smoothing(trace_off, trace_on) -> DitherStudy:
         return float(pm[m].max() - pm[m].min())
 
     m = trace_on.t >= _first_cycle_end(trace_on)
-    amp_m, *_ = fit_sine(trace_on.t[m], trace_on.p_master[m], DitherConfig.frequency)
-    amp_s, *_ = fit_sine(trace_on.t[m], trace_on.p_slave[m], DitherConfig.frequency)
+    amp_m, *_ = fit_sine(trace_on.t[m], trace_on.p_master[m], dither_hz)
+    amp_s, *_ = fit_sine(trace_on.t[m], trace_on.p_slave[m], dither_hz)
     return DitherStudy(spread_off=spread(trace_off), spread_on=spread(trace_on),
-                       ripple_master=amp_m, ripple_slave=amp_s)
+                       ripple_master=amp_m, ripple_slave=amp_s, dither_hz=dither_hz)
 
 
 # ---------------- comparison table ----------------
@@ -476,7 +475,8 @@ def verdicts(ev: Evidence) -> list:
         spread, ripple = d.spread_on / d.spread_off, d.ripple_slave / d.ripple_master
         return (spread <= 0.5 and ripple <= 0.35,
                 f"reversal-band spread {d.spread_off / 1e3:.0f} -> {d.spread_on / 1e3:.0f} kPa, "
-                f"ratio {spread:.2f} (<=0.5); slave/master 150 Hz ripple {ripple:.3f} (<=0.35)")
+                f"ratio {spread:.2f} (<=0.5); slave/master {d.dither_hz:g} Hz ripple "
+                f"{ripple:.3f} (<=0.35)")
 
     ol, lq = r.get("open_loop"), r.get("lqgi")
     dev = {n: r[n].dev_5hz_10 for n in REFERENCE_RESULTS if n in r}

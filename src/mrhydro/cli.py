@@ -102,27 +102,19 @@ def _write_frf_csv(path, points) -> None:
 
 
 def cmd_report(cfg: RunConfig, outdir: Path, args) -> int:
-    plant = Plant(cfg.plant)
-    gains = _make_gains(cfg)
+    t0 = time.time()
 
     def hook(label, obj):
+        path = outdir / f"{label}.csv"
         if isinstance(obj, sim.SimTrace):
-            obj.to_csv(outdir / f"{label}.csv")
+            obj.to_csv(path)
         else:
-            _write_frf_csv(outdir / f"{label}.csv", obj)
+            _write_frf_csv(path, obj)
+        print(f"  wrote {path.name} ({time.time() - t0:.0f} s elapsed)")
 
-    t0 = time.time()
-    rows = {}
-    for name in args.only:
-        rows[name] = sim.measure_controller_row(name, plant=plant, gains=gains,
-                                                controller_kwargs=_controller_kwargs(cfg),
-                                                seed=cfg.seed, trace_hook=hook)
-        print(f"  measured {name} ({time.time() - t0:.0f} s elapsed)")
-    evidence = analysis.Evidence(rows)
-    if len(rows) == len(analysis.REFERENCE_RESULTS):   # a full matrix: the model evidence too
-        evidence = sim.measure_evidence(rows, time.time() - t0, plant, gains,
-                                        cfg.pid_master, cfg.pid_slave)
-    report = analysis.comparison_report(rows)
+    evidence = sim.measure_evidence(args.only, Plant(cfg.plant), _make_gains(cfg),
+                                    seed=cfg.seed, trace_hook=hook, **_controller_kwargs(cfg))
+    report = analysis.comparison_report(evidence.rows)
     text = report.render_text()
     verdicts = "".join(v.line() + "\n" for v in analysis.verdicts(evidence))
     (outdir / "comparison.txt").write_text(text)

@@ -371,15 +371,14 @@ def backdrive_scenario(controller: str, pre_hold: float = 1.0, **kw) -> Scenario
     return Scenario(kind="backdrive", controller=controller, pre_hold=pre_hold, **kw)
 
 
-def friction_id_scenario() -> Scenario:
+def friction_id_scenario(plant: Plant) -> Scenario:
     """Friction-coefficient identification protocol.
 
     60 s of 1 Hz backdrive at 5 mm/s peak piston speed while the commanded
-    pressure ramps from 300 kPa to 1.6 MPa; plant in smooth-tanh mode (its
-    configured friction model), dither off via the open-loop baseline
-    controller.
+    pressure ramps from 300 kPa to 1.6 MPa on plant; plant in smooth-tanh
+    mode (its configured friction model), dither off via the open-loop
+    baseline controller.
     """
-    plant = Plant()
     duration, peak_speed = 60.0, 5e-3   # [s], [m/s]
     return backdrive_scenario("open_loop", backdrive_amplitude=peak_speed / TWO_PI,
                               backdrive_freq=1.0, backdrive_cycles=int(duration) - 1,
@@ -458,12 +457,21 @@ def measure_controller_row(name: str, plant: Plant | None = None, gains=None,
     return row
 
 
-def measure_evidence(rows: dict, matrix_s: float, plant: Plant, gains,
+def measure_evidence(names, plant: Plant, gains, dither: DitherConfig = DitherConfig(),
                      pid_master: PidConfig = PID_MASTER_DEFAULT,
-                     pid_slave: PidConfig = PID_SLAVE_DEFAULT) -> analysis.Evidence:
-    """The acceptance evidence that analysis.verdicts judges: the matrix rows and their wall
-    time, and the model evidence outside the matrix, measured on plant with the LQGI gains
-    and the two PID settings.  An aborted scored run raises ScenarioError naming it."""
+                     pid_slave: PidConfig = PID_SLAVE_DEFAULT, seed: int = 0,
+                     trace_hook=None) -> analysis.Evidence:
+    """The acceptance evidence that analysis.verdicts judges, measured on plant with the LQGI
+    gains and the controller settings: the named rows (measure_controller_row, with seed and
+    trace_hook) and, when names cover CONTROLLER_NAMES, the rows' wall time and the model
+    evidence outside the matrix.  An aborted scored run raises ScenarioError naming it."""
+    kw = {"dither": dither, "pid_master": pid_master, "pid_slave": pid_slave}
+    t0 = time.perf_counter()
+    rows = {name: measure_controller_row(name, plant=plant, gains=gains, controller_kwargs=kw,
+                                         seed=seed, trace_hook=trace_hook) for name in names}
+    if not set(CONTROLLER_NAMES) <= rows.keys():
+        return analysis.Evidence(rows)
+    matrix_s = time.perf_counter() - t0
     ss = build_state_space(plant.params)
     # the scalar CARE, then a seeded batch of random stable cases, each certified
     scalar_err = abs(solve_care([[-1.0]], [[1.0]], [[1.0]], [[1.0]]).item() - (math.sqrt(2) - 1))
@@ -480,11 +488,11 @@ def measure_evidence(rows: dict, matrix_s: float, plant: Plant, gains,
     loop = analysis.LinearLoop(gains.weights, gains.noise, closed_loop_dc_gain(ss, gains),
                                float(np.linalg.eigvals(closed_loop_matrix(ss, gains)).real.max()))
     friction = analysis.identify_friction(
-        _scored_run("friction_id", friction_id_scenario(), plant=plant))
+        _scored_run("friction_id", friction_id_scenario(plant), plant=plant))
     # the PID calibration on the linear model; the slave tap's step on the friction-free plant
     design_step = _scored_run("design_step_pid_slave", step_scenario("pid_slave", settle=2.0),
                               plant=Plant(plant.params.with_friction(mode="off")),
-                              controller_kwargs={"pid_slave": pid_slave})
+                              controller_kwargs=kw)
     pids = (pid_master, pid_slave)
     bandwidths = [linear_pid_bandwidth(plant, ss, p) for p in pids]
     pid = analysis.PidDesign(*(math.nan if bw is None else bw for bw in bandwidths),
@@ -493,11 +501,10 @@ def measure_evidence(rows: dict, matrix_s: float, plant: Plant, gains,
     # the reversal band of a 1 Hz backdrive at 1.31 MPa, without and with dither
     sc = backdrive_scenario("open_loop", torque_command=plant.torque_from_pressure(1310e3),
                             backdrive_freq=1.0, backdrive_cycles=4)
-    dithered = OpenLoopController(Plant(plant.params.with_friction(mode="stick_slip_sign")),
-                                  dither=DitherConfig(enabled=True))
-    dither = analysis.dither_smoothing(
+    dithered = OpenLoopController(plant, dither=replace(dither, enabled=True))
+    study = analysis.dither_smoothing(
         _scored_run("dither_off", sc, plant=plant),
-        _scored_run("dither_on", sc, plant=plant, controller=dithered))
+        _scored_run("dither_on", sc, plant=plant, controller=dithered), dither.frequency)
     # step halving on each scenario kind, and a seeded noisy LQGI run twice
     worst = 0.0
     for sc in (step_scenario("open_loop"), dwell_scenario("open_loop", 10.0),
@@ -510,5 +517,5 @@ def measure_evidence(rows: dict, matrix_s: float, plant: Plant, gains,
     t1, t2 = (_scored_run("seeded_lqgi", sc, plant=plant, gains=gains) for _ in range(2))
     reproducible = all(np.array_equal(getattr(t1, a), getattr(t2, a))
                        for a in ("state", "meas", "torque", "current", "p_slave", "estimate"))
-    return analysis.Evidence(rows, matrix_s, care, loop, friction, pid, dither,
+    return analysis.Evidence(rows, matrix_s, care, loop, friction, pid, study,
                              analysis.StepHalving(worst, reproducible))

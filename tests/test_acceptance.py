@@ -3,8 +3,6 @@
 Each test prints its line (run with -s to see them), as `mrhydro report` writes
 verdicts.txt, and asserts it.  README's "Install and test" says why criterion
 8's two ordering lines are strict xfails."""
-import time
-
 import pytest
 
 import mrhydro as m
@@ -13,10 +11,7 @@ from mrhydro.controllers import CONTROLLER_NAMES
 
 @pytest.fixture(scope="module")
 def verdicts():
-    gains = m.synthesize()
-    t0 = time.time()
-    rows = {name: m.measure_controller_row(name, gains=gains) for name in CONTROLLER_NAMES}
-    return m.verdicts(m.measure_evidence(rows, time.time() - t0, m.Plant(), gains))
+    return m.verdicts(m.measure_evidence(CONTROLLER_NAMES, m.Plant(), m.synthesize()))
 
 
 def asserts_verdict(i, conflict=None):

@@ -300,7 +300,8 @@ class TestIdentifyFriction:
 
 
 class TestDitherSmoothing:
-    def test_spread_and_ripple_on_synthetic(self):
+    @pytest.mark.parametrize("dither_hz", [150.0, 100.0])
+    def test_spread_and_ripple_on_synthetic(self, dither_hz):
         freq = 1.0
         t = np.arange(0.0, 5.0, 1e-3)
         sc = {"backdrive_freq": freq, "pre_hold": 1.0}
@@ -311,15 +312,18 @@ class TestDitherSmoothing:
         # transitions smoothly over a few mm/s
         jump = 2e5 * np.sign(v3)
         smooth = 2e5 * np.tanh(v3 / 0.004)
-        ripple = 3e4 * np.sin(TWO_PI * 150.0 * t)
+        ripple = 3e4 * np.sin(TWO_PI * dither_hz * t)
         off = FakeTrace(t, p_master=1e6 + jump, p_slave=np.full_like(t, 1e6),
                         state=state, scenario=sc)
         on = FakeTrace(t, p_master=1e6 + smooth + ripple,
                        p_slave=1e6 + 0.25 * ripple, state=state, scenario=sc)
-        study = dither_smoothing(off, on)
+        study = dither_smoothing(off, on, dither_hz)
         assert study.spread_off > 2 * study.spread_on
         assert study.ripple_master == pytest.approx(3e4, rel=0.05)
         assert study.ripple_slave / study.ripple_master == pytest.approx(0.25, abs=0.03)
+        # criterion 9 names the frequency its ripple was fit at
+        line = verdicts(Evidence({}, dither=study))[10].line()
+        assert f"slave/master {dither_hz:g} Hz ripple" in line
 
 
 class TestComparisonReport:

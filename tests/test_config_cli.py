@@ -1,6 +1,8 @@
 import json
 import math
+import re
 from dataclasses import asdict, fields, is_dataclass, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -370,6 +372,10 @@ def not_measured(*args, **kw):
     pytest.fail("report measured the model evidence")
 
 
+def no_run(*args, **kw):
+    pytest.fail("a run started")
+
+
 class TestCliReport:
     def test_single_row_subset(self, tmp_path, capsys, monkeypatch):
         # the report layout only; the acceptance suite measures real rows
@@ -377,12 +383,17 @@ class TestCliReport:
 
         def fake_row(name, **kw):
             measured.append(name)
+            kw["trace_hook"](f"frf_{name}", [])
             return reference_row(name)
 
         monkeypatch.setattr(sim, "measure_controller_row", fake_row)
-        monkeypatch.setattr(sim, "measure_evidence", not_measured)
+        monkeypatch.setattr(sim, "run_scenario", no_run)   # a subset measures no model evidence
         rc = main(["report", "--only", "open_loop", "--out-dir", str(tmp_path)])
         assert rc == 0 and measured == ["open_loop"]
+        # one progress line per file the hook writes
+        out = capsys.readouterr().out
+        assert re.search(r"^  wrote frf_open_loop\.csv \(\d+ s elapsed\)$", out, re.MULTILINE)
+        assert (tmp_path / "frf_open_loop.csv").read_text().startswith("frequency [Hz],")
         text = (tmp_path / "comparison.txt").read_text()
         assert "Open-loop (baseline)" in text
         assert "row absent" in text  # other rows not measured
@@ -396,23 +407,32 @@ class TestCliReport:
         assert all(line.endswith("): not measured") for line in lines[:4] + lines[5:])
 
     def test_full_report_writes_every_verdict(self, tmp_path, monkeypatch):
-        # stubbed rows and model evidence: the report writes what analysis.verdicts judges
+        # stubbed rows and model evidence: the report writes what analysis.verdicts judges,
+        # measured on the config's controller settings and seed
         seen = []
 
-        def fake_evidence(rows, matrix_s, plant, gains, pid_master, pid_slave):
+        def fake_evidence(names, plant, gains, dither, pid_master, pid_slave, seed, trace_hook):
+            assert dither == DitherConfig(amplitude_slope=0.4) and seed == 5
             assert pid_master == PID_MASTER_DEFAULT and pid_slave == PID_SLAVE_DEFAULT
             seen.append(analysis.Evidence(
-                rows, matrix_s, analysis.CareBatch(1e-17, 1e-14, 0.1),
+                {name: reference_row(name) for name in names}, 20.0,
+                analysis.CareBatch(1e-17, 1e-14, 0.1),
                 analysis.LinearLoop(gains.weights, gains.noise, 1.0, -5.0),
                 analysis.FrictionIdResult(0.145, 0.999, 58, 0.0),
                 analysis.PidDesign(11.0, 3.0, 10.0, 8.0, 1.0),
-                analysis.DitherStudy(3e5, 1e5, 2e4, 2e3), analysis.StepHalving(1e-5, True)))
+                analysis.DitherStudy(3e5, 1e5, 2e4, 2e3, 150.0),
+                analysis.StepHalving(1e-5, True)))
             return seen[-1]
 
         monkeypatch.setattr(sim, "measure_controller_row", reference_row)
+        monkeypatch.setattr(sim, "run_scenario", no_run)
         monkeypatch.setattr(sim, "measure_evidence", fake_evidence)
-        assert main(["report", "--out-dir", str(tmp_path)]) == 0
-        lines = (tmp_path / "verdicts.txt").read_text().splitlines()
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"dither": {"amplitude_slope": 0.4}}))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfgfile), "report", "--seed", "5", "--out-dir", str(out)]) == 0
+        assert list(seen[0].rows) == list(REFERENCE_RESULTS)
+        lines = (out / "verdicts.txt").read_text().splitlines()
         assert lines == [v.line() for v in analysis.verdicts(seen[0])]
         assert [line.split(" (")[0] for line in lines] == [
             f"ACCEPTANCE {n}" for n in (1, 2, 3, 4, 5, 6, 7, 8, 8, 8, 9, 10)]
@@ -440,6 +460,20 @@ class TestCliReport:
         assert rc == 2
         assert "backdrive_freq" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestReadme:
+    def test_library_example_prints_every_verdict(self, monkeypatch, capsys):
+        # README's "Library example" runs as written, its rows stubbed to the reference rows
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        code = text.split("\n## Library example\n", 1)[1].split("```python\n", 1)[1]
+        monkeypatch.setattr(sim, "measure_controller_row", reference_row)
+        exec(code.split("\n```", 1)[0], {})
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("ACCEPTANCE ")]
+        assert len(lines) == 12
+        # criteria 5 and 6 are judged from the two rows; the rest are not measured
+        assert [i for i, line in enumerate(lines) if not line.endswith("not measured")] == [4, 5]
 
 
 class TestCliEntry:

@@ -10,14 +10,16 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.signal import cont2discrete
 
-from mrhydro.analysis import REFERENCE_RESULTS, torque_deviation
-from mrhydro.controllers import CONTROLLER_NAMES, Command, ControllerFault, make_controller
+from mrhydro import sim
+from mrhydro.analysis import REFERENCE_RESULTS, Evidence, RowResult, torque_deviation
+from mrhydro.controllers import (CONTROLLER_NAMES, PID_MASTER_DEFAULT, PID_SLAVE_DEFAULT,
+                                 Command, ControllerFault, DitherConfig, make_controller)
 from mrhydro.plant import (FRICTION_MODES, Plant, PlantError, PlantParams, build_record,
                            build_state_space)
 from mrhydro.sim import (BACKDRIVE_AMPLITUDE_1HZ, CSV_BLOCK_ROWS, SCENARIO_KINDS,
                          TRACE_SCHEMA, Scenario, ScenarioError, SimTrace, backdrive_scenario,
-                         dwell_scenario, measure_controller_row, read_trace_csv, run_scenario,
-                         step_scenario)
+                         dwell_scenario, friction_id_scenario, measure_controller_row,
+                         measure_evidence, read_trace_csv, run_scenario, step_scenario)
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -295,6 +297,46 @@ class TestMeasureRow:
                                    trace_hook=lambda label, obj: seen.append(obj))
         assert len(seen) == 1 and seen[0].aborted is not None
         assert seen[0].t[-1] > 1.0
+
+
+class TestMeasureEvidence:
+    def test_subset_measures_its_rows_alone(self, monkeypatch):
+        # fewer rows than the matrix: no model evidence and no matrix time, so no run starts
+        calls = []
+
+        def fake_row(name, **kw):
+            calls.append((name, kw))
+            return RowResult(*REFERENCE_RESULTS[name])
+
+        def hook(label, obj):
+            pass
+
+        monkeypatch.setattr(sim, "measure_controller_row", fake_row)
+        monkeypatch.setattr(sim, "run_scenario", lambda *a, **kw: pytest.fail("a run started"))
+        plant, gains = Plant(), synthesize()
+        dither, pid_slave = DitherConfig(amplitude_slope=0.4), replace(PID_SLAVE_DEFAULT, ki=2.0)
+        names = ("open_loop", "lqgi")
+        ev = measure_evidence(names, plant, gains, dither=dither, pid_slave=pid_slave, seed=7,
+                              trace_hook=hook)
+        assert ev == Evidence({n: RowResult(*REFERENCE_RESULTS[n]) for n in names})
+        assert [name for name, _ in calls] == list(names)
+        for _, kw in calls:
+            assert kw["plant"] is plant and kw["gains"] is gains
+            assert kw["seed"] == 7 and kw["trace_hook"] is hook
+            assert kw["controller_kwargs"] == {"dither": dither, "pid_master": PID_MASTER_DEFAULT,
+                                               "pid_slave": pid_slave}
+
+
+class TestFrictionIdScenario:
+    def test_ramp_is_converted_on_the_plant_it_names(self):
+        # a larger slave piston needs less pressure per torque: the ramp still
+        # spans 300 kPa -> 1.6 MPa on that plant
+        params = PlantParams()
+        plant = Plant(replace(params, geometry=replace(
+            params.geometry, area_slave=1.2 * params.geometry.area_slave)))
+        sc = friction_id_scenario(plant)
+        assert plant.pressure_from_torque(sc.torque_command) == pytest.approx(300e3, rel=1e-12)
+        assert plant.pressure_from_torque(sc.ramp_torque_end) == pytest.approx(1.6e6, rel=1e-12)
 
 
 class _FailsAtOnce:
