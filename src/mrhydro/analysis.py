@@ -28,15 +28,26 @@ REPORT_COLUMNS = (
     ("dev_5hz_10", "5Hz dev @10", "[N.m]"),
 )
 
-# Reference results for the five controller variants, one value per
-# REPORT_COLUMNS entry (measured on the original bench; the 5 Hz
-# torque-deviation column is simulation there too).
+
+@dataclass(frozen=True)
+class RowResult:
+    """Measured six-column row for one controller."""
+    bandwidth: float | None = None
+    rise_ms: float | None = None
+    overshoot: float | None = None
+    dev_1hz_0: float | None = None
+    dev_1hz_10: float | None = None
+    dev_5hz_10: float | None = None
+
+
+# Reference results for the five controller variants (measured on the
+# original bench; the 5 Hz torque-deviation column is simulation there too).
 REFERENCE_RESULTS = {
-    "open_loop":     (25.0, 16.6, 34.0, 0.60, 2.4, 4.2),
-    "friction_comp": (25.0, 15.8, 38.0, 0.38, 1.2, 5.0),
-    "pid_master":    (11.0, 17.2, 10.0, 0.17, 0.5, 3.1),
-    "pid_slave":     (3.0, 22.2, 2.0, 0.23, 0.5, 3.1),
-    "lqgi":          (34.0, 14.4, 19.0, 0.24, 0.6, 1.8),
+    "open_loop":     RowResult(25.0, 16.6, 34.0, 0.60, 2.4, 4.2),
+    "friction_comp": RowResult(25.0, 15.8, 38.0, 0.38, 1.2, 5.0),
+    "pid_master":    RowResult(11.0, 17.2, 10.0, 0.17, 0.5, 3.1),
+    "pid_slave":     RowResult(3.0, 22.2, 2.0, 0.23, 0.5, 3.1),
+    "lqgi":          RowResult(34.0, 14.4, 19.0, 0.24, 0.6, 1.8),
 }
 
 ROW_LABELS = {
@@ -201,18 +212,9 @@ def step_metrics(trace) -> StepMetrics:
     return StepMetrics(rise_ms, overshoot, final, reliable=reliable)
 
 
-def _scenario_values(trace, *keys) -> list:
-    """The trace's scenario record at keys; AnalysisError names any it lacks."""
-    missing = [k for k in keys if k not in trace.scenario]
-    if missing:
-        raise AnalysisError(f"trace scenario record lacks {missing}")
-    return [trace.scenario[k] for k in keys]
-
-
 def _first_cycle_end(trace) -> float:
     """Start of a backdrive run's scored window: the first motion cycle is excluded."""
-    pre_hold, freq = _scenario_values(trace, "pre_hold", "backdrive_freq")
-    return pre_hold + 1.0 / freq
+    return trace.scenario.pre_hold + 1.0 / trace.scenario.backdrive_freq
 
 
 def torque_deviation(trace) -> float:
@@ -220,8 +222,7 @@ def torque_deviation(trace) -> float:
     mask = trace.t >= _first_cycle_end(trace)
     if not np.any(mask):
         raise AnalysisError("trace shorter than one backdrive cycle")
-    (command,) = _scenario_values(trace, "torque_command")
-    return float(np.abs(trace.torque[mask] - command).max())
+    return float(np.abs(trace.torque[mask] - trace.scenario.torque_command).max())
 
 
 @dataclass
@@ -244,7 +245,7 @@ def identify_friction(trace) -> FrictionIdResult:
     intercept.
     """
     t0 = _first_cycle_end(trace)
-    period = 1.0 / trace.scenario["backdrive_freq"]
+    period = 1.0 / trace.scenario.backdrive_freq
     loads, devs = [], []
     c = 0
     while True:
@@ -313,17 +314,6 @@ def dither_smoothing(trace_off, trace_on, dither_hz: float) -> DitherStudy:
 
 # ---------------- comparison table ----------------
 
-@dataclass
-class RowResult:
-    """Measured six-column row for one controller."""
-    bandwidth: float | None = None
-    rise_ms: float | None = None
-    overshoot: float | None = None
-    dev_1hz_0: float | None = None
-    dev_1hz_10: float | None = None
-    dev_5hz_10: float | None = None
-
-
 def _window(name: str, attr: str, lo: float, hi: float) -> tuple:
     return f"{name}.{attr} in [{lo:.3g}, {hi:.3g}]", ((name, attr),), lambda v: lo <= v <= hi
 
@@ -381,9 +371,8 @@ class ComparisonReport:
             if row is None:
                 out.write(f"{label:<28}{'row absent':>{width}}\n")
                 continue
-            out.write(f"{label:<28}" + "".join(cell(getattr(row, attr), rf)
-                                               for (attr, _, _), rf in zip(REPORT_COLUMNS, ref))
-                      + "\n")
+            out.write(f"{label:<28}" + "".join(cell(getattr(row, attr), getattr(ref, attr))
+                                               for attr, _, _ in REPORT_COLUMNS) + "\n")
         out.write("\nmeasured (reference) per cell\n\nchecks:\n")
         for label, ok in self.checks.items():
             out.write(f"  [{'PASS' if ok else 'FAIL'}] {label}\n")
@@ -394,10 +383,10 @@ class ComparisonReport:
         out.write("controller,metric,measured,reference\n")
         for name, ref in REFERENCE_RESULTS.items():
             row = self.rows.get(name)
-            for (metric, _, _), rv in zip(REPORT_COLUMNS, ref):
+            for metric, _, _ in REPORT_COLUMNS:
                 mv = getattr(row, metric, None) if row else None
                 out.write(f"{name},{metric},"
-                          f"{'' if mv is None else format(mv, '.17g')},{rv}\n")
+                          f"{'' if mv is None else format(mv, '.17g')},{getattr(ref, metric)}\n")
         for label, ok in self.checks.items():
             out.write(f'check,"{label}",{int(ok)},1\n')
         return out.getvalue()

@@ -174,7 +174,8 @@ def main(argv=None) -> int:
             raise ConfigError(f"{args.command} ignores scenario key(s) "
                               f"{sorted(cfg.scenario)}; remove the 'scenario' section")
         if args.command == "report":   # like the scenario rule, before the directory exists
-            args.only = args.only.split(",") if args.only else list(analysis.REFERENCE_RESULTS)
+            args.only = (list(analysis.REFERENCE_RESULTS) if args.only is None
+                         else args.only.split(","))
             bad = set(args.only) - set(analysis.REFERENCE_RESULTS)
             if bad:
                 raise ConfigError(f"unknown controller(s) in --only: {sorted(bad)}")

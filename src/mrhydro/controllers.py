@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import linalg
 
-from .analysis import REFERENCE_RESULTS, REPORT_COLUMNS, LowPass, crossing_bandwidth
+from .analysis import REFERENCE_RESULTS, LowPass, crossing_bandwidth
 from .plant import (Plant, StateSpace, TWO_PI, build_state_space, check_choices,
                     check_numbers, friction_pressure)
 from .synthesis import GainSet, closed_loop_input, closed_loop_matrix, synthesize
@@ -205,7 +205,6 @@ class LqgiController:
     def __init__(self, plant: Plant, gains: GainSet, dt: float = CONTROL_DT,
                  dither: DitherConfig = DitherConfig()):
         self.plant = plant
-        self.gains = gains
         self.dt = dt
         self.dither = dither
         model = build_state_space(plant.params)
@@ -474,11 +473,10 @@ def calibrate_pid_defaults(plant: Plant, ss: StateSpace) -> tuple[PidConfig, Pid
     resonance; the slave tap's 3 Hz takes pure integral action.  Both taps share
     one slave response.
     """
-    col = [attr for attr, _, _ in REPORT_COLUMNS].index("bandwidth")
     g_slave, g_master = _tap_frfs(plant, ss, "master")
-    return (_bisect_integral_gain(g_slave, g_master, REFERENCE_RESULTS["pid_master"][col],
+    return (_bisect_integral_gain(g_slave, g_master, REFERENCE_RESULTS["pid_master"].bandwidth,
                                   PID_MASTER_DEFAULT),
-            _bisect_integral_gain(g_slave, g_slave, REFERENCE_RESULTS["pid_slave"][col],
+            _bisect_integral_gain(g_slave, g_slave, REFERENCE_RESULTS["pid_slave"].bandwidth,
                                   PID_SLAVE_DEFAULT))
 
 

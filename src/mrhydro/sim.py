@@ -16,13 +16,13 @@ import json
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, asdict, field, replace
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
 from . import analysis
-from .plant import (FRICTION_MODES, Plant, PlantError, TWO_PI, build_state_space, check_choices,
-                    check_numbers, check_whole, known_keys, write_json)
+from .plant import (FRICTION_MODES, Plant, PlantError, TWO_PI, build_record, build_state_space,
+                    check_choices, check_numbers, check_whole, write_json)
 from .controllers import (CONTROL_DT, CONTROLLER_NAMES, PID_MASTER_DEFAULT, PID_SLAVE_DEFAULT,
                           SIM_DT, ControllerFault, DitherConfig, LqgiController, OpenLoopController,
                           PidConfig, linear_pid_bandwidth, make_controller, pid_gain_margin_db)
@@ -147,10 +147,9 @@ class SimTrace:
     force_cmd: np.ndarray
     pressure_cmd: np.ndarray
     saturated: np.ndarray
+    scenario: Scenario       # what ran, its seed included
     estimate: np.ndarray | None = None   # (n, 8) [x_i, x_hat] for LQGI runs
-    scenario: dict = field(default_factory=dict)
     plant_hash: str = ""
-    seed: int = 0
     aborted: str | None = None
 
     def columns(self) -> dict:
@@ -168,8 +167,8 @@ class SimTrace:
     def to_csv(self, path) -> None:
         """Comma-separated table with a one-line header naming columns/units.
 
-        A sidecar <path>.meta.json carries the scenario, seed and plant
-        hash so the run can be reproduced exactly.
+        A sidecar <path>.meta.json carries the scenario, the plant hash and
+        the abort reason, so the run can be reproduced exactly.
         """
         cols = self.columns()
         data = np.column_stack(list(cols.values()))
@@ -180,8 +179,8 @@ class SimTrace:
             for lo in range(0, len(data), CSV_BLOCK_ROWS):
                 fh.writelines(row_fmt % tuple(r)
                               for r in data[lo:lo + CSV_BLOCK_ROWS].tolist())
-        write_json(f"{path}.meta.json",
-                   {k: getattr(self, k) for k in ("scenario", "plant_hash", "seed", "aborted")})
+        write_json(f"{path}.meta.json", {"aborted": self.aborted, "plant_hash": self.plant_hash,
+                                         "scenario": asdict(self.scenario)})
 
 
 def _table_heads(with_estimate: bool) -> list:
@@ -199,30 +198,45 @@ def _split_table(table: np.ndarray, names: list) -> dict:
             series[name] = table[:, index[heads]]
         elif heads[0] in index:
             j = index[heads[0]]
-            if tuple(names[j:j + len(heads)]) != heads:
-                raise ValueError(f"trace columns of '{name}' are not in schema order")
             series[name] = table[:, j:j + len(heads)]
     series["saturated"] = series["saturated"] > 0.5
     return series
 
 
 def read_trace_csv(path) -> SimTrace:
-    """Rebuild a SimTrace from its CSV and its meta sidecar, whose absent
-    fields take the SimTrace defaults and whose unknown keys raise ValueError."""
+    """Rebuild a SimTrace from the CSV and the meta sidecar that to_csv wrote.  Anything
+    else raises ValueError naming the file or field: a header that is not a trace table's,
+    a missing sidecar, a sidecar whose keys are not exactly to_csv's, or a scenario that
+    does not rebuild to the very values recorded."""
     with open(path) as fh:
         names = fh.readline().strip().split(",")
+        if names not in (_table_heads(False), _table_heads(True)):
+            raise ValueError(f"{path}: the header is not a trace table's columns")
         body = fh.tell()
         if fh.readline():
             fh.seek(body)
             data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
         else:   # header only: a run aborted at its first tick
             data = np.empty((0, len(names)))
+    if data.shape[1] != len(names):
+        raise ValueError(f"{path}: rows of {data.shape[1]} values under {len(names)} columns")
+    where = f"{path}.meta.json"
     try:
-        with open(f"{path}.meta.json") as fh:
-            meta = known_keys(SimTrace, json.load(fh), f"{path}.meta.json", ValueError)
+        with open(where) as fh:
+            meta = json.load(fh)
     except FileNotFoundError:
-        meta = {}
-    return SimTrace(**_split_table(data, names), **meta)
+        raise ValueError(f"{where} is missing: a trace reads back with its sidecar") from None
+    keys = sorted(meta) if isinstance(meta, dict) else type(meta).__name__
+    if keys != ["aborted", "plant_hash", "scenario"]:
+        raise ValueError(f"{where} must be an object with the keys "
+                         f"['aborted', 'plant_hash', 'scenario'], got {keys}")
+    recorded = meta["scenario"]
+    scenario = build_record(Scenario(), recorded, f"the scenario of {where}", ValueError)
+    changed = [k for k, v in asdict(scenario).items() if k not in recorded or recorded[k] != v]
+    if changed:   # a field missing, or one the Scenario resolves to another value
+        raise ValueError(f"the scenario of {where} does not rebuild to itself at {changed}")
+    return SimTrace(**_split_table(data, names), scenario=scenario,
+                    plant_hash=meta["plant_hash"], aborted=meta["aborted"])
 
 
 def _reference(sc: Scenario):
@@ -347,8 +361,8 @@ def run_scenario(sc: Scenario, plant: Plant | None = None, controller=None,
         aborted = f"{type(exc).__name__}: {exc}"
         n_rows = j   # rows 0 .. j - 1 are complete
 
-    return SimTrace(**_split_table(table[:n_rows], heads), scenario=asdict(sc),
-                    plant_hash=plant.params.content_hash(), seed=sc.seed, aborted=aborted)
+    return SimTrace(**_split_table(table[:n_rows], heads), scenario=sc,
+                    plant_hash=plant.params.content_hash(), aborted=aborted)
 
 
 # ---------------- canned scenarios ----------------
@@ -433,28 +447,25 @@ def measure_controller_row(name: str, plant: Plant | None = None, gains=None,
     aborted raises ScenarioError naming it (a step or backdrive run after
     its hook call).
     """
-    row = analysis.RowResult()
     run_kw = {"plant": plant, "gains": gains, "controller_kwargs": controller_kwargs}
 
     # each trace is scored in the expression that runs it, so no finished
     # trace stays alive while the next run records
     metrics = analysis.step_metrics(
         _scored_run(f"step_{name}", step_scenario(name, seed=seed), trace_hook, **run_kw))
-    row.rise_ms = metrics.rise_time_63
-    row.overshoot = metrics.overshoot
 
     points = dwell_frf(name, frf_freqs, seed=seed, **run_kw)
     if trace_hook is not None:
         trace_hook(f"frf_{name}", points)
-    row.bandwidth = analysis.bandwidth(points)
 
-    for attr, freq, cmd in (("dev_1hz_0", 1.0, 0.0), ("dev_1hz_10", 1.0, 10.0),
-                            ("dev_5hz_10", 5.0, 10.0)):
+    def deviation(freq, cmd):
         sc = backdrive_scenario(name, torque_command=cmd, backdrive_freq=freq, seed=seed)
         label = f"backdrive_{int(freq)}hz_{int(cmd)}nm_{name}"
-        setattr(row, attr, analysis.torque_deviation(_scored_run(label, sc, trace_hook,
-                                                                 **run_kw)))
-    return row
+        return analysis.torque_deviation(_scored_run(label, sc, trace_hook, **run_kw))
+
+    return analysis.RowResult(analysis.bandwidth(points), metrics.rise_time_63,
+                              metrics.overshoot, deviation(1.0, 0.0), deviation(1.0, 10.0),
+                              deviation(5.0, 10.0))
 
 
 def measure_evidence(names, plant: Plant, gains, dither: DitherConfig = DitherConfig(),

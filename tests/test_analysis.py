@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from mrhydro.analysis import (AnalysisError, Evidence, FrfPoint, LowPass,
                               frf_from_sine_dwell, identify_friction, lowpass,
                               step_metrics, torque_deviation, verdicts)
 from mrhydro.plant import TWO_PI
+from mrhydro.sim import backdrive_scenario
 
 
 class FakeTrace:
@@ -33,7 +35,7 @@ class FakeTrace:
         self.ref_torque = ref_torque if ref_torque is not None else np.zeros(n)
         self.p_master = p_master if p_master is not None else np.zeros(n)
         self.state = state if state is not None else np.zeros((n, 7))
-        self.scenario = scenario or {}
+        self.scenario = scenario
 
 
 class TestFitSine:
@@ -245,7 +247,7 @@ class TestStepMetrics:
 class TestTorqueDeviation:
     def make_trace(self, shift_periods=0):
         t = np.arange(0.0, 6.0, 1e-3)
-        sc = {"backdrive_freq": 1.0, "pre_hold": 1.0, "torque_command": 10.0}
+        sc = backdrive_scenario("open_loop", backdrive_freq=1.0, pre_hold=1.0, torque_command=10.0)
         arg = TWO_PI * 1.0 * (t - 1.0) + TWO_PI * shift_periods
         torque = 10.0 + 1.5 * np.sin(arg) + 0.8 * np.sin(3 * arg)
         return FakeTrace(t, torque=torque, scenario=sc)
@@ -260,16 +262,9 @@ class TestTorqueDeviation:
         assert torque_deviation(self.make_trace(0)) == pytest.approx(
             torque_deviation(self.make_trace(3)), rel=1e-6)
 
-    @pytest.mark.parametrize("key", ["backdrive_freq", "pre_hold", "torque_command"])
-    def test_missing_scenario_key_named(self, key):
-        tr = self.make_trace()
-        del tr.scenario[key]
-        with pytest.raises(AnalysisError, match=key):
-            torque_deviation(tr)
-
     def test_settled_zero_amplitude(self):
         t = np.arange(0.0, 4.0, 1e-3)
-        sc = {"backdrive_freq": 1.0, "pre_hold": 1.0, "torque_command": 5.0}
+        sc = backdrive_scenario("open_loop", backdrive_freq=1.0, pre_hold=1.0, torque_command=5.0)
         tr = FakeTrace(t, torque=np.full_like(t, 5.0), scenario=sc)
         assert torque_deviation(tr) == 0.0
 
@@ -286,7 +281,7 @@ class TestIdentifyFriction:
         state = np.zeros((len(t), 7))
         state[:, 1] = v1
         tr = FakeTrace(t, p_master=p_m, state=state,
-                       scenario={"backdrive_freq": freq, "pre_hold": 1.0})
+                       scenario=backdrive_scenario("open_loop", backdrive_freq=freq, pre_hold=1.0))
         res = identify_friction(tr)  # at the plant's default slope, n_steep
         assert res.mu == pytest.approx(mu, abs=0.005)
         assert res.r_squared >= 0.99
@@ -294,7 +289,8 @@ class TestIdentifyFriction:
 
     def test_too_few_cycles_rejected(self):
         t = np.arange(0.0, 3.0, 1e-3)
-        tr = FakeTrace(t, scenario={"backdrive_freq": 1.0, "pre_hold": 1.0})
+        sc = backdrive_scenario("open_loop", backdrive_freq=1.0, pre_hold=1.0)
+        tr = FakeTrace(t, scenario=sc)
         with pytest.raises(AnalysisError):
             identify_friction(tr)
 
@@ -304,7 +300,7 @@ class TestDitherSmoothing:
     def test_spread_and_ripple_on_synthetic(self, dither_hz):
         freq = 1.0
         t = np.arange(0.0, 5.0, 1e-3)
-        sc = {"backdrive_freq": freq, "pre_hold": 1.0}
+        sc = backdrive_scenario("open_loop", backdrive_freq=freq, pre_hold=1.0)
         v3 = 0.01 * np.cos(TWO_PI * freq * (t - 1.0))
         state = np.zeros((len(t), 7))
         state[:, 5] = v3
@@ -328,12 +324,7 @@ class TestDitherSmoothing:
 
 class TestComparisonReport:
     def full_rows(self):
-        rows = {}
-        for name, ref in REFERENCE_RESULTS.items():
-            rows[name] = RowResult(bandwidth=ref[0], rise_ms=ref[1], overshoot=ref[2],
-                                   dev_1hz_0=ref[3], dev_1hz_10=ref[4],
-                                   dev_5hz_10=ref[5])
-        return rows
+        return dict(REFERENCE_RESULTS)
 
     def test_reference_values_pass_all_checks(self):
         report = comparison_report(self.full_rows())
@@ -344,7 +335,7 @@ class TestComparisonReport:
 
     def test_ordering_violation_flagged(self):
         rows = self.full_rows()
-        rows["lqgi"].dev_5hz_10 = 9.0
+        rows["lqgi"] = replace(rows["lqgi"], dev_5hz_10=9.0)
         report = comparison_report(rows)
         assert not report.checks["5 Hz ordering: lqgi smallest"]
 
@@ -407,13 +398,13 @@ class TestComparisonReport:
     def test_one_cell_flips_the_legs_that_read_it(self, name, attr, value, legs, flipped):
         # from the reference rows, where every leg and matrix verdict passes
         rows = self.full_rows()
-        setattr(rows[name], attr, value)
+        rows[name] = replace(rows[name], **{attr: value})
         assert {label for label, ok in comparison_report(rows).checks.items() if not ok} == legs
         assert {v.label for v in verdicts(Evidence(rows)) if v.ok is False} == flipped
 
     def test_missing_cell_fails_its_verdicts(self):
         rows = self.full_rows()
-        rows["open_loop"].bandwidth = None
+        rows["open_loop"] = replace(rows["open_loop"], bandwidth=None)
         assert "lqgi bandwidth >= max(28, open_loop)" not in comparison_report(rows).checks
         found = {v.label: v for v in verdicts(Evidence(rows))}
         assert found["open-loop baseline step"].ok is False

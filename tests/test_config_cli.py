@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import shlex
 from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mrhydro import analysis, sim
-from mrhydro.analysis import REFERENCE_RESULTS, RowResult
-from mrhydro.cli import main
+from mrhydro.analysis import REFERENCE_RESULTS
+from mrhydro.cli import build_parser, main
 from mrhydro.config import ConfigError, RunConfig, load_run_config
 from mrhydro.controllers import PID_MASTER_DEFAULT, PID_SLAVE_DEFAULT, DitherConfig
 from mrhydro.plant import (FRICTION_MODES, FrictionParams, GeometryParams, MRClutchParams,
@@ -365,7 +366,7 @@ class TestCliFrf:
 
 
 def reference_row(name, **kw):
-    return RowResult(*REFERENCE_RESULTS[name])
+    return REFERENCE_RESULTS[name]
 
 
 def not_measured(*args, **kw):
@@ -438,14 +439,15 @@ class TestCliReport:
             f"ACCEPTANCE {n}" for n in (1, 2, 3, 4, 5, 6, 7, 8, 8, 8, 9, 10)]
         assert all(": PASS -- " in line for line in lines)
 
-    def test_unknown_subset_rejected(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("only, named", [("open_loop,nope", "['nope']"), ("", "['']")])
+    def test_unknown_subset_rejected(self, tmp_path, capsys, monkeypatch, only, named):
         monkeypatch.setattr(sim, "measure_controller_row",
                             lambda name, **kw: pytest.fail("report measured a row"))
         monkeypatch.setattr(sim, "measure_evidence", not_measured)
         out = tmp_path / "out"
-        rc = main(["report", "--only", "open_loop,nope", "--out-dir", str(out)])
+        rc = main(["report", "--only", only, "--out-dir", str(out)])
         assert rc == 2
-        assert "unknown controller(s) in --only: ['nope']" in capsys.readouterr().err
+        assert f"unknown controller(s) in --only: {named}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_scenario_section_rejected(self, tmp_path, capsys, monkeypatch):
@@ -474,6 +476,15 @@ class TestReadme:
         assert len(lines) == 12
         # criteria 5 and 6 are judged from the two rows; the rest are not measured
         assert [i for i, line in enumerate(lines) if not line.endswith("not measured")] == [4, 5]
+
+    def test_command_lines_parse(self):
+        # each line of README's "Command line" block names commands and flags the parser knows
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        block = text.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("\n```", 1)[0]
+        lines = [line.split("#", 1)[0] for line in block.splitlines()]
+        assert lines and all(line.startswith("mrhydro ") for line in lines)
+        for line in lines:
+            build_parser().parse_args(shlex.split(line)[1:])
 
 
 class TestCliEntry:

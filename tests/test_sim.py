@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.signal import cont2discrete
 
 from mrhydro import sim
-from mrhydro.analysis import REFERENCE_RESULTS, Evidence, RowResult, torque_deviation
+from mrhydro.analysis import REFERENCE_RESULTS, Evidence, torque_deviation
 from mrhydro.controllers import (CONTROLLER_NAMES, PID_MASTER_DEFAULT, PID_SLAVE_DEFAULT,
                                  Command, ControllerFault, DitherConfig, make_controller)
 from mrhydro.plant import (FRICTION_MODES, Plant, PlantError, PlantParams, build_record,
@@ -166,7 +166,7 @@ def calibrate_backdrive_amplitude(plant: Plant | None = None, tol: float = 1e-3)
     (first cycle excluded), stick-slip friction, dither off, against the
     published open-loop dev_1hz_0 cell.  An aborted run raises ScenarioError.
     """
-    target = REFERENCE_RESULTS["open_loop"][3]   # dev_1hz_0
+    target = REFERENCE_RESULTS["open_loop"].dev_1hz_0
 
     def deviation(amp: float) -> float:
         trace = run_scenario(backdrive_scenario("open_loop", backdrive_amplitude=amp),
@@ -212,7 +212,7 @@ class TestBackdrive:
     def test_stick_slip_mode_applied(self):
         sc = backdrive_scenario("open_loop")
         tr = run_scenario(sc)
-        assert tr.scenario["friction_mode"] == "stick_slip_sign"
+        assert tr.scenario.friction_mode == "stick_slip_sign"
 
     def test_calibrated_amplitude_near_shipped_value(self):
         # a coarse 1 mm bisection still brackets the shipped 1 Hz amplitude
@@ -306,7 +306,7 @@ class TestMeasureEvidence:
 
         def fake_row(name, **kw):
             calls.append((name, kw))
-            return RowResult(*REFERENCE_RESULTS[name])
+            return REFERENCE_RESULTS[name]
 
         def hook(label, obj):
             pass
@@ -318,7 +318,7 @@ class TestMeasureEvidence:
         names = ("open_loop", "lqgi")
         ev = measure_evidence(names, plant, gains, dither=dither, pid_slave=pid_slave, seed=7,
                               trace_hook=hook)
-        assert ev == Evidence({n: RowResult(*REFERENCE_RESULTS[n]) for n in names})
+        assert ev == Evidence({n: REFERENCE_RESULTS[n] for n in names})
         assert [name for name, _ in calls] == list(names)
         for _, kw in calls:
             assert kw["plant"] is plant and kw["gains"] is gains
@@ -363,7 +363,7 @@ def _special_values_trace() -> SimTrace:
         cols = [np.roll(special, k + j) for j in range(width)]
         series[name] = cols[0] if isinstance(heads, str) else np.column_stack(cols)
     series["saturated"] = np.arange(n) % 2 == 0
-    return SimTrace(**series)
+    return SimTrace(**series, scenario=Scenario())
 
 
 def _savetxt_reference(tr: SimTrace, path) -> None:
@@ -371,6 +371,26 @@ def _savetxt_reference(tr: SimTrace, path) -> None:
     cols = tr.columns()
     np.savetxt(path, np.column_stack(list(cols.values())), delimiter=",",
                header=",".join(cols), comments="", fmt="%.17g")
+
+
+def _without(lines: list, *heads) -> list:
+    """CSV lines lacking the columns named heads."""
+    keep = [j for j, h in enumerate(lines[0].split(",")) if h not in heads]
+    return [",".join(line.split(",")[j] for j in keep) for line in lines]
+
+
+def _sidecar_scenario(meta: dict, drop: str = "", **fields) -> dict:
+    """A copy of sidecar meta whose scenario has fields set and the field drop removed."""
+    sc = {k: v for k, v in {**meta["scenario"], **fields}.items() if k != drop}
+    return {**meta, "scenario": sc}
+
+
+@pytest.fixture(scope="module")
+def backdrive_files(tmp_path_factory):
+    """The CSV lines and sidecar of a 2-cycle open-loop backdrive, as to_csv writes them."""
+    path = tmp_path_factory.mktemp("backdrive") / "t.csv"
+    run_scenario(backdrive_scenario("open_loop", backdrive_cycles=2)).to_csv(path)
+    return path.read_text().splitlines(), json.loads(Path(f"{path}.meta.json").read_text())
 
 
 class TestTraceIO:
@@ -407,7 +427,6 @@ class TestTraceIO:
         np.testing.assert_array_equal(again.torque, tr.torque)
         np.testing.assert_array_equal(again.estimate, tr.estimate)
         assert again.scenario == tr.scenario
-        assert again.seed == tr.seed
         assert (tmp_path / "trace.csv.meta.json").exists()
 
     def test_header_names_columns_with_units(self, tmp_path):
@@ -437,7 +456,7 @@ class TestTraceIO:
         lines = path.read_text().splitlines()
         lines[0] = lines[0].replace("x1 [m],v1 [m/s]", "v1 [m/s],x1 [m]", 1)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="'state'"):
+        with pytest.raises(ValueError, match=r"t\.csv: the header is not a trace table's"):
             read_trace_csv(path)
 
     @settings(max_examples=40, deadline=None)
@@ -449,7 +468,7 @@ class TestTraceIO:
                 shape = n if isinstance(heads, str) else (n, len(heads))
                 series[name] = data.draw(arrays(float, shape, elements=FINITE), label=name)
         series["saturated"] = data.draw(arrays(bool, n), label="saturated")
-        tr = SimTrace(**series, scenario={"kind": "step"}, plant_hash="abc", seed=3)
+        tr = SimTrace(**series, scenario=Scenario(seed=3), plant_hash="abc")
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "t.csv"
             tr.to_csv(path)
@@ -457,8 +476,8 @@ class TestTraceIO:
         for name in TRACE_SCHEMA:
             want, got = getattr(tr, name), getattr(again, name)
             assert (got is None) if want is None else np.array_equal(got, want), name
-        assert (again.scenario, again.plant_hash, again.seed, again.aborted) == (
-            tr.scenario, tr.plant_hash, tr.seed, tr.aborted)
+        assert (again.scenario, again.plant_hash, again.aborted) == (
+            tr.scenario, tr.plant_hash, tr.aborted)
 
     def test_zero_row_trace_round_trip(self, tmp_path):
         tr = _header_only_trace()
@@ -477,8 +496,65 @@ class TestTraceIO:
         run_scenario(step_scenario("open_loop", settle=0.2)).to_csv(path)
         sidecar = tmp_path / "t.csv.meta.json"
         sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "sede": 3}))
-        with pytest.raises(ValueError,
-                           match=r"unknown key\(s\) in .*t\.csv\.meta\.json: \['sede'\]"):
+        with pytest.raises(ValueError, match=r"t\.csv\.meta\.json must be an object with the keys "
+                           r".*got \['aborted', 'plant_hash', 'scenario', 'sede'\]$"):
+            read_trace_csv(path)
+
+    @pytest.mark.parametrize("sc", [
+        step_scenario("pid_master", settle=0.5),
+        dwell_scenario("open_loop", 20.0),
+        backdrive_scenario("friction_comp", backdrive_freq=5.0, backdrive_cycles=1),
+        step_scenario("lqgi", settle=0.2, noise=True, seed=5),
+    ], ids=["step", "dwell", "backdrive", "lqgi_step"])
+    def test_every_kind_round_trips(self, tmp_path, sc):
+        tr = run_scenario(sc)
+        path = tmp_path / "t.csv"
+        tr.to_csv(path)
+        again = read_trace_csv(path)
+        assert again.scenario == tr.scenario == sc
+        assert (again.plant_hash, again.aborted) == (tr.plant_hash, tr.aborted)
+        for name in TRACE_SCHEMA:
+            want, got = getattr(tr, name), getattr(again, name)
+            assert (got is None) if want is None else np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("edit, match", [
+        pytest.param(lambda lines, meta: (lines, {**meta, "t": 1}),
+                     r"meta\.json must be an object with the keys .*got "
+                     r"\['aborted', 'plant_hash', 'scenario', 't'\]$", id="sidecar_t"),
+        pytest.param(lambda lines, meta: (lines, _sidecar_scenario(meta, backdrive_freq=-1.0)),
+                     r"^backdrive_freq must be finite and > 0, got -1\.0$", id="negative_freq"),
+        pytest.param(lambda lines, meta: (lines, _sidecar_scenario(meta, backdrive_freq="x")),
+                     r"^backdrive_freq must be finite and > 0, got 'x'$", id="text_freq"),
+        pytest.param(lambda lines, meta: (lines, _sidecar_scenario(meta, bogus=1)),
+                     r"unknown key\(s\) in the scenario of .*meta\.json: \['bogus'\]$",
+                     id="unknown_scenario_field"),
+        pytest.param(lambda lines, meta: (_without(lines, TRACE_SCHEMA["torque"]), meta),
+                     r"t\.csv: the header is not a trace table's", id="no_torque_column"),
+        pytest.param(lambda lines, meta: (_without(lines, *TRACE_SCHEMA["state"]), meta),
+                     r"t\.csv: the header is not a trace table's", id="no_state_columns"),
+        pytest.param(lambda lines, meta: ([line + ",0" for line in lines], meta),
+                     r"t\.csv: the header is not a trace table's", id="extra_column"),
+        pytest.param(lambda lines, meta: (lines, None),
+                     r"t\.csv\.meta\.json is missing", id="no_sidecar"),
+        pytest.param(lambda lines, meta: (lines, {**meta, "seed": 0}),
+                     r"got \['aborted', 'plant_hash', 'scenario', 'seed'\]$",
+                     id="sidecar_with_seed"),
+        pytest.param(lambda lines, meta: (lines, [meta]),
+                     r"meta\.json must be an object .*got list$", id="sidecar_not_object"),
+        pytest.param(lambda lines, meta: (lines, _sidecar_scenario(meta, drop="pre_hold")),
+                     r"scenario of .*meta\.json does not rebuild to itself at \['pre_hold'\]$",
+                     id="no_pre_hold"),
+        pytest.param(lambda lines, meta: (lines, _sidecar_scenario(meta, friction_mode=None)),
+                     r"does not rebuild to itself at \['friction_mode'\]$",
+                     id="backdrive_friction_mode_null"),
+    ])
+    def test_refuses_what_to_csv_does_not_write(self, tmp_path, backdrive_files, edit, match):
+        lines, meta = edit(*backdrive_files)
+        path = tmp_path / "t.csv"
+        path.write_text("\n".join(lines) + "\n")
+        if meta is not None:
+            Path(f"{path}.meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=match):
             read_trace_csv(path)
 
     def test_round_trip_without_estimate(self, tmp_path):
