@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from functools import cached_property
 
-from .controllers import (CONTROLLER_NAMES, DitherConfig, PidConfig,
+from .controllers import (CONTROL_DT, CONTROLLER_NAMES, DitherConfig, PidConfig,
                           PID_MASTER_DEFAULT, PID_SLAVE_DEFAULT)
 from .plant import PlantParams, build_record, json_hash, known_keys, write_json
 from .sim import Scenario, ScenarioError, delay_steps
@@ -64,8 +64,8 @@ class RunConfig:
             run = self.scenario_for_run
         # the named keys as resolved, so 6 and 6.0 hash the same and config.json loads back
         object.__setattr__(self, "scenario", {k: getattr(run, k) for k in self.scenario})
-        with _section("plant"):   # run_scenario takes the clutch delay in whole sim_dt steps
-            delay_steps(self.plant.clutch.tau_delay, run.sim_dt)
+        with _section("plant"):   # run_scenario takes the clutch delay in whole control ticks
+            delay_steps(self.plant.clutch.tau_delay, CONTROL_DT)
 
     @cached_property
     def scenario_for_run(self) -> Scenario:

@@ -1,7 +1,7 @@
 """Discrete-time implementations of the four torque controllers.
 
 Each controller maps (time, desired pressure, measurements) to an MR coil
-current at a fixed rate.  Measurements arrive as the tuple
+current once per CONTROL_DT tick.  Measurements arrive as the tuple
 (x1, v1, x3, p_master, p_slave); the slave pressure is only consumed by
 the non-collocated PID.  All controllers superpose the dither command.
 
@@ -89,6 +89,7 @@ def _anti_windup(u: float, u_max: float, du: float) -> tuple[bool, bool]:
 
 COMP_STEEPNESS = 1000.0    # tanh slope of the friction-compensation estimate [s/m]
 COMP_V1_FILTER_HZ = 150.0  # piston-speed filter of the friction-compensation estimate
+ESTIMATE_GUARD = 1e12      # largest |LQGI state estimate| before it counts as diverged
 
 
 class OpenLoopController:
@@ -102,12 +103,11 @@ class OpenLoopController:
     """
 
     def __init__(self, plant: Plant, dither: DitherConfig = DitherConfig(),
-                 friction_comp: bool = False, dt: float = CONTROL_DT):
+                 friction_comp: bool = False):
         self.plant = plant
         self.dither = dither
         self.friction_comp = friction_comp
-        self.dt = dt
-        self._v1_filter = LowPass(COMP_V1_FILTER_HZ, dt)
+        self._v1_filter = LowPass(COMP_V1_FILTER_HZ, CONTROL_DT)
 
     def step(self, t: float, p_desired: float, meas) -> Command:
         p_cmd = p_desired
@@ -156,14 +156,13 @@ class PidController:
     """
 
     def __init__(self, plant: Plant, config: PidConfig,
-                 dither: DitherConfig = DitherConfig(), dt: float = CONTROL_DT):
+                 dither: DitherConfig = DitherConfig()):
         self.plant = plant
         self.config = config
         self.dither = dither
-        self.dt = dt
         self.integral = 0.0
         self._prev_fb = None
-        self._dfilt = LowPass(config.deriv_filter_hz, dt)
+        self._dfilt = LowPass(config.deriv_filter_hz, CONTROL_DT)
 
     def step(self, t: float, p_desired: float, meas) -> Command:
         cfg = self.config
@@ -174,7 +173,7 @@ class PidController:
         if self._prev_fb is None:
             d_raw = 0.0
         else:
-            d_raw = (fb - self._prev_fb) / self.dt
+            d_raw = (fb - self._prev_fb) / CONTROL_DT
         self._prev_fb = fb
         d_term = -cfg.kd * self._dfilt.step(d_raw)
 
@@ -184,7 +183,7 @@ class PidController:
         saturated, integrate = _anti_windup(p_cmd * self.plant.area_slave,
                                             self.plant.force_max, error)
         if integrate:
-            self.integral += cfg.ki * error * self.dt
+            self.integral += cfg.ki * error * CONTROL_DT
         p_cmd += dither_signal(t, p_desired, self.dither)
         current, force, _ = self.plant.drive(p_cmd * self.plant.area_slave)
         return Command(current=current, force=force, pressure_cmd=p_cmd,
@@ -202,18 +201,16 @@ class LqgiController:
     held while the force command saturates.
     """
 
-    def __init__(self, plant: Plant, gains: GainSet, dt: float = CONTROL_DT,
-                 dither: DitherConfig = DitherConfig()):
+    def __init__(self, plant: Plant, gains: GainSet, dither: DitherConfig = DitherConfig()):
         self.plant = plant
-        self.dt = dt
         self.dither = dither
         model = build_state_space(plant.params)
         self.C_d = model.C_d[0]
         A, B, C, L = model.A, model.B, model.C, gains.L
         m = np.zeros((12, 12))
-        m[:7, :7] = (A - L @ C) * dt
-        m[:7, 7:8] = B * dt
-        m[:7, 8:] = L * dt
+        m[:7, :7] = (A - L @ C) * CONTROL_DT
+        m[:7, 7:8] = B * CONTROL_DT
+        m[:7, 8:] = L * CONTROL_DT
         em = linalg.expm(m)
         self._phi = em[:7, :7]
         self._gamma_u = em[:7, 7]
@@ -222,7 +219,6 @@ class LqgiController:
         self._k_x = gains.K_x
         self._k_ff = gains.K_ff
         self.xi_clamp = 2.0 * plant.force_max / max(abs(self._k_i), 1e-12)
-        self.estimate_guard = 1e12
         self.x_hat = np.zeros(7)
         self.x_i = 0.0
         self._u_prev = 0.0
@@ -230,7 +226,7 @@ class LqgiController:
     def step(self, t: float, p_desired: float, meas) -> Command:
         y = np.array([meas[0], meas[1], meas[2], meas[3]])
         self.x_hat = self._phi @ self.x_hat + self._gamma_u * self._u_prev + self._gamma_y @ y
-        if not np.abs(self.x_hat).max() <= self.estimate_guard:  # NaN and inf too
+        if not np.abs(self.x_hat).max() <= ESTIMATE_GUARD:  # NaN and inf too
             raise ControllerFault("state estimate diverged")
         ps_hat = float(self.C_d @ self.x_hat)
 
@@ -240,7 +236,7 @@ class LqgiController:
         err_i = p_desired - ps_hat
         saturated, integrate = _anti_windup(u, self.plant.force_max, -self._k_i * err_i)
         if integrate:
-            self.x_i += err_i * self.dt
+            self.x_i += err_i * CONTROL_DT
             self.x_i = min(max(self.x_i, -self.xi_clamp), self.xi_clamp)
         force_req = u + dither_signal(t, p_desired, self.dither) * self.plant.area_slave
         current, force, _ = self.plant.drive(force_req)
@@ -253,8 +249,7 @@ class LqgiController:
 def make_controller(name: str, plant: Plant, gains: GainSet | None = None,
                     dither: DitherConfig = DitherConfig(),
                     pid_master: PidConfig = PID_MASTER_DEFAULT,
-                    pid_slave: PidConfig = PID_SLAVE_DEFAULT,
-                    dt: float = CONTROL_DT):
+                    pid_slave: PidConfig = PID_SLAVE_DEFAULT):
     """Factory for the five benchmark controller variants.
 
     The open-loop baseline runs without dither; every other variant keeps
@@ -262,17 +257,17 @@ def make_controller(name: str, plant: Plant, gains: GainSet | None = None,
     """
     if name == "open_loop":
         return OpenLoopController(plant, dither=replace(dither, enabled=False),
-                                  friction_comp=False, dt=dt)
+                                  friction_comp=False)
     if name == "friction_comp":
-        return OpenLoopController(plant, dither=dither, friction_comp=True, dt=dt)
+        return OpenLoopController(plant, dither=dither, friction_comp=True)
     if name == "pid_master":
-        return PidController(plant, pid_master, dither=dither, dt=dt)
+        return PidController(plant, pid_master, dither=dither)
     if name == "pid_slave":
-        return PidController(plant, pid_slave, dither=dither, dt=dt)
+        return PidController(plant, pid_slave, dither=dither)
     if name == "lqgi":
         if gains is None:
             gains = synthesize(plant.params)
-        return LqgiController(plant, gains, dt=dt, dither=dither)
+        return LqgiController(plant, gains, dither=dither)
     raise ValueError(f"unknown controller '{name}'; choose from {CONTROLLER_NAMES}")
 
 

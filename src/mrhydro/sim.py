@@ -1,14 +1,13 @@
 """Fixed-step nonlinear time-domain simulation engine.
 
 Scenarios cover blocked-output reference tracking (step, sine dwell) and
-prescribed-motion backdriving.  Controllers run at 1 kHz with the command
-held between ticks.  The clutch pure delay is a deque of tick commands in
-run_scenario, so the delayed command is constant over each tick, or over
-its two pieces when the delay is not a whole number of ticks.  The plant
-integrates each piece with classical fourth-order steps at 10 kHz in one
-Plant.rk4_step call.  A run stops at its last whole control tick, so a
-duration that is not a multiple of control_dt ends the trace at the tick
-before it.
+prescribed-motion backdriving.  Controllers run at CONTROL_DT (1 kHz) with
+the command held between ticks.  The clutch pure delay is a whole number of
+ticks, a deque of tick commands in run_scenario, so the delayed command is
+constant over each tick.  The plant integrates each tick with classical
+fourth-order steps of sim_dt (10 kHz by default) in one Plant.rk4_step
+call.  A run stops at its last whole control tick, so a duration that is
+not a multiple of CONTROL_DT ends the trace at the tick before it.
 """
 from __future__ import annotations
 
@@ -74,7 +73,6 @@ class Scenario:
     # plant/engine overrides
     friction_mode: str | None = None  # None: stick-slip for backdrive, else the plant's mode
     sim_dt: float = SIM_DT
-    control_dt: float = CONTROL_DT
 
     def __post_init__(self):
         # prescribed motion keeps reversing the piston, where friction sticks
@@ -82,8 +80,7 @@ class Scenario:
             object.__setattr__(self, "friction_mode", "stick_slip_sign")
         check_choices(self, ScenarioError, kind=SCENARIO_KINDS, controller=CONTROLLER_NAMES,
                       noise=(False, True), friction_mode=(None,) + FRICTION_MODES)
-        check_numbers(self, ScenarioError, positive=("sim_dt", "control_dt", "freq_hz",
-                                                     "backdrive_freq"),
+        check_numbers(self, ScenarioError, positive=("sim_dt", "freq_hz", "backdrive_freq"),
                       non_negative=("pre_hold",),
                       finite=("torque_amplitude", "torque_offset", "torque_command",
                               "backdrive_amplitude"))
@@ -92,9 +89,10 @@ class Scenario:
         if self.ramp_torque_end is not None:   # None: the command is held
             check_numbers(self, ScenarioError, finite=("ramp_torque_end",))
         check_whole(self, ScenarioError, seed=0, backdrive_cycles=1)
-        ratio = self.control_dt / self.sim_dt
+        ratio = CONTROL_DT / self.sim_dt
         if abs(ratio - round(ratio)) > 1e-9 or ratio < 1:
-            raise ScenarioError("control_dt must be an integer multiple of sim_dt")
+            raise ScenarioError(f"sim_dt {self.sim_dt} s must divide the {CONTROL_DT} s "
+                                "control tick")
         if not 0.0 < self.total_duration() < math.inf:
             raise ScenarioError(f"total_duration() must be finite and positive, "
                                 f"got {self.total_duration()}")
@@ -206,8 +204,8 @@ def _split_table(table: np.ndarray, names: list) -> dict:
 def read_trace_csv(path) -> SimTrace:
     """Rebuild a SimTrace from the CSV and the meta sidecar that to_csv wrote.  Anything
     else raises ValueError naming the file or field: a header that is not a trace table's,
-    a missing sidecar, a sidecar whose keys are not exactly to_csv's, or a scenario that
-    does not rebuild to the very values recorded."""
+    a missing sidecar or one that is not JSON, a sidecar whose keys or value types are not
+    to_csv's, or a scenario that does not rebuild to the very values recorded."""
     with open(path) as fh:
         names = fh.readline().strip().split(",")
         if names not in (_table_heads(False), _table_heads(True)):
@@ -226,17 +224,23 @@ def read_trace_csv(path) -> SimTrace:
             meta = json.load(fh)
     except FileNotFoundError:
         raise ValueError(f"{where} is missing: a trace reads back with its sidecar") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where} is not JSON: {exc}") from None
     keys = sorted(meta) if isinstance(meta, dict) else type(meta).__name__
     if keys != ["aborted", "plant_hash", "scenario"]:
         raise ValueError(f"{where} must be an object with the keys "
                          f"['aborted', 'plant_hash', 'scenario'], got {keys}")
+    plant_hash, aborted = meta["plant_hash"], meta["aborted"]
+    if not (isinstance(plant_hash, str) and (aborted is None or isinstance(aborted, str))):
+        raise ValueError(f"{where}: plant_hash must be a string and aborted a string or null, "
+                         f"got {plant_hash!r} and {aborted!r}")
     recorded = meta["scenario"]
     scenario = build_record(Scenario(), recorded, f"the scenario of {where}", ValueError)
     changed = [k for k, v in asdict(scenario).items() if k not in recorded or recorded[k] != v]
     if changed:   # a field missing, or one the Scenario resolves to another value
         raise ValueError(f"the scenario of {where} does not rebuild to itself at {changed}")
     return SimTrace(**_split_table(data, names), scenario=scenario,
-                    plant_hash=meta["plant_hash"], aborted=meta["aborted"])
+                    plant_hash=plant_hash, aborted=aborted)
 
 
 def _reference(sc: Scenario):
@@ -291,19 +295,15 @@ def run_scenario(sc: Scenario, plant: Plant | None = None, controller=None,
     """
     if plant is None:
         plant = Plant()
-    dt = sc.sim_dt
-    n_delay = delay_steps(plant.tau_delay, dt)
+    q = delay_steps(plant.tau_delay, CONTROL_DT)
     if sc.friction_mode is not None:
         plant = Plant(plant.params.with_friction(mode=sc.friction_mode))
     if controller is None:
-        controller = make_controller(sc.controller, plant, gains=gains, dt=sc.control_dt,
+        controller = make_controller(sc.controller, plant, gains=gains,
                                      **(controller_kwargs or {}))
-    elif not math.isclose(getattr(controller, "dt", sc.control_dt), sc.control_dt,
-                          rel_tol=1e-9):
-        raise ScenarioError(f"controller runs at dt={controller.dt} s, "
-                            f"scenario at control_dt={sc.control_dt} s")
 
-    ticks_per_ctrl = int(round(sc.control_dt / dt))
+    dt = sc.sim_dt
+    ticks_per_ctrl = int(round(CONTROL_DT / dt))
     duration = sc.total_duration()
     n_rec = int(round(duration / dt)) // ticks_per_ctrl + 1   # one row per whole tick
 
@@ -317,11 +317,9 @@ def run_scenario(sc: Scenario, plant: Plant | None = None, controller=None,
     ref = _reference(sc)
     backdrive = _backdrive_profile(sc) if sc.kind == "backdrive" else None
 
-    # the clutch delay of n_delay = q * ticks_per_ctrl + split steps: after
-    # tick j's command is appended, line[0] holds tick j - q - 1's command
-    # and line[1] tick j - q's, both 0 before the run
-    q, split = divmod(n_delay, ticks_per_ctrl)
-    line = deque([0.0] * (q + 2), maxlen=q + 2)
+    # the clutch delay of q ticks: after tick j's command is appended,
+    # line[0] holds tick j - q's command, 0 before the run
+    line = deque([0.0] * (q + 1), maxlen=q + 1)
     rk4_step = plant.rk4_step
     state = (0.0,) * 7
     is_lqgi = isinstance(controller, LqgiController)
@@ -333,13 +331,9 @@ def run_scenario(sc: Scenario, plant: Plant | None = None, controller=None,
     try:
         for j in range(n_rec):
             i = j * ticks_per_ctrl
-            if j:
-                # the previous tick's steps: the first `split` see line[0], the rest line[1]
-                i0 = i - ticks_per_ctrl
-                if split:
-                    state = rk4_step(state, dt, line[0], backdrive, i0, split)
-                state = rk4_step(state, dt, line[1], backdrive, i0 + split,
-                                 ticks_per_ctrl - split)
+            if j:   # the previous tick's steps
+                state = rk4_step(state, dt, line[0], backdrive, i - ticks_per_ctrl,
+                                 ticks_per_ctrl)
             t = i * dt
             pm = plant.master_pressure(state)
             ps = plant.slave_pressure(state)

@@ -15,7 +15,7 @@ with warnings.catch_warnings():
     except ImportError:   # without libcst hypothesis skips the patch too
         pass
 
-from mrhydro.controllers import Command
+from mrhydro.controllers import CONTROL_DT, Command
 from mrhydro.plant import Plant, PlantParams
 from mrhydro.sim import Scenario, run_scenario
 
@@ -23,8 +23,7 @@ from mrhydro.sim import Scenario, run_scenario
 class _TickCounter:
     """Stub controller commanding force j + 1 at control tick j."""
 
-    def __init__(self, dt: float):
-        self.dt = dt
+    def __init__(self):
         self.ticks = 0
 
     def step(self, t, p_desired, meas):
@@ -33,16 +32,16 @@ class _TickCounter:
                        saturated=False)
 
 
-def _plant_inputs(sc: Scenario, n_delay: int | None = None):
+def _plant_inputs(sc: Scenario, q: int | None = None):
     """Per-step delayed commands run_scenario feeds the plant, and the trace.
 
     The controller is a _TickCounter and the plant's rk4_step is replaced by
     a recorder that holds the state, so each call's (i0, n, f) is seen.
-    n_delay sets tau_delay in sim_dt steps; None keeps the default 2 ms.
+    q sets tau_delay in control ticks; None keeps the default 2 ms.
     """
     params = PlantParams()
-    if n_delay is not None:
-        params = replace(params, clutch=replace(params.clutch, tau_delay=n_delay * sc.sim_dt))
+    if q is not None:
+        params = replace(params, clutch=replace(params.clutch, tau_delay=q * CONTROL_DT))
     plant = Plant(params)
     steps = []
 
@@ -52,7 +51,7 @@ def _plant_inputs(sc: Scenario, n_delay: int | None = None):
         return state
 
     plant.rk4_step = record
-    trace = run_scenario(sc, plant=plant, controller=_TickCounter(sc.control_dt))
+    trace = run_scenario(sc, plant=plant, controller=_TickCounter())
     return steps, trace
 
 

@@ -140,6 +140,9 @@ class TestRunConfig:
             load_run_config(overrides={"plant": {"friction": {"bogus": 1}}})
         with pytest.raises(ConfigError, match="slope"):
             load_run_config(overrides={"dither": {"slope": 0.1}})
+        # the controllers run at the one CONTROL_DT: a scenario sets no loop rate
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) in scenario: \['control_dt'\]$"):
+            load_run_config(overrides={"scenario": {"control_dt": 1e-3}})
 
     @pytest.mark.parametrize("section", ["pid_master", "pid_slave"])
     def test_unknown_pid_key_named(self, section):
@@ -295,13 +298,13 @@ class TestCliRun:
         assert not out.exists()
 
     def test_fractional_delay_refused_before_the_run(self, tmp_path, capsys):
-        # 0.15 ms is 1.5 steps of the default 0.1 ms sim_dt
+        # 1.5 ms is 1.5 control ticks of 1 ms, though 15 steps of the 0.1 ms sim_dt
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"plant": {"clutch": {"tau_delay": 0.00015}}}))
+        cfgfile.write_text(json.dumps({"plant": {"clutch": {"tau_delay": 0.0015}}}))
         out = tmp_path / "out"
         assert main(["--config", str(cfgfile), "run", "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err.startswith(
-            "config error: plant: tau_delay 0.00015 s is not a whole number of 0.0001 s steps")
+            "config error: plant: tau_delay 0.0015 s is not a whole number of 0.001 s steps")
         assert not out.exists()
 
     def test_backdrive_flags(self, tmp_path):

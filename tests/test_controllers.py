@@ -218,10 +218,10 @@ class TestLqgi:
         # envelope decay after the initial transient
         assert max(errs[200:]) < 0.05 * max(errs[:50])
 
-    def test_divergence_guard(self, plant, gains):
+    def test_divergence_guard(self, plant, gains, monkeypatch):
         from mrhydro.controllers import ControllerFault
         ctrl = LqgiController(plant, gains)
-        ctrl.estimate_guard = 1e-6
+        monkeypatch.setattr(controllers, "ESTIMATE_GUARD", 1e-6)
         with pytest.raises(ControllerFault):
             for k in range(100):
                 ctrl.step(k * DT, 1e6, (1.0, 1.0, 1.0, 1e6, 1e6))

@@ -25,10 +25,6 @@ RUNS["backdrive_5hz"] = backdrive_scenario("pid_master", torque_command=10.0,
 RUNS["backdrive_1hz_stick_slip_friction_comp"] = backdrive_scenario(
     "friction_comp", torque_command=10.0, backdrive_freq=1.0, backdrive_cycles=2,
     friction_mode="stick_slip_sign")
-# 15 substeps per 1.5 ms tick against the 20-substep clutch delay: every tick
-# integrates in two pieces, and the last tick of each run is cut short
-RUNS["step_open_loop_tick_1.5ms"] = step_scenario("open_loop", settle=0.2, noise=True, seed=11,
-                                                  control_dt=1.5e-3)
 
 
 def sampled_columns(sc: Scenario) -> dict:

@@ -9,7 +9,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from mrhydro.plant import (FRICTION_MODES, MRClutchParams, Plant, PlantError, PlantParams,
                            TransmissionParams, build_record, build_state_space,
                            friction_pressure)
-from mrhydro.sim import Scenario
+from mrhydro.controllers import CONTROL_DT
+from mrhydro.sim import Scenario, delay_steps
 
 
 @pytest.fixture(scope="module")
@@ -435,7 +436,7 @@ class TestDynamics:
     @pytest.mark.parametrize("mode", FRICTION_MODES)
     @pytest.mark.parametrize("prescribed", [False, True], ids=["free", "backdrive"])
     def test_multistep_call_equals_single_steps(self, mode, prescribed, dt):
-        # pieces of 7 and 8 steps, as 15-step ticks split by a delay of 7 mod 15 steps;
+        # pieces of 7 and 8 steps, so a piece starts at any step mod 15;
         # the pieces over steps 195..201 at 1e-4 s and 397..404 at 5e-5 s cross the
         # motion start (t0 = 0.02 s).  Within a piece a step reuses the previous step's
         # end sample only where the two float times are equal, and both kinds occur.
@@ -527,20 +528,20 @@ class TestPlantState:
     """The actuator's input delay, tau_delay, as run_scenario applies it."""
 
     def test_delay_buffer_spans_tau(self, plant_inputs):
-        # the first command reaches the plant tau_delay / sim_dt steps late
-        for sim_dt, tau in ((1e-4, 3e-3), (1e-4, 5e-4), (5e-5, 1e-3)):
-            n_delay = round(tau / sim_dt)
+        # a delay of q ticks: the first command reaches the plant at the first
+        # step of tick q, q * CONTROL_DT / sim_dt steps late
+        for sim_dt, q in ((1e-4, 3), (1e-4, 1), (5e-5, 1), (2.5e-4, 0)):
+            n_delay = q * round(CONTROL_DT / sim_dt)
             sc = Scenario(kind="step", duration=0.01, sim_dt=sim_dt)
-            steps, _ = plant_inputs(sc, n_delay)
+            steps, _ = plant_inputs(sc, q)
             assert steps[:n_delay] == [0.0] * n_delay
             assert steps[n_delay] == 1.0
-            assert n_delay * sim_dt == pytest.approx(tau)
 
     def test_default_delay_ratios(self, plant_inputs):
-        # the default 2 ms delay is 20 steps at 10 kHz and 40 at 20 kHz
+        # the default 2 ms delay is 2 ticks: 20 steps at 10 kHz and 40 at 20 kHz
+        assert delay_steps(Plant().tau_delay, CONTROL_DT) == 2
         for sim_dt, n_delay in ((1e-4, 20), (5e-5, 40)):
             sc = Scenario(kind="step", duration=0.01, sim_dt=sim_dt)
             steps, _ = plant_inputs(sc)
             assert steps[:n_delay] == [0.0] * n_delay
             assert steps[n_delay] == 1.0
-            assert n_delay * sim_dt == pytest.approx(Plant().tau_delay)

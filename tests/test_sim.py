@@ -12,8 +12,8 @@ from scipy.signal import cont2discrete
 
 from mrhydro import sim
 from mrhydro.analysis import REFERENCE_RESULTS, Evidence, torque_deviation
-from mrhydro.controllers import (CONTROLLER_NAMES, PID_MASTER_DEFAULT, PID_SLAVE_DEFAULT,
-                                 Command, ControllerFault, DitherConfig, make_controller)
+from mrhydro.controllers import (CONTROL_DT, CONTROLLER_NAMES, PID_MASTER_DEFAULT,
+                                 PID_SLAVE_DEFAULT, Command, ControllerFault, DitherConfig)
 from mrhydro.plant import (FRICTION_MODES, Plant, PlantError, PlantParams, build_record,
                            build_state_space)
 from mrhydro.sim import (BACKDRIVE_AMPLITUDE_1HZ, CSV_BLOCK_ROWS, SCENARIO_KINDS,
@@ -47,29 +47,29 @@ class TestEquilibrium:
 class TestLinearOracle:
     def test_step_matches_discretized_linear_model(self):
         # friction and dither off: the engine must match an independently
-        # discretized simulation of the linear model within 0.5% RMS
+        # discretized simulation of the linear model within 0.5% RMS, a
+        # zero-order hold of each 1 ms tick's command over its sim_dt steps
         params = PlantParams().with_friction(mode="off")
         plant = Plant(params)
-        sc = step_scenario("open_loop", amplitude=12.0, control_dt=1e-4)
+        sc = step_scenario("open_loop", amplitude=12.0)
         tr = run_scenario(sc, plant=plant)
 
         ss = build_state_space(params)
         dt = sc.sim_dt
         ad, bd, _, _, _ = cont2discrete((ss.A, ss.B, ss.C_d, [[0.0]]), dt)
         delay_steps = int(round(plant.tau_delay / dt))
+        ticks = int(round(CONTROL_DT / dt))
         n = len(tr.t)
         x = np.zeros(7)
         p_lin = np.zeros(n)
-        force = np.zeros(n + delay_steps)
-        ticks = int(round(sc.control_dt / dt))
-        for i in range(n):
-            t = i * dt
-            if i % ticks == 0:
-                torque = 12.0 if t >= sc.pre_hold else 0.0
+        force = np.zeros(n * ticks + delay_steps)
+        for i in range((n - 1) * ticks + 1):
+            if i % ticks == 0:   # a control tick: record the row, hold a new command
+                torque = 12.0 if i * dt >= sc.pre_hold else 0.0
                 p_d = plant.pressure_from_torque(torque)
                 _, f_now, _ = plant.drive(p_d * plant.area_slave)
+                p_lin[i // ticks] = (ss.C_d @ x)[0]
             force[i + delay_steps] = f_now
-            p_lin[i] = (ss.C_d @ x)[0]
             x = ad @ x + bd[:, 0] * force[i]
         err = tr.p_slave - p_lin
         rms = math.sqrt(float(np.mean(err**2))) / math.sqrt(float(np.mean(p_lin**2)))
@@ -77,10 +77,8 @@ class TestLinearOracle:
 
 
 class _CurrentSweep:
-    """Stub controller at dt = 0.1 ms commanding, through plant.drive, the force
-    of a coil-current sweep rising 100 Hz per second, 2 + 0.5 sin(2 pi 50 t^2) A."""
-
-    dt = 1e-4
+    """Stub controller commanding, through plant.drive, the force of a coil-current
+    sweep rising 100 Hz per second, 2 + 0.5 sin(2 pi 50 t^2) A."""
 
     def __init__(self, plant: Plant):
         self.plant = plant
@@ -100,63 +98,59 @@ class TestDelayRealization:
         params = PlantParams().with_friction(mode="off")
         params = replace(params, clutch=replace(params.clutch, omega_c=2e4))
         plant = Plant(params)
-        sc = Scenario(kind="step", torque_amplitude=0.0, duration=2.0, control_dt=1e-4)
+        sc = Scenario(kind="step", torque_amplitude=0.0, duration=2.0)
         tr = run_scenario(sc, plant=plant, controller=_CurrentSweep(plant))
-        # command change active at index i; force increment over [i, i+1)
-        # sits at diff index i, so the peak lag is the delay bin count
+        # command change active at tick i; force increment over tick [i, i+1)
+        # sits at diff index i, so the peak lag is the delay in ticks
         c = np.diff(tr.force_cmd, prepend=tr.force_cmd[0])
         g = np.diff(tr.state[:, 6])
         lags = np.arange(0, 41)
         score = [float(np.dot(c[: len(g) - lag], g[lag:])) for lag in lags]
-        dt = tr.t[1] - tr.t[0]
-        assert lags[int(np.argmax(score))] * dt == pytest.approx(plant.tau_delay,
-                                                                 abs=1e-12)
-
-
-def _tick_scenario(ticks_per_ctrl: int, n_ticks: int) -> Scenario:
-    """A step run of n_ticks whole ticks of ticks_per_ctrl 0.1 ms steps."""
-    control_dt = ticks_per_ctrl * 1e-4
-    return Scenario(kind="step", duration=n_ticks * control_dt, control_dt=control_dt)
+        assert lags[int(np.argmax(score))] * CONTROL_DT == pytest.approx(plant.tau_delay,
+                                                                         abs=1e-12)
 
 
 class TestDelayLine:
     def test_commands_arrive_tau_late(self, plant_inputs):
-        steps, _ = plant_inputs(_tick_scenario(10, 8))
+        # the default 2 ms delay: 20 steps of 0.1 ms, 2 ticks
+        steps, _ = plant_inputs(Scenario(kind="step", duration=0.008))
         assert steps[20:] == [float(s // 10 + 1) for s in range(len(steps) - 20)]
 
     def test_fractional_delay_rejected(self):
-        # 2 ms is 6.67 steps of 0.3 ms: refuse rather than round the delay
-        sc = Scenario(kind="step", duration=0.03, sim_dt=3e-4, control_dt=3e-4)
+        # 1.5 ms is 1.5 ticks of 1 ms: refuse rather than round the delay
+        params = PlantParams()
+        plant = Plant(replace(params, clutch=replace(params.clutch, tau_delay=1.5e-3)))
         with pytest.raises(PlantError, match="whole number"):
-            run_scenario(sc)
+            run_scenario(Scenario(kind="step", duration=0.03), plant=plant)
 
     def test_zero_delay_passthrough(self, plant_inputs):
         # each tick's steps see that tick's own command
-        steps, _ = plant_inputs(_tick_scenario(10, 4), n_delay=0)
+        steps, _ = plant_inputs(Scenario(kind="step", duration=0.004), q=0)
         assert steps == [float(s // 10 + 1) for s in range(40)]
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 20), st.integers(0, 60))
-    def test_tick_line_equals_step_ring(self, plant_inputs, ticks_per_ctrl, n_delay):
-        # the per-step commands run_scenario feeds the plant against a ring
-        # buffer pushed once per step
-        n_ticks = n_delay // ticks_per_ctrl + 3
-        steps, _ = plant_inputs(_tick_scenario(ticks_per_ctrl, n_ticks), n_delay)
-        ring = [0.0] * n_delay
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([1, 2, 4, 5, 10, 20]), st.integers(0, 6))
+    def test_tick_line_equals_step_ring(self, plant_inputs, n, q):
+        # the per-step commands run_scenario feeds the plant, at n steps per
+        # tick and a delay of q ticks, against a ring buffer of q * n steps
+        # pushed once per step
+        n_ticks = q + 3
+        sc = Scenario(kind="step", duration=n_ticks * CONTROL_DT, sim_dt=CONTROL_DT / n)
+        steps, _ = plant_inputs(sc, q)
+        ring = [0.0] * (q * n)
         want = []
-        for s in range(n_ticks * ticks_per_ctrl):
-            ring.append(float(s // ticks_per_ctrl + 1))
+        for s in range(n_ticks * n):
+            ring.append(float(s // n + 1))
             want.append(ring.pop(0))
         assert steps == want
 
     def test_no_step_past_last_row(self, plant_inputs):
-        # 0.7 s is 466.67 ticks of 1.5 ms: the trace ends at tick 466 and the
+        # 0.7005 s is 700.5 ticks of 1 ms: the trace ends at tick 700 and the
         # plant is not integrated past it
-        sc = Scenario(kind="step", duration=0.7, control_dt=1.5e-3)
-        steps, trace = plant_inputs(sc)
-        assert len(trace.t) == 467
-        assert len(steps) == 466 * 15
-        assert trace.t[-1] == pytest.approx(0.699, abs=1e-12)
+        steps, trace = plant_inputs(Scenario(kind="step", duration=0.7005))
+        assert len(trace.t) == 701
+        assert len(steps) == 700 * 10
+        assert trace.t[-1] == pytest.approx(0.7, abs=1e-12)
 
 
 def calibrate_backdrive_amplitude(plant: Plant | None = None, tol: float = 1e-3) -> float:
@@ -541,6 +535,14 @@ class TestTraceIO:
                      id="sidecar_with_seed"),
         pytest.param(lambda lines, meta: (lines, [meta]),
                      r"meta\.json must be an object .*got list$", id="sidecar_not_object"),
+        pytest.param(lambda lines, meta: (lines, {**meta, "plant_hash": 5}),
+                     r"meta\.json: plant_hash must be a string .*got 5 and None$",
+                     id="plant_hash_not_text"),
+        pytest.param(lambda lines, meta: (lines, {**meta, "aborted": ["x"]}),
+                     r"meta\.json: plant_hash must be .*aborted a string or null, "
+                     r"got '[0-9a-f]+' and \['x'\]$", id="aborted_not_text"),
+        pytest.param(lambda lines, meta: (lines, "{aborted: null}"),
+                     r"t\.csv\.meta\.json is not JSON: Expecting", id="sidecar_not_json"),
         pytest.param(lambda lines, meta: (lines, _sidecar_scenario(meta, drop="pre_hold")),
                      r"scenario of .*meta\.json does not rebuild to itself at \['pre_hold'\]$",
                      id="no_pre_hold"),
@@ -552,8 +554,9 @@ class TestTraceIO:
         lines, meta = edit(*backdrive_files)
         path = tmp_path / "t.csv"
         path.write_text("\n".join(lines) + "\n")
-        if meta is not None:
-            Path(f"{path}.meta.json").write_text(json.dumps(meta))
+        if meta is not None:   # a str is the sidecar's text as it is
+            text = meta if isinstance(meta, str) else json.dumps(meta)
+            Path(f"{path}.meta.json").write_text(text)
         with pytest.raises(ValueError, match=match):
             read_trace_csv(path)
 
@@ -579,8 +582,9 @@ class TestScenarioValidation:
             Scenario(kind="waltz")
 
     def test_rate_mismatch_rejected(self):
-        with pytest.raises(ScenarioError):
-            Scenario(control_dt=1e-3, sim_dt=3e-4)
+        # 1 ms is 3.33 steps of 0.3 ms
+        with pytest.raises(ScenarioError, match="sim_dt"):
+            Scenario(sim_dt=3e-4)
 
     def test_round_trip(self):
         sc = backdrive_scenario("lqgi", torque_command=10.0, backdrive_freq=5.0)
@@ -590,7 +594,6 @@ class TestScenarioValidation:
     @given(st.data())
     def test_random_scenarios_round_trip(self, data):
         positive = st.floats(1e-3, 1e3)
-        sim_dt = data.draw(st.sampled_from([2.5e-5, 5e-5, 1e-4, 2.5e-4]))
         sc = Scenario(
             kind=data.draw(st.sampled_from(SCENARIO_KINDS)),
             controller=data.draw(st.sampled_from(CONTROLLER_NAMES)),
@@ -602,16 +605,13 @@ class TestScenarioValidation:
             backdrive_cycles=data.draw(st.integers(1, 1000)),
             torque_command=data.draw(FINITE), ramp_torque_end=data.draw(st.none() | FINITE),
             friction_mode=data.draw(st.none() | st.sampled_from(FRICTION_MODES)),
-            sim_dt=sim_dt, control_dt=data.draw(st.integers(1, 20)) * sim_dt)
+            sim_dt=data.draw(st.sampled_from([2.5e-5, 5e-5, 1e-4, 2.5e-4, 1e-3])))
         assert _json_round_trip(sc) == sc
 
     @pytest.mark.parametrize("fields, name", [
         ({"sim_dt": 0.0}, "sim_dt"),
         ({"sim_dt": -1e-4}, "sim_dt"),
         ({"sim_dt": math.nan}, "sim_dt"),
-        ({"control_dt": 0.0}, "control_dt"),
-        ({"control_dt": math.inf}, "control_dt"),
-        ({"control_dt": math.nan}, "control_dt"),
         ({"duration": math.nan}, "duration"),
         ({"kind": "sine_dwell", "freq_hz": 0.0}, "freq_hz"),
         ({"kind": "sine_dwell", "freq_hz": -1.0}, "freq_hz"),
@@ -652,20 +652,3 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match=name):
             Scenario(**fields)
 
-
-class TestControlRate:
-    @pytest.mark.parametrize("name", ["pid_master", "lqgi"])
-    def test_control_dt_reaches_the_controller(self, name):
-        # the factory-built controller discretizes at the scenario's rate
-        plant = Plant()
-        sc = step_scenario(name, settle=0.2, control_dt=2e-3)
-        built = run_scenario(sc, plant=plant)
-        supplied = run_scenario(sc, plant=plant, controller=make_controller(name, plant, dt=2e-3))
-        assert np.array_equal(built.p_slave, supplied.p_slave)
-        assert np.array_equal(built.current, supplied.current)
-
-    def test_controller_at_another_rate_rejected(self):
-        plant = Plant()
-        sc = step_scenario("pid_master", settle=0.2, control_dt=2e-3)
-        with pytest.raises(ScenarioError, match="control_dt"):
-            run_scenario(sc, plant=plant, controller=make_controller("pid_master", plant))
