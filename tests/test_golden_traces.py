@@ -25,6 +25,9 @@ RUNS["backdrive_5hz"] = backdrive_scenario("pid_master", torque_command=10.0,
 RUNS["backdrive_1hz_stick_slip_friction_comp"] = backdrive_scenario(
     "friction_comp", torque_command=10.0, backdrive_freq=1.0, backdrive_cycles=2,
     friction_mode="stick_slip_sign")
+# 20 steps of 50 us per 1 ms control tick, the 2 ms clutch delay 40 of them
+RUNS["step_pid_master_sim_dt_50us"] = step_scenario("pid_master", settle=0.2, noise=True,
+                                                    seed=11, sim_dt=5e-5)
 
 
 def sampled_columns(sc: Scenario) -> dict:

@@ -13,7 +13,8 @@ from scipy.signal import cont2discrete
 from mrhydro import sim
 from mrhydro.analysis import REFERENCE_RESULTS, Evidence, torque_deviation
 from mrhydro.controllers import (CONTROL_DT, CONTROLLER_NAMES, PID_MASTER_DEFAULT,
-                                 PID_SLAVE_DEFAULT, Command, ControllerFault, DitherConfig)
+                                 PID_SLAVE_DEFAULT, Command, ControllerFault, DitherConfig,
+                                 make_controller)
 from mrhydro.plant import (FRICTION_MODES, Plant, PlantError, PlantParams, build_record,
                            build_state_space)
 from mrhydro.sim import (BACKDRIVE_AMPLITUDE_1HZ, CSV_BLOCK_ROWS, SCENARIO_KINDS,
@@ -116,10 +117,11 @@ class TestDelayLine:
         steps, _ = plant_inputs(Scenario(kind="step", duration=0.008))
         assert steps[20:] == [float(s // 10 + 1) for s in range(len(steps) - 20)]
 
-    def test_fractional_delay_rejected(self):
-        # 1.5 ms is 1.5 ticks of 1 ms: refuse rather than round the delay
+    @pytest.mark.parametrize("tau_delay", [1.5e-3, 5e-4, 2.05e-3])
+    def test_fractional_delay_rejected(self, tau_delay):
+        # whole 0.1 ms steps but not whole 1 ms ticks: refuse rather than round
         params = PlantParams()
-        plant = Plant(replace(params, clutch=replace(params.clutch, tau_delay=1.5e-3)))
+        plant = Plant(replace(params, clutch=replace(params.clutch, tau_delay=tau_delay)))
         with pytest.raises(PlantError, match="whole number"):
             run_scenario(Scenario(kind="step", duration=0.03), plant=plant)
 
@@ -612,6 +614,9 @@ class TestScenarioValidation:
         ({"sim_dt": 0.0}, "sim_dt"),
         ({"sim_dt": -1e-4}, "sim_dt"),
         ({"sim_dt": math.nan}, "sim_dt"),
+        ({"sim_dt": math.inf}, "sim_dt"),
+        ({"sim_dt": 2e-3}, "sim_dt"),   # coarser than the 1 ms control tick
+        ({"sim_dt": 3e-4}, "sim_dt"),   # 3.33 steps per tick
         ({"duration": math.nan}, "duration"),
         ({"kind": "sine_dwell", "freq_hz": 0.0}, "freq_hz"),
         ({"kind": "sine_dwell", "freq_hz": -1.0}, "freq_hz"),
@@ -652,3 +657,35 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match=name):
             Scenario(**fields)
 
+
+class TestControlRate:
+    @pytest.mark.parametrize("name", CONTROLLER_NAMES)
+    def test_supplied_controller_equals_the_built_one(self, name):
+        # a controller from the factory runs at the one CONTROL_DT, as the
+        # one run_scenario builds from sc.controller does
+        plant = Plant()
+        sc = step_scenario(name, settle=0.2, noise=True, seed=3)
+        built = run_scenario(sc, plant=plant)
+        supplied = run_scenario(sc, plant=plant, controller=make_controller(name, plant))
+        want = built.columns()
+        got = supplied.columns()
+        assert list(got) == list(want)
+        for head, values in want.items():
+            assert np.array_equal(got[head], values), head
+
+    @pytest.mark.parametrize("sim_dt", [1e-3, 1e-4, 2.5e-5])
+    def test_one_controller_call_per_tick(self, sim_dt):
+        # whatever the integration step, the controller is called once per
+        # 1 ms tick and each call writes one trace row
+        calls = []
+
+        def step(t, p_desired, meas):
+            calls.append(t)
+            return Command(current=0.0, force=0.0, pressure_cmd=0.0, saturated=False)
+
+        counter = type("Counter", (), {"step": staticmethod(step)})()
+        tr = run_scenario(Scenario(kind="step", duration=0.05, sim_dt=sim_dt),
+                          controller=counter)
+        assert len(calls) == len(tr.t) == 51
+        assert np.array_equal(calls, tr.t)
+        np.testing.assert_allclose(np.diff(tr.t), CONTROL_DT, rtol=1e-9)
