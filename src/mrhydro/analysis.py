@@ -218,11 +218,11 @@ def _first_cycle_end(trace) -> float:
 
 
 def torque_deviation(trace) -> float:
-    """Peak |delivered - commanded| torque, first backdrive cycle excluded."""
+    """Peak |delivered - recorded commanded| torque, first backdrive cycle excluded."""
     mask = trace.t >= _first_cycle_end(trace)
     if not np.any(mask):
         raise AnalysisError("trace shorter than one backdrive cycle")
-    return float(np.abs(trace.torque[mask] - trace.scenario.torque_command).max())
+    return float(np.abs(trace.torque[mask] - trace.ref_torque[mask]).max())
 
 
 @dataclass

@@ -129,38 +129,48 @@ TRACE_SCHEMA = {
 }
 
 
+def _table_heads(with_estimate: bool) -> list:
+    """CSV column names of a trace table, in TRACE_SCHEMA order."""
+    return [h for name, heads in TRACE_SCHEMA.items() if with_estimate or name != "estimate"
+            for h in ((heads,) if isinstance(heads, str) else heads)]
+
+
+# TRACE_SCHEMA series -> its column (1-D) or column slice (2-D) of a trace table
+_ALL_HEADS = _table_heads(True)
+_SERIES_COLUMNS = {name: (_ALL_HEADS.index(h) if isinstance(h, str) else
+                          slice(_ALL_HEADS.index(h[0]), _ALL_HEADS.index(h[-1]) + 1))
+                   for name, h in TRACE_SCHEMA.items()}
+
+
 @dataclass
 class SimTrace:
-    """Uniform-grid record of one run; all series share the time axis."""
+    """Uniform-grid record of one run: its table, one row per control tick
+    in TRACE_SCHEMA column order, and what ran.  Each TRACE_SCHEMA series
+    reads as a view of its columns (trace.state: the (n, 7) true plant
+    states; trace.meas: x1, v1, x3, p_master, p_slave, noisy if enabled),
+    except trace.saturated, a bool copy, and trace.estimate, the (n, 8)
+    [x_i, x_hat] of an LQGI run and None for a table without them."""
 
-    t: np.ndarray
-    state: np.ndarray        # (n, 7) true plant states
-    meas: np.ndarray         # (n, 5) x1, v1, x3, p_master, p_slave (noisy if enabled)
-    ref_torque: np.ndarray
-    p_desired: np.ndarray
-    p_master: np.ndarray     # true pressures
-    p_slave: np.ndarray
-    torque: np.ndarray       # delivered joint torque from slave pressure
-    current: np.ndarray
-    force_cmd: np.ndarray
-    pressure_cmd: np.ndarray
-    saturated: np.ndarray
+    table: np.ndarray        # (n, 22), or (n, 30) with the LQGI estimate
     scenario: Scenario       # what ran, its seed included
-    estimate: np.ndarray | None = None   # (n, 8) [x_i, x_hat] for LQGI runs
     plant_hash: str = ""
     aborted: str | None = None
 
+    def __getattr__(self, name):
+        # called only for names that normal lookup misses; before unpickling
+        # sets the fields, self.table is one and raises AttributeError here too
+        if name not in _SERIES_COLUMNS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        cols = _SERIES_COLUMNS[name]
+        if name == "estimate" and self.table.shape[1] <= cols.start:
+            return None
+        series = self.table[:, cols]
+        return series > 0.5 if name == "saturated" else series
+
     def columns(self) -> dict:
-        cols = {}
-        for name, heads in TRACE_SCHEMA.items():
-            series = getattr(self, name)
-            if series is None:
-                continue
-            if isinstance(heads, str):
-                cols[heads] = np.asarray(series, dtype=float)
-            else:
-                cols.update((h, series[:, j]) for j, h in enumerate(heads))
-        return cols
+        """CSV column name -> the table's column (a view), in table order."""
+        heads = _table_heads(self.estimate is not None)
+        return {h: self.table[:, j] for j, h in enumerate(heads)}
 
     def to_csv(self, path) -> None:
         """Comma-separated table with a one-line header naming columns/units.
@@ -169,36 +179,15 @@ class SimTrace:
         the abort reason, so the run can be reproduced exactly.
         """
         cols = self.columns()
-        data = np.column_stack(list(cols.values()))
         # %.17g of a Python float is the text numpy.savetxt writes for the float64
         row_fmt = ",".join(["%.17g"] * len(cols)) + "\n"
         with open(path, "w") as fh:
             fh.write(",".join(cols) + "\n")
-            for lo in range(0, len(data), CSV_BLOCK_ROWS):
+            for lo in range(0, len(self.table), CSV_BLOCK_ROWS):
                 fh.writelines(row_fmt % tuple(r)
-                              for r in data[lo:lo + CSV_BLOCK_ROWS].tolist())
+                              for r in self.table[lo:lo + CSV_BLOCK_ROWS].tolist())
         write_json(f"{path}.meta.json", {"aborted": self.aborted, "plant_hash": self.plant_hash,
                                          "scenario": asdict(self.scenario)})
-
-
-def _table_heads(with_estimate: bool) -> list:
-    """CSV column names of a trace table, in TRACE_SCHEMA order."""
-    return [h for name, heads in TRACE_SCHEMA.items() if with_estimate or name != "estimate"
-            for h in ((heads,) if isinstance(heads, str) else heads)]
-
-
-def _split_table(table: np.ndarray, names: list) -> dict:
-    """SimTrace series as column views of a table whose columns are named by names."""
-    index = {h: j for j, h in enumerate(names)}
-    series = {}
-    for name, heads in TRACE_SCHEMA.items():
-        if isinstance(heads, str):
-            series[name] = table[:, index[heads]]
-        elif heads[0] in index:
-            j = index[heads[0]]
-            series[name] = table[:, j:j + len(heads)]
-    series["saturated"] = series["saturated"] > 0.5
-    return series
 
 
 def read_trace_csv(path) -> SimTrace:
@@ -239,8 +228,7 @@ def read_trace_csv(path) -> SimTrace:
     changed = [k for k, v in asdict(scenario).items() if k not in recorded or recorded[k] != v]
     if changed:   # a field missing, or one the Scenario resolves to another value
         raise ValueError(f"the scenario of {where} does not rebuild to itself at {changed}")
-    return SimTrace(**_split_table(data, names), scenario=scenario,
-                    plant_hash=plant_hash, aborted=aborted)
+    return SimTrace(data, scenario, plant_hash, aborted)
 
 
 def _reference(sc: Scenario):
@@ -355,8 +343,7 @@ def run_scenario(sc: Scenario, plant: Plant | None = None, controller=None,
         aborted = f"{type(exc).__name__}: {exc}"
         n_rows = j   # rows 0 .. j - 1 are complete
 
-    return SimTrace(**_split_table(table[:n_rows], heads), scenario=sc,
-                    plant_hash=plant.params.content_hash(), aborted=aborted)
+    return SimTrace(table[:n_rows], sc, plant.params.content_hash(), aborted)
 
 
 # ---------------- canned scenarios ----------------

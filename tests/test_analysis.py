@@ -19,7 +19,7 @@ from mrhydro.analysis import (AnalysisError, Evidence, FrfPoint, LowPass,
                               frf_from_sine_dwell, identify_friction, lowpass,
                               step_metrics, torque_deviation, verdicts)
 from mrhydro.plant import TWO_PI
-from mrhydro.sim import backdrive_scenario
+from mrhydro.sim import backdrive_scenario, run_scenario
 
 
 class FakeTrace:
@@ -250,7 +250,7 @@ class TestTorqueDeviation:
         sc = backdrive_scenario("open_loop", backdrive_freq=1.0, pre_hold=1.0, torque_command=10.0)
         arg = TWO_PI * 1.0 * (t - 1.0) + TWO_PI * shift_periods
         torque = 10.0 + 1.5 * np.sin(arg) + 0.8 * np.sin(3 * arg)
-        return FakeTrace(t, torque=torque, scenario=sc)
+        return FakeTrace(t, torque=torque, ref_torque=np.full_like(t, 10.0), scenario=sc)
 
     def test_peak_deviation(self):
         dev = torque_deviation(self.make_trace())
@@ -265,8 +265,20 @@ class TestTorqueDeviation:
     def test_settled_zero_amplitude(self):
         t = np.arange(0.0, 4.0, 1e-3)
         sc = backdrive_scenario("open_loop", backdrive_freq=1.0, pre_hold=1.0, torque_command=5.0)
-        tr = FakeTrace(t, torque=np.full_like(t, 5.0), scenario=sc)
+        tr = FakeTrace(t, torque=np.full_like(t, 5.0), ref_torque=np.full_like(t, 5.0),
+                       scenario=sc)
         assert torque_deviation(tr) == 0.0
+
+    def test_ramped_command_is_the_recorded_one(self):
+        # the command ramps from 5 to 15 N.m: the deviation is from the ramp,
+        # not from its start value
+        sc = backdrive_scenario("open_loop", backdrive_cycles=3, torque_command=5.0,
+                                ramp_torque_end=15.0)
+        tr = run_scenario(sc)
+        window = tr.t >= sc.pre_hold + 1.0
+        assert tr.ref_torque[-1] > 14.0
+        assert torque_deviation(tr) == np.abs(tr.torque - tr.ref_torque)[window].max()
+        assert torque_deviation(tr) < 5.0
 
 
 class TestIdentifyFriction:

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import tempfile
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -347,6 +348,11 @@ def _header_only_trace() -> SimTrace:
     return run_scenario(step_scenario("pid_slave", settle=0.2), controller=_FailsAtOnce())
 
 
+def _stacked(series: dict) -> np.ndarray:
+    """The trace table of the TRACE_SCHEMA series given, stacked in TRACE_SCHEMA order."""
+    return np.column_stack([series[name] for name in TRACE_SCHEMA if name in series])
+
+
 def _special_values_trace() -> SimTrace:
     """A hand-built trace whose every column holds signed zeros, the
     smallest subnormal, the largest finite values, nan and both infinities."""
@@ -359,14 +365,22 @@ def _special_values_trace() -> SimTrace:
         cols = [np.roll(special, k + j) for j in range(width)]
         series[name] = cols[0] if isinstance(heads, str) else np.column_stack(cols)
     series["saturated"] = np.arange(n) % 2 == 0
-    return SimTrace(**series, scenario=Scenario())
+    return SimTrace(_stacked(series), Scenario())
+
+
+def _assert_series_view_table(tr: SimTrace) -> None:
+    """Every series of tr but saturated is a view of tr.table; saturated is bool."""
+    assert tr.saturated.dtype == bool
+    for name in TRACE_SCHEMA:
+        series = getattr(tr, name)
+        if name != "saturated" and series is not None and len(tr.table):   # no rows: no memory
+            assert np.shares_memory(series, tr.table), name
 
 
 def _savetxt_reference(tr: SimTrace, path) -> None:
     """The trace table as numpy.savetxt writes it: the writer's byte reference."""
-    cols = tr.columns()
-    np.savetxt(path, np.column_stack(list(cols.values())), delimiter=",",
-               header=",".join(cols), comments="", fmt="%.17g")
+    np.savetxt(path, tr.table, delimiter=",", header=",".join(tr.columns()), comments="",
+               fmt="%.17g")
 
 
 def _without(lines: list, *heads) -> list:
@@ -406,11 +420,37 @@ class TestTraceIO:
         tr.to_csv(path)
         _savetxt_reference(tr, ref)
         assert path.read_bytes() == ref.read_bytes()
-        want = np.column_stack(list(tr.columns().values()))
-        got = np.column_stack(list(read_trace_csv(path).columns().values()))
+        again = read_trace_csv(path)
+        want, got = tr.table, again.table
         assert got.shape == want.shape
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+        # the read-back trace writes the very bytes it was read from
+        again.to_csv(tmp_path / "again.csv")
+        for suffix in ("", ".meta.json"):
+            assert (Path(f"{tmp_path / 'again.csv'}{suffix}").read_bytes()
+                    == Path(f"{path}{suffix}").read_bytes()), suffix
+
+    @pytest.mark.parametrize("name", ["pid_master", "lqgi"])
+    def test_series_are_views_of_the_table(self, tmp_path, name):
+        tr = run_scenario(step_scenario(name, settle=0.2, noise=True, seed=4))
+        tr.to_csv(tmp_path / "t.csv")
+        for trace in (tr, read_trace_csv(tmp_path / "t.csv")):
+            _assert_series_view_table(trace)
+            assert (trace.estimate is None) == (name != "lqgi")
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: run_scenario(step_scenario("lqgi", settle=0.2, noise=True, seed=9)),
+                     id="noisy_lqgi"),
+        pytest.param(_header_only_trace, id="header_only"),
+    ])
+    def test_pickle_round_trip(self, make):
+        tr = make()
+        again = pickle.loads(pickle.dumps(tr))
+        assert again.table.shape == tr.table.shape and np.array_equal(again.table, tr.table)
+        assert (again.scenario, again.plant_hash, again.aborted) == (
+            tr.scenario, tr.plant_hash, tr.aborted)
+        _assert_series_view_table(again)
 
     def test_csv_round_trip(self, tmp_path):
         sc = step_scenario("lqgi", settle=0.2, noise=True, seed=5)
@@ -464,7 +504,7 @@ class TestTraceIO:
                 shape = n if isinstance(heads, str) else (n, len(heads))
                 series[name] = data.draw(arrays(float, shape, elements=FINITE), label=name)
         series["saturated"] = data.draw(arrays(bool, n), label="saturated")
-        tr = SimTrace(**series, scenario=Scenario(seed=3), plant_hash="abc")
+        tr = SimTrace(_stacked(series), Scenario(seed=3), plant_hash="abc")
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "t.csv"
             tr.to_csv(path)
