@@ -198,7 +198,7 @@ class LqgiController:
     Hurwitz design; mapping the continuous gain as L*dt diverges here
     because the fastest estimator pole exceeds the sampling bandwidth.
     The integral state accumulates (P_d - estimated slave pressure) and is
-    held while the force command saturates.
+    held by the PID's windup law, _anti_windup, and by nothing else.
     """
 
     def __init__(self, plant: Plant, gains: GainSet, dither: DitherConfig = DitherConfig()):
@@ -218,7 +218,6 @@ class LqgiController:
         self._k_i = gains.K_integral
         self._k_x = gains.K_x
         self._k_ff = gains.K_ff
-        self.xi_clamp = 2.0 * plant.force_max / max(abs(self._k_i), 1e-12)
         self.x_hat = np.zeros(7)
         self.x_i = 0.0
         self._u_prev = 0.0
@@ -237,7 +236,6 @@ class LqgiController:
         saturated, integrate = _anti_windup(u, self.plant.force_max, -self._k_i * err_i)
         if integrate:
             self.x_i += err_i * CONTROL_DT
-            self.x_i = min(max(self.x_i, -self.xi_clamp), self.xi_clamp)
         force_req = u + dither_signal(t, p_desired, self.dither) * self.plant.area_slave
         current, force, _ = self.plant.drive(force_req)
         self._u_prev = force

@@ -142,14 +142,15 @@ _SERIES_COLUMNS = {name: (_ALL_HEADS.index(h) if isinstance(h, str) else
                    for name, h in TRACE_SCHEMA.items()}
 
 
-@dataclass
+@dataclass(eq=False)
 class SimTrace:
     """Uniform-grid record of one run: its table, one row per control tick
     in TRACE_SCHEMA column order, and what ran.  Each TRACE_SCHEMA series
     reads as a view of its columns (trace.state: the (n, 7) true plant
     states; trace.meas: x1, v1, x3, p_master, p_slave, noisy if enabled),
     except trace.saturated, a bool copy, and trace.estimate, the (n, 8)
-    [x_i, x_hat] of an LQGI run and None for a table without them."""
+    [x_i, x_hat] of an LQGI run and None for a table without them.  A trace
+    compares and hashes by identity; np.array_equal compares two tables."""
 
     table: np.ndarray        # (n, 22), or (n, 30) with the LQGI estimate
     scenario: Scenario       # what ran, its seed included

@@ -5,6 +5,7 @@ import shlex
 from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,9 +13,10 @@ from mrhydro import analysis, sim
 from mrhydro.analysis import REFERENCE_RESULTS
 from mrhydro.cli import build_parser, main
 from mrhydro.config import ConfigError, RunConfig, load_run_config
-from mrhydro.controllers import PID_MASTER_DEFAULT, PID_SLAVE_DEFAULT, DitherConfig
+from mrhydro.controllers import (PID_MASTER_DEFAULT, PID_SLAVE_DEFAULT, DitherConfig,
+                                 make_controller)
 from mrhydro.plant import (FRICTION_MODES, FrictionParams, GeometryParams, MRClutchParams,
-                           PlantError, PlantParams, TransmissionParams, build_record)
+                           Plant, PlantError, PlantParams, TransmissionParams, build_record)
 from mrhydro.synthesis import CostWeights, NoiseCovariances, SynthesisError
 
 # one instance of each frozen settings type, with the error its check raises
@@ -159,6 +161,8 @@ class TestRunConfig:
             load_run_config(overrides={"controller": "pid_elbow"})
         with pytest.raises(ConfigError, match="pid_elbow"):
             RunConfig(controller="pid_elbow")
+        with pytest.raises(ValueError, match=r"^unknown controller 'pid_elbow'; choose from "):
+            make_controller("pid_elbow", Plant())
 
     def test_layering_file_then_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -246,6 +250,10 @@ class TestCliSynth:
         rc = main(["--config", str(cfgfile), "synth", "--out-dir", str(tmp_path)])
         assert rc == 2
         assert "scenari" in capsys.readouterr().err
+        cfgfile.write_text(json.dumps([{"seed": 1}]))
+        rc = main(["--config", str(cfgfile), "synth", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "config error: config file must hold a JSON object\n"
 
 
     @pytest.mark.parametrize("content", [None, b"{\"seed\": 1,", b"\xff\xfe{}",
@@ -384,9 +392,11 @@ class TestCliReport:
     def test_single_row_subset(self, tmp_path, capsys, monkeypatch):
         # the report layout only; the acceptance suite measures real rows
         measured = []
+        trace = sim.run_scenario(sim.Scenario(duration=0.005))
 
         def fake_row(name, **kw):
             measured.append(name)
+            kw["trace_hook"](f"step_{name}", trace)
             kw["trace_hook"](f"frf_{name}", [])
             return reference_row(name)
 
@@ -398,6 +408,10 @@ class TestCliReport:
         out = capsys.readouterr().out
         assert re.search(r"^  wrote frf_open_loop\.csv \(\d+ s elapsed\)$", out, re.MULTILINE)
         assert (tmp_path / "frf_open_loop.csv").read_text().startswith("frequency [Hz],")
+        assert re.search(r"^  wrote step_open_loop\.csv \(\d+ s elapsed\)$", out, re.MULTILINE)
+        again = sim.read_trace_csv(tmp_path / "step_open_loop.csv")
+        assert again.table.shape == trace.table.shape == (6, 22)
+        assert np.array_equal(again.table, trace.table)
         text = (tmp_path / "comparison.txt").read_text()
         assert "Open-loop (baseline)" in text
         assert "row absent" in text  # other rows not measured

@@ -233,29 +233,29 @@ class TestLqgi:
         with pytest.raises(ControllerFault):
             ctrl.step(0.0, 1e6, (0.0, 0.0, 0.0, bad, 0.0))
 
-    def test_integral_clamp(self, plant, gains):
-        ctrl = LqgiController(plant, gains, dither=DitherConfig(enabled=False))
-        ctrl.xi_clamp = 1.0
-        for k in range(2000):
-            ctrl.step(k * DT, plant.p_dc + 1e5, (0.0, 0.0, 0.0, plant.p_dc, plant.p_dc))
-        assert abs(ctrl.x_i) <= 1.0 + 1e-12
-
-    @pytest.mark.parametrize("limit", ["upper", "lower"])
-    @pytest.mark.parametrize("unwinds", [False, True])
+    @pytest.mark.parametrize("unwinds, limit", [(False, "upper"), (False, "lower"),
+                                                (True, "upper"), (True, "lower"),
+                                                (True, "inside")])
     def test_anti_windup_at_force_limits(self, plant, gains, limit, unwinds):
         # zero measurements keep the estimate at zero, so the integrated error
         # is p_desired and the feedback command -k_i * x_i + k_ff * p_desired
         ctrl = LqgiController(plant, gains, dither=DitherConfig(enabled=False))
-        ctrl.xi_clamp = math.inf
-        k_i = gains.K_integral
-        u = 2.0 * plant.force_max if limit == "upper" else -plant.force_max
-        # integrating pushes the command further out unless it unwinds
-        outward = 1.0 if limit == "upper" else -1.0
-        p_desired = 1e4 * outward * math.copysign(1.0, -k_i) * (-1.0 if unwinds else 1.0)
-        x_i0 = (u - gains.K_ff * p_desired) / -k_i
+        k_i, k_ff = gains.K_integral, gains.K_ff
+        if limit == "inside":
+            # |k_i * x_i| is ten force_max, and k_ff * p_desired (p_desired > 0)
+            # brings the command to force_max / 2: no bound but anti-windup holds x_i
+            x_i0 = math.copysign(10.0 * plant.force_max / abs(k_i), k_i * k_ff)
+            p_desired = (0.5 * plant.force_max + k_i * x_i0) / k_ff
+            assert p_desired > 0.0
+        else:
+            u = 2.0 * plant.force_max if limit == "upper" else -plant.force_max
+            # integrating pushes the command further out unless it unwinds
+            outward = 1.0 if limit == "upper" else -1.0
+            p_desired = 1e4 * outward * math.copysign(1.0, -k_i) * (-1.0 if unwinds else 1.0)
+            x_i0 = (u - k_ff * p_desired) / -k_i
         ctrl.x_i = x_i0
         cmd = ctrl.step(0.0, p_desired, (0.0, 0.0, 0.0, 0.0, 0.0))
-        assert cmd.saturated
+        assert cmd.saturated == (limit != "inside")
         assert ctrl.x_i == (x_i0 + p_desired * DT if unwinds else x_i0)
 
 

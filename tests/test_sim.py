@@ -448,6 +448,8 @@ class TestTraceIO:
         tr = make()
         again = pickle.loads(pickle.dumps(tr))
         assert again.table.shape == tr.table.shape and np.array_equal(again.table, tr.table)
+        # a trace compares and hashes by identity; its content compares through its table
+        assert again != tr and tr == tr and len({tr, again}) == 2
         assert (again.scenario, again.plant_hash, again.aborted) == (
             tr.scenario, tr.plant_hash, tr.aborted)
         _assert_series_view_table(again)
@@ -570,6 +572,8 @@ class TestTraceIO:
                      r"t\.csv: the header is not a trace table's", id="no_state_columns"),
         pytest.param(lambda lines, meta: ([line + ",0" for line in lines], meta),
                      r"t\.csv: the header is not a trace table's", id="extra_column"),
+        pytest.param(lambda lines, meta: ([",".join(sim._table_heads(True))] + lines[1:], meta),
+                     r"t\.csv: rows of 22 values under 30 columns$", id="lqgi_header"),
         pytest.param(lambda lines, meta: (lines, None),
                      r"t\.csv\.meta\.json is missing", id="no_sidecar"),
         pytest.param(lambda lines, meta: (lines, {**meta, "seed": 0}),
