@@ -100,16 +100,18 @@ def fit_sine(t: np.ndarray, y: np.ndarray, freq: float):
 
 class LowPass:
     """Causal first-order low-pass stepped one sample at a time, primed at
-    its first input: y[0] = x[0], y[n] = a y[n-1] + (1 - a) x[n]."""
+    its first input: y[0] = x[0], y[n] = a y[n-1] + (1 - a) x[n].  y reads
+    NaN until then, and a y set to NaN primes at the next input."""
 
     __slots__ = ("alpha", "y")
 
     def __init__(self, cutoff_hz: float, dt: float):
         self.alpha = math.exp(-TWO_PI * cutoff_hz * dt)
-        self.y = None
+        self.y = math.nan
 
     def step(self, u: float) -> float:
-        self.y = u if self.y is None else self.alpha * self.y + (1.0 - self.alpha) * u
+        y = self.y
+        self.y = u if y != y else self.alpha * y + (1.0 - self.alpha) * u   # y != y: NaN
         return self.y
 
 

@@ -15,7 +15,7 @@ from functools import cached_property
 from .controllers import (CONTROL_DT, CONTROLLER_NAMES, DitherConfig, PidConfig,
                           PID_MASTER_DEFAULT, PID_SLAVE_DEFAULT)
 from .plant import PlantParams, build_record, json_hash, known_keys, write_json
-from .sim import Scenario, ScenarioError, delay_steps
+from .sim import SCENARIO_READS, Scenario, ScenarioError, delay_steps
 from .synthesis import CostWeights, NoiseCovariances, SynthesisError
 
 
@@ -69,13 +69,17 @@ class RunConfig:
 
     @cached_property
     def scenario_for_run(self) -> Scenario:
-        """The run command's scenario: the scenario section with this controller and seed."""
+        """The run command's scenario: the scenario section with this controller and seed.
+        A key that a run of the section's kind never reads is refused (SCENARIO_READS)."""
         run = build_record(Scenario(controller=self.controller, seed=self.seed), self.scenario,
                            "scenario", ScenarioError)
         for key in ("controller", "seed"):
             if key in self.scenario:
                 raise ScenarioError(f"set '{key}' at the top level of the config, "
                                     "not in its scenario section")
+        unread = sorted(self.scenario.keys() - set(SCENARIO_READS[run.kind]))
+        if unread:   # a key the run never reads would be recorded as if it had been
+            raise ScenarioError(f"a {run.kind} run never reads {unread}; remove them")
         return run
 
     def content_hash(self) -> str:

@@ -4,6 +4,8 @@ Each controller maps (time, desired pressure, measurements) to an MR coil
 current once per CONTROL_DT tick.  Measurements arrive as the tuple
 (x1, v1, x3, p_master, p_slave); the slave pressure is only consumed by
 the non-collocated PID.  All controllers superpose the dither command.
+Each keeps its memory as one settable `state` vector, and each but the
+friction compensator states its tick as a LinearLaw through `linear_law()`.
 
 Gain calibration helpers work on the linear model in the frequency
 domain: loop gain margins and closed-loop bandwidth from the published
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy import linalg
@@ -24,12 +27,21 @@ from .synthesis import GainSet, closed_loop_input, closed_loop_matrix, synthesiz
 
 CONTROL_DT = 1e-3   # 1 kHz loop rate
 SIM_DT = 1e-4       # 10 kHz plant substep
+NYQUIST_HZ = 0.5 / CONTROL_DT   # highest frequency the loop samples without aliasing
 
 CONTROLLER_NAMES = tuple(REFERENCE_RESULTS)
 
 
 class ControllerFault(RuntimeError):
     """Estimator divergence or non-finite controller state."""
+
+
+def check_sampled(obj, error: type, name: str) -> None:
+    """Refuse the frequency field name of obj unless it is below NYQUIST_HZ: the
+    loop evaluates it only at control ticks, where a higher one aliases."""
+    if not getattr(obj, name) < NYQUIST_HZ:
+        raise error(f"{name} must be below {NYQUIST_HZ:g} Hz, half the control rate, "
+                    f"got {getattr(obj, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -51,6 +63,7 @@ class DitherConfig:
     def __post_init__(self):
         check_numbers(self, ValueError, positive=("frequency",),
                       finite=("amplitude_slope", "amplitude_floor"))
+        check_sampled(self, ValueError, "frequency")
         check_choices(self, ValueError, enabled=(False, True))
 
 
@@ -87,6 +100,38 @@ def _anti_windup(u: float, u_max: float, du: float) -> tuple[bool, bool]:
     return False, True
 
 
+class LinearLaw(NamedTuple):
+    """One primed controller tick, z' = F @ z + G @ w + f and u = H @ z + J @ w + h, of
+    its state z and w = (x1, v1, x3, p_master, p_slave, p_desired).  u is the screw-force
+    request [N] that _anti_windup judges.  The law leaves out the dither, the saturation
+    and anti-windup, and the clutch (its remnant and curve inversion), so LQGI's u_prev'
+    is u itself."""
+
+    F: np.ndarray   # (n, n)
+    G: np.ndarray   # (n, 6)
+    f: np.ndarray   # (n,)
+    H: np.ndarray   # (n,)
+    J: np.ndarray   # (6,)
+    h: float
+
+
+_W = np.eye(6)   # rows: the unit input on each entry of w
+_W.flags.writeable = False
+
+
+def _checked_state(value, size: int, priming=()) -> np.ndarray:
+    """value as a float vector of length size; ValueError for another length or a
+    non-finite entry, except NaN at an index in priming (set by the first tick)."""
+    z = np.array(value, dtype=float)
+    if z.shape != (size,):
+        raise ValueError(f"state must be a vector of {size} values, got shape {z.shape}")
+    bad = [i for i, v in enumerate(z.tolist())
+           if not (math.isfinite(v) or (i in priming and math.isnan(v)))]
+    if bad:
+        raise ValueError(f"state entries {bad} must be finite, got {z.tolist()}")
+    return z
+
+
 COMP_STEEPNESS = 1000.0    # tanh slope of the friction-compensation estimate [s/m]
 COMP_V1_FILTER_HZ = 150.0  # piston-speed filter of the friction-compensation estimate
 ESTIMATE_GUARD = 1e12      # largest |LQGI state estimate| before it counts as diverged
@@ -100,6 +145,11 @@ class OpenLoopController:
     speed and adds it to the command.  COMP_STEEPNESS is deliberately
     sharp so the estimate tracks the near-discontinuous stick-slip
     friction it has to cancel.
+
+    state: [v1f], the filtered piston speed, with friction compensation and
+    [] without.  v1f reads NaN until the first tick sets it from v1.  The
+    compensator's tanh has no linear law, so its linear_law() raises
+    ValueError.
     """
 
     def __init__(self, plant: Plant, dither: DitherConfig = DitherConfig(),
@@ -108,6 +158,23 @@ class OpenLoopController:
         self.dither = dither
         self.friction_comp = friction_comp
         self._v1_filter = LowPass(COMP_V1_FILTER_HZ, CONTROL_DT)
+
+    @property
+    def state(self) -> np.ndarray:
+        return np.array([self._v1_filter.y] if self.friction_comp else [])
+
+    @state.setter
+    def state(self, value) -> None:
+        n = int(self.friction_comp)
+        z = _checked_state(value, n, priming=range(n))
+        if n:
+            self._v1_filter.y = float(z[0])
+
+    def linear_law(self) -> LinearLaw:
+        if self.friction_comp:
+            raise ValueError("the friction compensator's tanh estimate has no linear law")
+        return LinearLaw(np.zeros((0, 0)), np.zeros((0, 6)), np.zeros(0), np.zeros(0),
+                         self.plant.area_slave * _W[5], 0.0)
 
     def step(self, t: float, p_desired: float, meas) -> Command:
         p_cmd = p_desired
@@ -153,6 +220,12 @@ class PidController:
 
     The command rides on the DC pretension so that zero error with an
     empty integrator commands exactly the line pretension feedthrough.
+
+    state: [integral, previous feedback, filtered derivative].  The last two
+    read NaN until the first tick sets them: with no previous feedback the
+    tick's derivative is zero, and the filter primes at it.  linear_law() is
+    the tick from the same gains and filter coefficient; the continuous
+    design law is _pid_c.
     """
 
     def __init__(self, plant: Plant, config: PidConfig,
@@ -160,9 +233,29 @@ class PidController:
         self.plant = plant
         self.config = config
         self.dither = dither
-        self.integral = 0.0
-        self._prev_fb = None
+        self._integral = 0.0
+        self._prev_fb = math.nan
         self._dfilt = LowPass(config.deriv_filter_hz, CONTROL_DT)
+
+    @property
+    def state(self) -> np.ndarray:
+        return np.array([self._integral, self._prev_fb, self._dfilt.y])
+
+    @state.setter
+    def state(self, value) -> None:
+        self._integral, self._prev_fb, self._dfilt.y = \
+            _checked_state(value, 3, priming=(1, 2)).tolist()
+
+    def linear_law(self) -> LinearLaw:
+        cfg, a, dt = self.config, self._dfilt.alpha, CONTROL_DT
+        tap = _W[3] if cfg.feedback_tap == "master" else _W[4]
+        c = (1.0 - a) / dt   # filtered-derivative weight of a feedback difference
+        F = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, -c, a]])
+        G = np.array([cfg.ki * dt * (_W[5] - tap), tap, c * tap])
+        area = self.plant.area_slave
+        return LinearLaw(F, G, np.zeros(3), area * (np.eye(3)[0] - cfg.kd * F[2]),
+                         area * (cfg.kp * (_W[5] - tap) - cfg.kd * G[2]),
+                         area * self.plant.p_dc)
 
     def step(self, t: float, p_desired: float, meas) -> Command:
         cfg = self.config
@@ -170,20 +263,18 @@ class PidController:
         fb = p_master if cfg.feedback_tap == "master" else p_slave
         error = p_desired - fb
 
-        if self._prev_fb is None:
-            d_raw = 0.0
-        else:
-            d_raw = (fb - self._prev_fb) / CONTROL_DT
+        prev_fb = self._prev_fb
+        d_raw = 0.0 if prev_fb != prev_fb else (fb - prev_fb) / CONTROL_DT   # NaN: first tick
         self._prev_fb = fb
         d_term = -cfg.kd * self._dfilt.step(d_raw)
 
-        p_cmd = self.plant.p_dc + cfg.kp * error + self.integral + d_term
+        p_cmd = self.plant.p_dc + cfg.kp * error + self._integral + d_term
         # anti-windup on the feedback command's own limits; the zero-mean
         # dither is added afterwards
         saturated, integrate = _anti_windup(p_cmd * self.plant.area_slave,
                                             self.plant.force_max, error)
         if integrate:
-            self.integral += cfg.ki * error * CONTROL_DT
+            self._integral += cfg.ki * error * CONTROL_DT
         p_cmd += dither_signal(t, p_desired, self.dither)
         current, force, _ = self.plant.drive(p_cmd * self.plant.area_slave)
         return Command(current=current, force=force, pressure_cmd=p_cmd,
@@ -199,6 +290,11 @@ class LqgiController:
     because the fastest estimator pole exceeds the sampling bandwidth.
     The integral state accumulates (P_d - estimated slave pressure) and is
     held by the PID's windup law, _anti_windup, and by nothing else.
+
+    state: [x_i, x_hat (7), u_prev], the first 8 in the order of a trace's
+    estimate columns; u_prev is the force delivered on the last tick, which
+    the estimator reads.  linear_law() is the tick from the same estimator
+    and gains; the continuous design loop is synthesis.closed_loop_matrix.
     """
 
     def __init__(self, plant: Plant, gains: GainSet, dither: DitherConfig = DitherConfig()):
@@ -221,6 +317,25 @@ class LqgiController:
         self.x_hat = np.zeros(7)
         self.x_i = 0.0
         self._u_prev = 0.0
+
+    @property
+    def state(self) -> np.ndarray:
+        return np.concatenate(([self.x_i], self.x_hat, [self._u_prev]))
+
+    @state.setter
+    def state(self, value) -> None:
+        z = _checked_state(value, 9)
+        self.x_i, self.x_hat, self._u_prev = float(z[0]), z[1:8].copy(), float(z[8])
+
+    def linear_law(self) -> LinearLaw:
+        # x_hat' = Fx @ z + Gx @ w, the estimator update that u and x_i' read
+        Fx = np.hstack([np.zeros((7, 1)), self._phi, self._gamma_u[:, None]])
+        Gx = np.hstack([self._gamma_y, np.zeros((7, 2))])
+        H = -self._k_i * np.eye(9)[0] - self._k_x @ Fx
+        J = -self._k_x @ Gx + self._k_ff * _W[5]
+        F = np.vstack([np.eye(9)[0] - CONTROL_DT * (self.C_d @ Fx), Fx, H])
+        G = np.vstack([CONTROL_DT * (_W[5] - self.C_d @ Gx), Gx, J])
+        return LinearLaw(F, G, np.zeros(9), H, J, 0.0)
 
     def step(self, t: float, p_desired: float, meas) -> Command:
         y = np.array([meas[0], meas[1], meas[2], meas[3]])

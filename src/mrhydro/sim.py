@@ -24,7 +24,8 @@ from .plant import (FRICTION_MODES, Plant, PlantError, TWO_PI, build_record, bui
                     check_choices, check_numbers, check_whole, write_json)
 from .controllers import (CONTROL_DT, CONTROLLER_NAMES, PID_MASTER_DEFAULT, PID_SLAVE_DEFAULT,
                           SIM_DT, ControllerFault, DitherConfig, LqgiController, OpenLoopController,
-                          PidConfig, linear_pid_bandwidth, make_controller, pid_gain_margin_db)
+                          PidConfig, check_sampled, linear_pid_bandwidth, make_controller,
+                          pid_gain_margin_db)
 from .synthesis import (NoiseCovariances, care_residual, closed_loop_dc_gain,
                         closed_loop_matrix, solve_care)
 
@@ -34,7 +35,16 @@ from .synthesis import (NoiseCovariances, care_residual, closed_loop_dc_gain,
 # tests/test_sim.py.
 BACKDRIVE_AMPLITUDE_1HZ = 1.445e-3  # [m]
 
-SCENARIO_KINDS = ("step", "sine_dwell", "backdrive")
+# each scenario kind -> the Scenario fields a run of it reads; it never reads the rest
+_EVERY_KIND_READS = ("kind", "controller", "seed", "duration", "noise", "friction_mode",
+                     "sim_dt")
+SCENARIO_READS = {
+    "step": _EVERY_KIND_READS + ("torque_amplitude", "pre_hold"),
+    "sine_dwell": _EVERY_KIND_READS + ("torque_amplitude", "torque_offset", "freq_hz"),
+    "backdrive": _EVERY_KIND_READS + ("pre_hold", "backdrive_amplitude", "backdrive_freq",
+                                      "backdrive_cycles", "torque_command", "ramp_torque_end"),
+}
+SCENARIO_KINDS = tuple(SCENARIO_READS)
 
 STEP_SETTLE = 1.0   # a step run's length after the step [s]
 
@@ -88,6 +98,7 @@ class Scenario:
             check_numbers(self, ScenarioError, positive=("duration",))
         if self.ramp_torque_end is not None:   # None: the command is held
             check_numbers(self, ScenarioError, finite=("ramp_torque_end",))
+        check_sampled(self, ScenarioError, "freq_hz")   # the dwell reference, read at ticks
         check_whole(self, ScenarioError, seed=0, backdrive_cycles=1)
         ratio = CONTROL_DT / self.sim_dt
         if abs(ratio - round(ratio)) > 1e-9 or ratio < 1:

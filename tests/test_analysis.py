@@ -96,6 +96,11 @@ class TestFrfFromSineDwell:
         with pytest.raises(AnalysisError):
             frf_from_sine_dwell(first_order_runner(64.0), [250.0])
 
+    def test_dwell_without_excitation_rejected(self):
+        t = np.arange(0.0, 2.0, 1e-3)
+        with pytest.raises(AnalysisError, match="no reference excitation"):
+            frf_from_sine_dwell(lambda f: FakeTrace(t, p_slave=np.sin(TWO_PI * f * t)), [10.0])
+
     @pytest.mark.parametrize("freqs", [[20.0, 10.0], [10.0, 10.0], [5.0, math.nan]])
     def test_unordered_grid_rejected_before_any_dwell(self, freqs):
         with pytest.raises(AnalysisError):
@@ -161,6 +166,10 @@ class TestBandwidth:
         pts = synthetic_frf([10.0, 5.0], lambda f: 0.0, lambda f: 0.0)
         with pytest.raises(AnalysisError):
             bandwidth(pts)
+
+    def test_single_point_rejected(self):
+        with pytest.raises(AnalysisError, match="at least two"):
+            crossing_bandwidth([10.0], [0.0], [0.0])
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.floats(-8.0, 4.0), st.floats(-200.0, 0.0)),
@@ -243,6 +252,20 @@ class TestStepMetrics:
         with pytest.raises(AnalysisError):
             step_metrics(FakeTrace(t, torque=ref, ref_torque=ref))
 
+    def test_short_post_step_window_rejected(self):
+        t = np.arange(0.0, 0.6, 1e-3)
+        ref = np.where(t >= 0.2, 1.0, 0.0)
+        with pytest.raises(AnalysisError, match="0.5 s of post-step window"):
+            step_metrics(FakeTrace(t, torque=ref, ref_torque=ref))
+
+    def test_no_rise_is_a_nan_row(self):
+        # a response that settles below zero never crosses 63% of a positive final value
+        t = np.arange(0.0, 2.0, 1e-3)
+        ref = np.where(t >= 0.2, 1.0, 0.0)
+        m = step_metrics(FakeTrace(t, torque=-0.5 * ref, ref_torque=ref))
+        assert math.isnan(m.rise_time_63) and math.isnan(m.overshoot)
+        assert m.final_value == -0.5 and not m.reliable
+
 
 class TestTorqueDeviation:
     def make_trace(self, shift_periods=0):
@@ -279,6 +302,13 @@ class TestTorqueDeviation:
         assert tr.ref_torque[-1] > 14.0
         assert torque_deviation(tr) == np.abs(tr.torque - tr.ref_torque)[window].max()
         assert torque_deviation(tr) < 5.0
+
+    def test_shorter_than_one_cycle_rejected(self):
+        # the scored window starts after pre_hold and one 1 Hz cycle: at 2 s
+        t = np.arange(0.0, 1.9, 1e-3)
+        sc = backdrive_scenario("open_loop", backdrive_freq=1.0, pre_hold=1.0)
+        with pytest.raises(AnalysisError, match="shorter than one backdrive cycle"):
+            torque_deviation(FakeTrace(t, scenario=sc))
 
 
 class TestIdentifyFriction:
@@ -332,6 +362,16 @@ class TestDitherSmoothing:
         # criterion 9 names the frequency its ripple was fit at
         line = verdicts(Evidence({}, dither=study))[10].line()
         assert f"slave/master {dither_hz:g} Hz ripple" in line
+
+    def test_no_reversal_samples_rejected(self):
+        # a third mass that never slows below the reversal band
+        t = np.arange(0.0, 5.0, 1e-3)
+        sc = backdrive_scenario("open_loop", backdrive_freq=1.0, pre_hold=1.0)
+        state = np.zeros((len(t), 7))
+        state[:, 5] = 0.01
+        trace = FakeTrace(t, state=state, scenario=sc)
+        with pytest.raises(AnalysisError, match="no samples inside the reversal band"):
+            dither_smoothing(trace, trace, 150.0)
 
 
 class TestComparisonReport:
@@ -467,6 +507,14 @@ class TestLowpass:
         a = math.exp(-TWO_PI * 50.0 * 1e-3)
         assert (1.0 - a) * 2.9 + a * 2.9 != 2.9
         assert lowpass(np.full(10, 2.9), 50.0, 1e-3)[0] == 2.9
+
+    def test_nan_output_primes_at_the_next_input(self):
+        # the controllers' priming rule: y reads NaN until an input sets it
+        f = LowPass(50.0, 1e-3)
+        assert math.isnan(f.y)
+        assert f.step(2.9) == 2.9
+        f.y = math.nan
+        assert f.step(3.1) == 3.1 and f.step(3.1) != f.alpha * 2.9 + (1.0 - f.alpha) * 3.1
 
     def test_is_the_stepped_controller_filter(self):
         # one law: the array filter is the filter the controllers step each tick

@@ -105,6 +105,16 @@ class TestSettingsCheckThemselves:
         ({"scenario": {"noise": "no"}}, "run", "scenario"),
         ({"scenario": {"friction_mode": "sticky"}}, "run", "scenario"),
         ({"scenario": {"kind": "backdrive", "backdrive_cycles": 2.5}}, "run", "scenario"),
+        # frequencies the 1 kHz loop cannot sample
+        ({"dither": {"frequency": 500.0}}, "synth", "dither"),
+        ({"dither": {"frequency": 1000.0}}, "run", "dither"),
+        ({"dither": {"frequency": 1150.0}}, "report", "dither"),
+        ({"scenario": {"kind": "sine_dwell", "freq_hz": 500.0}}, "run", "scenario"),
+        # keys a run of the section's kind never reads
+        ({"scenario": {"kind": "step", "backdrive_freq": 5.0}}, "run", "scenario"),
+        ({"scenario": {"kind": "sine_dwell", "pre_hold": 3.0, "backdrive_cycles": 9}},
+         "run", "scenario"),
+        ({"scenario": {"kind": "backdrive", "torque_amplitude": 3.0}}, "run", "scenario"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_bad_setting_is_a_config_error(self, tmp_path, capsys, config, command, section):
         cfgfile = tmp_path / "cfg.json"
@@ -303,6 +313,16 @@ class TestCliRun:
         assert capsys.readouterr().err == (
             f"config error: scenario: set '{key}' at the top level of the config, "
             "not in its scenario section\n")
+        assert not out.exists()
+
+    def test_flags_a_kind_never_reads_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["run", "--kind", "step", "--freq", "5", "--cmd-torque", "7",
+                   "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: scenario: a step run never reads "
+            "['backdrive_freq', 'torque_command']; remove them\n")
         assert not out.exists()
 
     def test_fractional_delay_refused_before_the_run(self, tmp_path, capsys):

@@ -107,7 +107,7 @@ class TestPid:
         p_d = plant.p_dc
         cmd = ctrl.step(0.0, p_d, (0.0, 0.0, 0.0, p_d, p_d))
         assert cmd.pressure_cmd == pytest.approx(plant.p_dc, rel=1e-12)
-        assert ctrl.integral == pytest.approx(0.0)
+        assert ctrl.state[0] == pytest.approx(0.0)
 
     def test_proportional_offset(self, plant):
         cfg = PidConfig(kp=0.7, ki=0.0, kd=0.0, feedback_tap="master")
@@ -122,7 +122,7 @@ class TestPid:
         err = 1e5
         for k in range(100):
             ctrl.step(k * DT, plant.p_dc + err, (0.0, 0.0, 0.0, plant.p_dc, plant.p_dc))
-        assert ctrl.integral == pytest.approx(10.0 * err * 100 * DT, rel=1e-9)
+        assert ctrl.state[0] == pytest.approx(10.0 * err * 100 * DT, rel=1e-9)
 
     def test_anti_windup_halts_under_saturation(self, plant):
         cfg = PidConfig(kp=0.0, ki=50.0, kd=0.0, feedback_tap="slave")
@@ -133,7 +133,7 @@ class TestPid:
         # saturation threshold plus at most one pre-saturation increment
         bound = (plant.force_max / plant.area_slave - plant.p_dc
                  + cfg.ki * p_huge * DT)
-        assert ctrl.integral <= bound * (1.0 + 1e-9)
+        assert ctrl.state[0] <= bound * (1.0 + 1e-9)
 
     def test_recovers_after_saturation(self, plant):
         # integral loop alone: time constant ~1/ki once back in range
@@ -161,11 +161,11 @@ class TestPid:
         # integrating pushes the command further out unless it unwinds
         outward = 1.0 if limit == "upper" else -1.0
         error = 1e4 * outward * (-1.0 if unwinds else 1.0)
-        ctrl.integral = p_cmd - plant.p_dc
+        ctrl.state = [p_cmd - plant.p_dc, math.nan, math.nan]
         cmd = ctrl.step(0.0, error, (0.0, 0.0, 0.0, 0.0, 0.0))
         assert cmd.saturated
         expected = p_cmd - plant.p_dc + (cfg.ki * error * DT if unwinds else 0.0)
-        assert ctrl.integral == expected
+        assert ctrl.state[0] == expected
 
     def test_bad_tap_rejected(self, plant):
         with pytest.raises(ValueError):
@@ -272,6 +272,101 @@ class TestDeterminism:
             seq = [ctrl.step(k * DT, 8e5, meas_seq[k]).current for k in range(200)]
             outs.append(seq)
         assert outs[0] == outs[1]
+
+
+def law_controller(case, plant, gains, dither=DitherConfig(enabled=False)):
+    """A benchmark variant by name, or "pid_kp_kd": a PID with kp and kd both nonzero."""
+    if case == "pid_kp_kd":
+        return PidController(plant, PidConfig(kp=0.3, ki=25.0, kd=2e-3), dither)
+    return make_controller(case, plant, gains=gains, dither=dither)
+
+
+# the size of each state entry and input the law test draws, by state length
+STATE_SCALES = {0: [], 3: [2e6, 3e6, 1e8],
+                9: [1e3, 1e-3, 1e-2, 1e-3, 1e-2, 1e-3, 1e-2, 1e3, 1e3]}
+INPUT_SCALES = [1e-3, 1e-2, 1e-3, 3e6, 3e6, 3e6]
+
+
+def command_bits(cmd):
+    return np.array([cmd.current, cmd.force, cmd.pressure_cmd]).tobytes(), cmd.saturated
+
+
+class TestStateAndLaw:
+    @pytest.mark.parametrize("case", ["open_loop", "pid_master", "pid_slave", "pid_kp_kd",
+                                      "lqgi"])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_step_is_the_linear_law(self, plant, gains, case, data):
+        # dither off and the request inside the clutch's range (remnant, reach): the
+        # tick is the law, its next state and its command to rounding
+        ctrl = law_controller(case, plant, gains)
+        law = ctrl.linear_law()
+        unit = st.floats(-1.0, 1.0)
+        z = np.array([data.draw(unit) * a for a in STATE_SCALES[len(law.f)]])
+        w = np.array([data.draw(unit) * a for a in INPUT_SCALES])
+        remnant, reach = plant.drive(0.0)[1], plant.torque_reach * plant.force_per_torque
+        target = data.draw(st.floats(1.01 * remnant, 0.99 * reach))
+        if len(z):   # the request through the first state entry, else through p_desired
+            z[0] = (target - (law.H[1:] @ z[1:] + law.J @ w + law.h)) / law.H[0]
+        else:
+            w[5] = target / law.J[5]
+        ctrl.state = z
+        cmd = ctrl.step(0.3, w[5], tuple(w[:5].tolist()))
+        assert not cmd.saturated
+        z_next = law.F @ z + law.G @ w + law.f
+        u = law.H @ z + law.J @ w + law.h
+        scale = np.abs(law.F) @ np.abs(z) + np.abs(law.G) @ np.abs(w) + np.abs(law.f)
+        u_scale = np.abs(law.H) @ np.abs(z) + np.abs(law.J) @ np.abs(w) + abs(law.h)
+        assert np.all(np.abs(ctrl.state - z_next) <= 1e-14 * scale)
+        assert abs(cmd.pressure_cmd * plant.area_slave - u) <= 1e-14 * u_scale
+
+    def test_friction_comp_has_no_linear_law(self, plant):
+        with pytest.raises(ValueError, match="tanh"):
+            make_controller("friction_comp", plant).linear_law()
+
+    @pytest.mark.parametrize("name", controllers.CONTROLLER_NAMES)
+    def test_state_continues_a_run(self, plant, gains, name):
+        rng = np.random.default_rng(5)
+        meas = [tuple((np.array([0.0, 0.0, 0.0, 8e5, 8e5])
+                       + rng.standard_normal(5) * [1e-4, 1e-3, 1e-4, 1e4, 1e4]).tolist())
+                for _ in range(100)]
+
+        def run(ctrl, ticks):
+            return [(command_bits(ctrl.step(k * DT, 8e5, meas[k])), ctrl.state.tobytes())
+                    for k in ticks]
+
+        first = make_controller(name, plant, gains=gains)
+        run(first, range(50))
+        second = make_controller(name, plant, gains=gains)
+        second.state = first.state
+        assert run(first, range(50, 100)) == run(second, range(50, 100))
+        # a fresh controller's state, NaN priming entries included, set back
+        fresh, again = (make_controller(name, plant, gains=gains) for _ in range(2))
+        again.state = fresh.state
+        assert run(fresh, range(100)) == run(again, range(100))
+
+    @pytest.mark.parametrize("name, state", [
+        ("open_loop", [0.0]), ("friction_comp", []), ("friction_comp", [math.inf]),
+        ("pid_slave", [0.0, 0.0]), ("pid_slave", [math.nan, 0.0, 0.0]),
+        ("pid_master", [0.0, -math.inf, 0.0]), ("lqgi", [0.0] * 8),
+        ("lqgi", [math.nan] + [0.0] * 8), ("lqgi", [0.0] * 8 + [math.nan]),
+        ("lqgi", [[0.0] * 9]),
+    ])
+    def test_bad_state_refused(self, plant, gains, name, state):
+        ctrl = make_controller(name, plant, gains=gains)
+        before = ctrl.state
+        with pytest.raises(ValueError, match="state"):
+            ctrl.state = state
+        np.testing.assert_array_equal(ctrl.state, before)
+
+    @pytest.mark.parametrize("name, size", [("open_loop", 0), ("friction_comp", 1),
+                                            ("pid_master", 3), ("lqgi", 9)])
+    def test_fresh_state(self, plant, gains, name, size):
+        # the priming entries read NaN until the first tick; the rest start at zero
+        z = make_controller(name, plant, gains=gains).state
+        primed = {"friction_comp": [0], "pid_master": [1, 2]}.get(name, [])
+        assert z.shape == (size,)
+        assert np.isnan(z[primed]).all() and (np.delete(z, primed) == 0.0).all()
 
 
 class TestDitherSuperposition:

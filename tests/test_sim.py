@@ -2,7 +2,7 @@ import json
 import math
 import pickle
 import tempfile
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,14 +14,15 @@ from scipy.signal import cont2discrete
 from mrhydro import sim
 from mrhydro.analysis import REFERENCE_RESULTS, Evidence, torque_deviation
 from mrhydro.controllers import (CONTROL_DT, CONTROLLER_NAMES, PID_MASTER_DEFAULT,
-                                 PID_SLAVE_DEFAULT, Command, ControllerFault, DitherConfig,
-                                 make_controller)
+                                 PID_SLAVE_DEFAULT, NYQUIST_HZ, Command, ControllerFault,
+                                 DitherConfig, make_controller)
 from mrhydro.plant import (FRICTION_MODES, Plant, PlantError, PlantParams, build_record,
                            build_state_space)
 from mrhydro.sim import (BACKDRIVE_AMPLITUDE_1HZ, CSV_BLOCK_ROWS, SCENARIO_KINDS,
-                         TRACE_SCHEMA, Scenario, ScenarioError, SimTrace, backdrive_scenario,
-                         dwell_scenario, friction_id_scenario, measure_controller_row,
-                         measure_evidence, read_trace_csv, run_scenario, step_scenario)
+                         SCENARIO_READS, TRACE_SCHEMA, Scenario, ScenarioError, SimTrace,
+                         backdrive_scenario, dwell_scenario, friction_id_scenario,
+                         measure_controller_row, measure_evidence, read_trace_csv, run_scenario,
+                         step_scenario)
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -646,7 +647,7 @@ class TestScenarioValidation:
             duration=data.draw(st.none() | positive), pre_hold=data.draw(st.floats(0.0, 10.0)),
             seed=data.draw(st.integers(0, 2**32 - 1)), noise=data.draw(st.booleans()),
             torque_amplitude=data.draw(FINITE), torque_offset=data.draw(FINITE),
-            freq_hz=data.draw(positive),
+            freq_hz=data.draw(st.floats(1e-3, NYQUIST_HZ, exclude_max=True)),
             backdrive_amplitude=data.draw(FINITE), backdrive_freq=data.draw(positive),
             backdrive_cycles=data.draw(st.integers(1, 1000)),
             torque_command=data.draw(FINITE), ramp_torque_end=data.draw(st.none() | FINITE),
@@ -673,6 +674,8 @@ class TestScenarioValidation:
         ({"kind": "backdrive", "backdrive_amplitude": math.nan}, "backdrive_amplitude"),
         ({"duration": 0.0}, "duration"),
         ({"kind": "sine_dwell", "freq_hz": math.nan}, "freq_hz"),
+        ({"kind": "sine_dwell", "freq_hz": 500.0}, "freq_hz must be below 500 Hz"),
+        ({"kind": "sine_dwell", "freq_hz": 1150.0}, "freq_hz must be below 500 Hz"),
         ({"pre_hold": -1.0}, "pre_hold"),
         ({"kind": "backdrive", "pre_hold": math.nan}, "pre_hold"),
         ({"seed": -1}, "seed"),
@@ -700,6 +703,23 @@ class TestScenarioValidation:
     def test_bad_numbers_named(self, fields, name):
         with pytest.raises(ScenarioError, match=name):
             Scenario(**fields)
+
+    # a second valid value of each field that not every kind reads
+    ALTERED = {"pre_hold": 0.02, "torque_amplitude": 3.0, "torque_offset": 4.0, "freq_hz": 70.0,
+               "backdrive_amplitude": 2e-3, "backdrive_freq": 30.0, "backdrive_cycles": 2,
+               "torque_command": 6.0, "ramp_torque_end": 9.0}
+
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    def test_reads_table_is_what_a_run_reads(self, kind):
+        # a field a kind reads changes its trace; a field it never reads changes nothing
+        every = set.intersection(*map(set, SCENARIO_READS.values()))
+        assert set(self.ALTERED) == {f.name for f in fields(Scenario)} - every
+        base = Scenario(kind=kind, controller="pid_master", pre_hold=0.01, freq_hz=50.0,
+                        backdrive_freq=20.0, backdrive_cycles=1)
+        table = run_scenario(base).table
+        for name, value in self.ALTERED.items():
+            altered = run_scenario(replace(base, **{name: value})).table
+            assert np.array_equal(altered, table) == (name not in SCENARIO_READS[kind]), name
 
 
 class TestControlRate:

@@ -112,6 +112,22 @@ class TestSolveCare:
         with pytest.raises(SynthesisError):
             solve_care(np.eye(3), np.ones((2, 1)), np.eye(3), [[1.0]])
 
+    @pytest.mark.parametrize("Q, R, name", [
+        (np.eye(2), [[1.0, 0.5], [0.0, 1.0]], "R"),
+        ([[1.0, 1.0], [0.0, 1.0]], np.eye(2), "Q")])
+    def test_asymmetric_weight_rejected(self, Q, R, name):
+        with pytest.raises(SynthesisError, match=f"^{name} must be symmetric$"):
+            solve_care(-np.eye(2), np.eye(2), Q, R)
+
+    @pytest.mark.parametrize("A, B", [([[0.0]], [[1.0]]),
+                                      ([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]])])
+    def test_imaginary_axis_mode_rejected(self, A, B):
+        # with Q = 0 the Hamiltonian keeps A's imaginary-axis eigenvalues, so its
+        # stable subspace is not n-dimensional
+        n = len(A)
+        with pytest.raises(SynthesisError, match=f"dimension 0, expected {n}"):
+            solve_care(A, B, np.zeros((n, n)), [[1.0]])
+
 
 class TestLqiGains:
     def test_dc_tracking_exact(self, ss, gains):
