@@ -12,10 +12,10 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from functools import cached_property
 
-from .controllers import (CONTROL_DT, CONTROLLER_NAMES, DitherConfig, PidConfig,
-                          PID_MASTER_DEFAULT, PID_SLAVE_DEFAULT)
+from .controllers import (CONTROLLER_NAMES, DitherConfig, PidConfig, PID_MASTER_DEFAULT,
+                          PID_SLAVE_DEFAULT)
 from .plant import PlantParams, build_record, json_hash, known_keys, write_json
-from .sim import SCENARIO_READS, Scenario, ScenarioError, delay_steps
+from .sim import SCENARIO_READS, Scenario, ScenarioError
 from .synthesis import CostWeights, NoiseCovariances, SynthesisError
 
 
@@ -64,8 +64,6 @@ class RunConfig:
             run = self.scenario_for_run
         # the named keys as resolved, so 6 and 6.0 hash the same and config.json loads back
         object.__setattr__(self, "scenario", {k: getattr(run, k) for k in self.scenario})
-        with _section("plant"):   # run_scenario takes the clutch delay in whole control ticks
-            delay_steps(self.plant.clutch.tau_delay, CONTROL_DT)
 
     @cached_property
     def scenario_for_run(self) -> Scenario:
@@ -77,7 +75,10 @@ class RunConfig:
             if key in self.scenario:
                 raise ScenarioError(f"set '{key}' at the top level of the config, "
                                     "not in its scenario section")
-        unread = sorted(self.scenario.keys() - set(SCENARIO_READS[run.kind]))
+        reads = set(SCENARIO_READS[run.kind])
+        if run.duration is not None:   # it, not the cycle count, sets a backdrive's length
+            reads.discard("backdrive_cycles")
+        unread = sorted(self.scenario.keys() - reads)
         if unread:   # a key the run never reads would be recorded as if it had been
             raise ScenarioError(f"a {run.kind} run never reads {unread}; remove them")
         return run

@@ -21,27 +21,15 @@ import numpy as np
 from scipy import linalg
 
 from .analysis import REFERENCE_RESULTS, LowPass, crossing_bandwidth
-from .plant import (Plant, StateSpace, TWO_PI, build_state_space, check_choices,
+from .plant import (CONTROL_DT, Plant, StateSpace, TWO_PI, build_state_space, check_choices,
                     check_numbers, friction_pressure)
 from .synthesis import GainSet, closed_loop_input, closed_loop_matrix, synthesize
-
-CONTROL_DT = 1e-3   # 1 kHz loop rate
-SIM_DT = 1e-4       # 10 kHz plant substep
-NYQUIST_HZ = 0.5 / CONTROL_DT   # highest frequency the loop samples without aliasing
 
 CONTROLLER_NAMES = tuple(REFERENCE_RESULTS)
 
 
 class ControllerFault(RuntimeError):
     """Estimator divergence or non-finite controller state."""
-
-
-def check_sampled(obj, error: type, name: str) -> None:
-    """Refuse the frequency field name of obj unless it is below NYQUIST_HZ: the
-    loop evaluates it only at control ticks, where a higher one aliases."""
-    if not getattr(obj, name) < NYQUIST_HZ:
-        raise error(f"{name} must be below {NYQUIST_HZ:g} Hz, half the control rate, "
-                    f"got {getattr(obj, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -62,8 +50,7 @@ class DitherConfig:
 
     def __post_init__(self):
         check_numbers(self, ValueError, positive=("frequency",),
-                      finite=("amplitude_slope", "amplitude_floor"))
-        check_sampled(self, ValueError, "frequency")
+                      finite=("amplitude_slope", "amplitude_floor"), sampled=("frequency",))
         check_choices(self, ValueError, enabled=(False, True))
 
 

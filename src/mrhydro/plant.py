@@ -51,10 +51,28 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-# check_numbers' rules: name -> (the test of a value as a float, what its message says)
+# the time grid: controllers step once per CONTROL_DT, the plant integrates at sim_dt
+CONTROL_DT = 1e-3   # 1 kHz loop rate
+SIM_DT = 1e-4       # 10 kHz plant substep
+NYQUIST_HZ = 0.5 / CONTROL_DT   # highest frequency the loop samples without aliasing
+
+
+def _whole(ratio: float) -> bool:
+    """ratio is finite and within 1e-9 of a whole number."""
+    return math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9
+
+
+# check_numbers' rules: name -> (the test of a value as a float, what its message says).
+# The last three keep a field on the time grid; list positive or non_negative before them.
 _RULES = {"positive": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
           "non_negative": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
-          "finite": (math.isfinite, "finite"), "fraction": (lambda v: 0.0 <= v < 1.0, "in [0, 1)")}
+          "finite": (math.isfinite, "finite"), "fraction": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+          # a frequency the loop evaluates only at ticks, where a higher one aliases
+          "sampled": (lambda v: v < NYQUIST_HZ, f"below {NYQUIST_HZ:g} Hz, half the control rate"),
+          "tick_divisor": (lambda v: _whole(CONTROL_DT / v) and CONTROL_DT / v >= 1.0,
+                           f"a divisor of the {CONTROL_DT} s control tick"),
+          "whole_ticks": (lambda v: _whole(v / CONTROL_DT),
+                          f"a whole number of {CONTROL_DT} s control ticks")}
 
 
 def checked_float(value, rule: str, name: str, error: type) -> float:
@@ -142,7 +160,7 @@ class MRClutchParams:
     def __post_init__(self):
         check_numbers(self, PlantError, positive=("omega_c", "torque_max", "current_max"),
                       non_negative=("tau_delay", "poly_c0"),
-                      finite=("poly_c3", "poly_c2", "poly_c1"))
+                      finite=("poly_c3", "poly_c2", "poly_c1"), whole_ticks=("tau_delay",))
         if not all(s > 0.0 for s in self.extreme_slopes()):   # NaN too
             raise PlantError("clutch polynomial not monotone on [0, current_max]")
 

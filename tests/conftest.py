@@ -15,8 +15,8 @@ with warnings.catch_warnings():
     except ImportError:   # without libcst hypothesis skips the patch too
         pass
 
-from mrhydro.controllers import CONTROL_DT, Command
-from mrhydro.plant import Plant, PlantParams
+from mrhydro.controllers import Command
+from mrhydro.plant import CONTROL_DT, Plant, PlantParams
 from mrhydro.sim import Scenario, run_scenario
 
 

@@ -15,8 +15,9 @@ from mrhydro.cli import build_parser, main
 from mrhydro.config import ConfigError, RunConfig, load_run_config
 from mrhydro.controllers import (PID_MASTER_DEFAULT, PID_SLAVE_DEFAULT, DitherConfig,
                                  make_controller)
-from mrhydro.plant import (FRICTION_MODES, FrictionParams, GeometryParams, MRClutchParams,
-                           Plant, PlantError, PlantParams, TransmissionParams, build_record)
+from mrhydro.plant import (CONTROL_DT, FRICTION_MODES, FrictionParams, GeometryParams,
+                           MRClutchParams, Plant, PlantError, PlantParams, TransmissionParams,
+                           build_record)
 from mrhydro.synthesis import CostWeights, NoiseCovariances, SynthesisError
 
 # one instance of each frozen settings type, with the error its check raises
@@ -35,7 +36,8 @@ CHOICES = {"mode": FRICTION_MODES, "feedback_tap": ("master", "slave")}
 
 
 def near(value, name=""):
-    """Records like value: each number within 10% of its own, each choice any allowed one."""
+    """Records like value: each number within 10% of its own (a delay in whole ticks), each
+    choice any allowed one."""
     if is_dataclass(value):
         return st.builds(lambda **kw: replace(value, **kw),
                          **{f.name: near(getattr(value, f.name), f.name) for f in fields(value)})
@@ -45,6 +47,8 @@ def near(value, name=""):
         return st.sampled_from(CHOICES[name])
     if isinstance(value, tuple):
         return st.tuples(*map(near, value))
+    if name == "tau_delay":   # whole control ticks, as MRClutchParams requires
+        return st.integers(0, 5).map(lambda ticks: ticks * CONTROL_DT)
     return st.floats(0.9, 1.1).map(lambda scale: scale * value)
 
 
@@ -115,6 +119,12 @@ class TestSettingsCheckThemselves:
         ({"scenario": {"kind": "sine_dwell", "pre_hold": 3.0, "backdrive_cycles": 9}},
          "run", "scenario"),
         ({"scenario": {"kind": "backdrive", "torque_amplitude": 3.0}}, "run", "scenario"),
+        ({"scenario": {"kind": "backdrive", "duration": 3.0, "backdrive_cycles": 9}},
+         "run", "scenario"),
+        # off the 1 ms tick grid: a step that does not divide it, a delay not whole ticks
+        ({"scenario": {"sim_dt": 3e-4}}, "run", "scenario"),
+        ({"scenario": {"sim_dt": 5e-324}}, "run", "scenario"),
+        ({"plant": {"clutch": {"tau_delay": 0.0015}}}, "synth", "plant"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_bad_setting_is_a_config_error(self, tmp_path, capsys, config, command, section):
         cfgfile = tmp_path / "cfg.json"
@@ -331,8 +341,9 @@ class TestCliRun:
         cfgfile.write_text(json.dumps({"plant": {"clutch": {"tau_delay": 0.0015}}}))
         out = tmp_path / "out"
         assert main(["--config", str(cfgfile), "run", "--out-dir", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(
-            "config error: plant: tau_delay 0.0015 s is not a whole number of 0.001 s steps")
+        assert capsys.readouterr().err == (
+            "config error: plant: tau_delay must be a whole number of 0.001 s control ticks, "
+            "got 0.0015\n")
         assert not out.exists()
 
     def test_backdrive_flags(self, tmp_path):

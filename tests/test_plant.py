@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from mrhydro.plant import (FRICTION_MODES, MRClutchParams, Plant, PlantError, PlantParams,
-                           TransmissionParams, build_record, build_state_space,
+from mrhydro.plant import (CONTROL_DT, FRICTION_MODES, MRClutchParams, Plant, PlantError,
+                           PlantParams, TransmissionParams, build_record, build_state_space,
                            friction_pressure)
-from mrhydro.controllers import CONTROL_DT
-from mrhydro.sim import Scenario, delay_steps
+from mrhydro.sim import Scenario
 
 
 @pytest.fixture(scope="module")
@@ -514,7 +513,9 @@ class TestParams:
                 value = getattr(group, f.name)
                 if not isinstance(value, float):
                     continue
-                nudged = replace(base, **{section.name: replace(group, **{f.name: 1.01 * value})})
+                # tau_delay takes whole control ticks, so it moves by one
+                moved = value + CONTROL_DT if f.name == "tau_delay" else 1.01 * value
+                nudged = replace(base, **{section.name: replace(group, **{f.name: moved})})
                 assert any(model(nudged.with_friction(mode=mode)) !=
                            model(base.with_friction(mode=mode)) for mode in FRICTION_MODES), \
                     f"{section.name}.{f.name} changes neither the linear model nor the Plant"
@@ -539,7 +540,7 @@ class TestPlantState:
 
     def test_default_delay_ratios(self, plant_inputs):
         # the default 2 ms delay is 2 ticks: 20 steps at 10 kHz and 40 at 20 kHz
-        assert delay_steps(Plant().tau_delay, CONTROL_DT) == 2
+        assert Plant().tau_delay == 2 * CONTROL_DT
         for sim_dt, n_delay in ((1e-4, 20), (5e-5, 40)):
             sc = Scenario(kind="step", duration=0.01, sim_dt=sim_dt)
             steps, _ = plant_inputs(sc)

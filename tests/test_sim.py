@@ -13,11 +13,10 @@ from scipy.signal import cont2discrete
 
 from mrhydro import sim
 from mrhydro.analysis import REFERENCE_RESULTS, Evidence, torque_deviation
-from mrhydro.controllers import (CONTROL_DT, CONTROLLER_NAMES, PID_MASTER_DEFAULT,
-                                 PID_SLAVE_DEFAULT, NYQUIST_HZ, Command, ControllerFault,
-                                 DitherConfig, make_controller)
-from mrhydro.plant import (FRICTION_MODES, Plant, PlantError, PlantParams, build_record,
-                           build_state_space)
+from mrhydro.controllers import (CONTROLLER_NAMES, PID_MASTER_DEFAULT, PID_SLAVE_DEFAULT,
+                                 Command, ControllerFault, DitherConfig, make_controller)
+from mrhydro.plant import (CONTROL_DT, FRICTION_MODES, NYQUIST_HZ, MRClutchParams, Plant,
+                           PlantError, PlantParams, build_record, build_state_space)
 from mrhydro.sim import (BACKDRIVE_AMPLITUDE_1HZ, CSV_BLOCK_ROWS, SCENARIO_KINDS,
                          SCENARIO_READS, TRACE_SCHEMA, Scenario, ScenarioError, SimTrace,
                          backdrive_scenario, dwell_scenario, friction_id_scenario,
@@ -121,11 +120,21 @@ class TestDelayLine:
 
     @pytest.mark.parametrize("tau_delay", [1.5e-3, 5e-4, 2.05e-3])
     def test_fractional_delay_rejected(self, tau_delay):
-        # whole 0.1 ms steps but not whole 1 ms ticks: refuse rather than round
-        params = PlantParams()
-        plant = Plant(replace(params, clutch=replace(params.clutch, tau_delay=tau_delay)))
-        with pytest.raises(PlantError, match="whole number"):
-            run_scenario(Scenario(kind="step", duration=0.03), plant=plant)
+        # whole 0.1 ms steps but not whole 1 ms ticks: the clutch refuses it when built
+        with pytest.raises(PlantError, match=r"^tau_delay must be a whole number of 0\.001 s "
+                                             rf"control ticks, got {tau_delay!r}$"):
+            MRClutchParams(tau_delay=tau_delay)
+
+    @settings(max_examples=50, deadline=None)
+    @given(k=st.integers(0, 20), n=st.integers(1, 1000), delta=st.floats(1e-6, 1.0 - 1e-6))
+    def test_delay_on_the_tick_grid(self, plant_inputs, k, n, delta):
+        # a delay of k ticks is accepted and delays by k ticks at sim_dt = CONTROL_DT / n;
+        # one of k + delta ticks is refused
+        with pytest.raises(PlantError, match="tau_delay must be a whole number"):
+            MRClutchParams(tau_delay=(k + delta) * CONTROL_DT)
+        steps, _ = plant_inputs(
+            Scenario(kind="step", duration=(k + 1) * CONTROL_DT, sim_dt=CONTROL_DT / n), k)
+        assert steps[:k * n] == [0.0] * (k * n) and steps[k * n] == 1.0
 
     def test_zero_delay_passthrough(self, plant_inputs):
         # each tick's steps see that tick's own command
@@ -660,8 +669,9 @@ class TestScenarioValidation:
         ({"sim_dt": -1e-4}, "sim_dt"),
         ({"sim_dt": math.nan}, "sim_dt"),
         ({"sim_dt": math.inf}, "sim_dt"),
-        ({"sim_dt": 2e-3}, "sim_dt"),   # coarser than the 1 ms control tick
-        ({"sim_dt": 3e-4}, "sim_dt"),   # 3.33 steps per tick
+        # coarser than the 1 ms control tick; 3.33 steps per tick
+        ({"sim_dt": 2e-3}, "^sim_dt must be a divisor of the 0.001 s control tick, got 0.002$"),
+        ({"sim_dt": 3e-4}, "^sim_dt must be a divisor of the 0.001 s control tick, got 0.0003$"),
         ({"duration": math.nan}, "duration"),
         ({"kind": "sine_dwell", "freq_hz": 0.0}, "freq_hz"),
         ({"kind": "sine_dwell", "freq_hz": -1.0}, "freq_hz"),
@@ -699,6 +709,8 @@ class TestScenarioValidation:
         ({"kind": "backdrive", "backdrive_cycles": 2.5}, "backdrive_cycles"),
         ({"kind": "backdrive", "backdrive_cycles": 5.0}, "backdrive_cycles"),
         ({"backdrive_cycles": 5.0}, "backdrive_cycles"),
+        # 1e-3 / 5e-324 overflows to inf, which no whole number of steps equals
+        ({"sim_dt": 5e-324}, "^sim_dt must be a divisor of the 0.001 s control tick"),
     ])
     def test_bad_numbers_named(self, fields, name):
         with pytest.raises(ScenarioError, match=name):
@@ -720,6 +732,10 @@ class TestScenarioValidation:
         for name, value in self.ALTERED.items():
             altered = run_scenario(replace(base, **{name: value})).table
             assert np.array_equal(altered, table) == (name not in SCENARIO_READS[kind]), name
+        # given its duration, no kind reads the cycle count (RunConfig refuses the pair)
+        timed = replace(base, duration=0.06)
+        assert np.array_equal(run_scenario(replace(timed, backdrive_cycles=2)).table,
+                              run_scenario(timed).table)
 
 
 class TestControlRate:
