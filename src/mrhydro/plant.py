@@ -69,8 +69,11 @@ _RULES = {"positive": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
           "finite": (math.isfinite, "finite"), "fraction": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
           # a frequency the loop evaluates only at ticks, where a higher one aliases
           "sampled": (lambda v: v < NYQUIST_HZ, f"below {NYQUIST_HZ:g} Hz, half the control rate"),
-          "tick_divisor": (lambda v: _whole(CONTROL_DT / v) and CONTROL_DT / v >= 1.0,
-                           f"a divisor of the {CONTROL_DT} s control tick"),
+          # from 2**23 steps up the float spacing of the ratio exceeds _whole's 1e-9, and
+          # from 2**53 up every float is whole, so the test cannot tell a divisor there
+          "tick_divisor": (lambda v: _whole(CONTROL_DT / v) and 1.0 <= CONTROL_DT / v < 2**23,
+                           f"a divisor of the {CONTROL_DT} s control tick into fewer than "
+                           "2**23 steps"),
           "whole_ticks": (lambda v: _whole(v / CONTROL_DT),
                           f"a whole number of {CONTROL_DT} s control ticks")}
 
@@ -326,8 +329,9 @@ def _bisection_start_level(c: MRClutchParams) -> int:
 class Plant:
     """Nonlinear continuous-time actuator model plus unit conversions.
 
-    One instance owns one simulation run's state derivative evaluation;
-    it holds no mutable state itself, so instances can be shared across
+    derivative() states the dynamics law; rk4_step() repeats it inline over
+    locals, and the stage-wise tests pin the two together bit for bit.  An
+    instance holds no mutable state, so instances can be shared across
     threads for independent runs.
     """
 
@@ -347,7 +351,7 @@ class Plant:
         self.r_pulley = g.r_pulley
         self.p_dc = g.p_dc
         f = params.friction
-        # the configured mode's friction law, picked once for derivative()
+        # the configured mode's friction law, picked once for derivative() and rk4_step()
         self.mu = 0.0 if f.mode == "off" else f.mu
         self.friction_steepness = (f.sign_regularization if f.mode == "stick_slip_sign"
                                    else f.n_steepness)
@@ -491,48 +495,111 @@ class Plant:
         the previous step's end when that time is the same float, and the
         returned x3, v3 are its values at t + dt.  Raises FloatingPointError
         when the state reached is not finite.
+
+        Each of the four stages (a, b, c, d) is derivative() with
+        friction_pressure() written out over locals: the same float
+        operations in the same order, without the calls, so a step equals
+        the stage-wise RK4 over derivative() bit for bit.  Stage j's slope is
+        (v1j, a1j, v2j, a2j, v3j, a3j, dfj), whose velocities are that
+        stage's inputs (the state's own for stage a).  Under a prescribed
+        motion x3's slope is the motion's v3, and the loop skips the v3 and
+        a3 terms that the returned motion values replace.
         """
-        deriv = self.derivative
+        k1, k2, k12, k23 = self.k1, self.k2, self.k12, self.k23
+        nk1 = -k1   # derivative's -self.k1 * x1 is (-k1) * x1
+        b1, b2, b3 = self.b1, self.b2, self.b3
+        im1, im2, im3 = self.inv_m1, self.inv_m2, self.inv_m3
+        wc, am, mu, steep = self.omega_c, self.area_master, self.mu, self.friction_steepness
+        tanh = math.tanh
         h = 0.5 * dt
         sixth = dt / 6.0
-        m_start = m_mid = m_end = t_end = None
         s0, s1, s2, s3, s4, s5, s6 = state
-        for i in range(i0, i0 + n):
-            if backdrive is not None:
+        if backdrive is None:
+            for _ in range(n):
+                # stage a at s
+                pm = k1 * (s0 - s2) / am
+                a1a = (nk1 * s0 - b1 * s1 + k1 * s2 + s6
+                       - mu * (0.0 if pm < 0.0 else pm) * tanh(steep * s1) * am) * im1
+                a2a = (k1 * s0 - k12 * s2 - b2 * s3 + k2 * s4) * im2
+                a3a = (k2 * s2 - k23 * s4 - b3 * s5) * im3
+                dfa = wc * (f_cmd_delayed - s6)
+                # stage b at s + h * (stage a)
+                x1, v1b, x2 = s0 + h * s1, s1 + h * a1a, s2 + h * s3
+                v2b, x3, v3b, fb = s3 + h * a2a, s4 + h * s5, s5 + h * a3a, s6 + h * dfa
+                pm = k1 * (x1 - x2) / am
+                a1b = (nk1 * x1 - b1 * v1b + k1 * x2 + fb
+                       - mu * (0.0 if pm < 0.0 else pm) * tanh(steep * v1b) * am) * im1
+                a2b = (k1 * x1 - k12 * x2 - b2 * v2b + k2 * x3) * im2
+                a3b = (k2 * x2 - k23 * x3 - b3 * v3b) * im3
+                dfb = wc * (f_cmd_delayed - fb)
+                # stage c at s + h * (stage b)
+                x1, v1c, x2 = s0 + h * v1b, s1 + h * a1b, s2 + h * v2b
+                v2c, x3, v3c, fc = s3 + h * a2b, s4 + h * v3b, s5 + h * a3b, s6 + h * dfb
+                pm = k1 * (x1 - x2) / am
+                a1c = (nk1 * x1 - b1 * v1c + k1 * x2 + fc
+                       - mu * (0.0 if pm < 0.0 else pm) * tanh(steep * v1c) * am) * im1
+                a2c = (k1 * x1 - k12 * x2 - b2 * v2c + k2 * x3) * im2
+                a3c = (k2 * x2 - k23 * x3 - b3 * v3c) * im3
+                dfc = wc * (f_cmd_delayed - fc)
+                # stage d at s + dt * (stage c)
+                x1, v1d, x2 = s0 + dt * v1c, s1 + dt * a1c, s2 + dt * v2c
+                v2d, x3, v3d, fd = s3 + dt * a2c, s4 + dt * v3c, s5 + dt * a3c, s6 + dt * dfc
+                pm = k1 * (x1 - x2) / am
+                a1d = (nk1 * x1 - b1 * v1d + k1 * x2 + fd
+                       - mu * (0.0 if pm < 0.0 else pm) * tanh(steep * v1d) * am) * im1
+                a2d = (k1 * x1 - k12 * x2 - b2 * v2d + k2 * x3) * im2
+                a3d = (k2 * x2 - k23 * x3 - b3 * v3d) * im3
+                dfd = wc * (f_cmd_delayed - fd)
+                # each sum reads the old velocity before the next line steps it
+                s0 += sixth * (s1 + 2.0 * v1b + 2.0 * v1c + v1d)
+                s1 += sixth * (a1a + 2.0 * a1b + 2.0 * a1c + a1d)
+                s2 += sixth * (s3 + 2.0 * v2b + 2.0 * v2c + v2d)
+                s3 += sixth * (a2a + 2.0 * a2b + 2.0 * a2c + a2d)
+                s4 += sixth * (s5 + 2.0 * v3b + 2.0 * v3c + v3d)
+                s5 += sixth * (a3a + 2.0 * a3b + 2.0 * a3c + a3d)
+                s6 += sixth * (dfa + 2.0 * dfb + 2.0 * dfc + dfd)
+        else:
+            t_end = v3_end = None
+            for i in range(i0, i0 + n):
                 t = i * dt
                 # equal float times share a sample
-                if t == t_end:
-                    m_start = m_end
-                else:
-                    _, v, acc = backdrive(t)
-                    m_start = (v, acc)
-                _, v, acc = backdrive(t + h)
-                m_mid = (v, acc)
+                v3a = v3_end if t == t_end else backdrive(t)[1]
+                v3m = backdrive(t + h)[1]
                 t_end = t + dt
-                x3_end, v3_end, acc = backdrive(t_end)
-                m_end = (v3_end, acc)
-            # a, b, c, d: the four stage slopes k1..k4, component by component
-            a0, a1, a2, a3, a4, a5, a6 = deriv(s0, s1, s2, s3, s4, s5, s6, f_cmd_delayed,
-                                               m_start)
-            b0, b1, b2, b3, b4, b5, b6 = deriv(
-                s0 + h * a0, s1 + h * a1, s2 + h * a2, s3 + h * a3, s4 + h * a4, s5 + h * a5,
-                s6 + h * a6, f_cmd_delayed, m_mid)
-            c0, c1, c2, c3, c4, c5, c6 = deriv(
-                s0 + h * b0, s1 + h * b1, s2 + h * b2, s3 + h * b3, s4 + h * b4, s5 + h * b5,
-                s6 + h * b6, f_cmd_delayed, m_mid)
-            d0, d1, d2, d3, d4, d5, d6 = deriv(
-                s0 + dt * c0, s1 + dt * c1, s2 + dt * c2, s3 + dt * c3, s4 + dt * c4,
-                s5 + dt * c5, s6 + dt * c6, f_cmd_delayed, m_end)
-            s0 += sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
-            s1 += sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
-            s2 += sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
-            s3 += sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
-            if backdrive is None:
-                s4 += sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4)
-                s5 += sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5)
-            else:
+                x3_end, v3_end, _ = backdrive(t_end)
+                # the stages above; stage inputs move x3 along the motion's v3 at t, t + h, t + h
+                pm = k1 * (s0 - s2) / am
+                a1a = (nk1 * s0 - b1 * s1 + k1 * s2 + s6
+                       - mu * (0.0 if pm < 0.0 else pm) * tanh(steep * s1) * am) * im1
+                a2a = (k1 * s0 - k12 * s2 - b2 * s3 + k2 * s4) * im2
+                dfa = wc * (f_cmd_delayed - s6)
+                x1, v1b, x2 = s0 + h * s1, s1 + h * a1a, s2 + h * s3
+                v2b, x3, fb = s3 + h * a2a, s4 + h * v3a, s6 + h * dfa
+                pm = k1 * (x1 - x2) / am
+                a1b = (nk1 * x1 - b1 * v1b + k1 * x2 + fb
+                       - mu * (0.0 if pm < 0.0 else pm) * tanh(steep * v1b) * am) * im1
+                a2b = (k1 * x1 - k12 * x2 - b2 * v2b + k2 * x3) * im2
+                dfb = wc * (f_cmd_delayed - fb)
+                x1, v1c, x2 = s0 + h * v1b, s1 + h * a1b, s2 + h * v2b
+                v2c, x3, fc = s3 + h * a2b, s4 + h * v3m, s6 + h * dfb
+                pm = k1 * (x1 - x2) / am
+                a1c = (nk1 * x1 - b1 * v1c + k1 * x2 + fc
+                       - mu * (0.0 if pm < 0.0 else pm) * tanh(steep * v1c) * am) * im1
+                a2c = (k1 * x1 - k12 * x2 - b2 * v2c + k2 * x3) * im2
+                dfc = wc * (f_cmd_delayed - fc)
+                x1, v1d, x2 = s0 + dt * v1c, s1 + dt * a1c, s2 + dt * v2c
+                v2d, x3, fd = s3 + dt * a2c, s4 + dt * v3m, s6 + dt * dfc
+                pm = k1 * (x1 - x2) / am
+                a1d = (nk1 * x1 - b1 * v1d + k1 * x2 + fd
+                       - mu * (0.0 if pm < 0.0 else pm) * tanh(steep * v1d) * am) * im1
+                a2d = (k1 * x1 - k12 * x2 - b2 * v2d + k2 * x3) * im2
+                dfd = wc * (f_cmd_delayed - fd)
+                s0 += sixth * (s1 + 2.0 * v1b + 2.0 * v1c + v1d)
+                s1 += sixth * (a1a + 2.0 * a1b + 2.0 * a1c + a1d)
+                s2 += sixth * (s3 + 2.0 * v2b + 2.0 * v2c + v2d)
+                s3 += sixth * (a2a + 2.0 * a2b + 2.0 * a2c + a2d)
                 s4, s5 = x3_end, v3_end
-            s6 += sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6)
+                s6 += sixth * (dfa + 2.0 * dfb + 2.0 * dfc + dfd)
         out = (s0, s1, s2, s3, s4, s5, s6)
         if not all(map(math.isfinite, out)):
             raise FloatingPointError("non-finite plant state")

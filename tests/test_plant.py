@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from mrhydro.plant import (CONTROL_DT, FRICTION_MODES, MRClutchParams, Plant, PlantError,
-                           PlantParams, TransmissionParams, build_record, build_state_space,
-                           friction_pressure)
+from mrhydro.plant import (CONTROL_DT, FRICTION_MODES, GeometryParams, MRClutchParams, Plant,
+                           PlantError, PlantParams, TransmissionParams, build_record,
+                           build_state_space, friction_pressure)
 from mrhydro.sim import Scenario
 
 
@@ -453,6 +453,35 @@ class TestDynamics:
             assert state == ref, f"piece from step {i}"
             i += n
         assert ref[1] != 0.0 and plant.master_pressure(ref) > 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), mode=st.sampled_from(FRICTION_MODES), prescribed=st.booleans(),
+           dt=st.sampled_from([1e-4, 5e-5]), n=st.integers(1, 12), i0=st.integers(0, 1000))
+    def test_rk4_step_equals_stagewise_reference_on_any_plant(self, data, mode, prescribed,
+                                                              dt, n, i0):
+        # every plant constant the stages read, scaled on its own, so a stage that reads a
+        # wrong one differs; master pressure of either sign takes both friction branches
+        scale = st.floats(0.5, 2.0)
+        base = TransmissionParams()
+        params = PlantParams(
+            transmission=TransmissionParams(**{f.name: getattr(base, f.name) * data.draw(scale)
+                                               for f in fields(base)}),
+            clutch=MRClutchParams(omega_c=MRClutchParams.omega_c * data.draw(scale)),
+            geometry=GeometryParams(area_master=GeometryParams.area_master * data.draw(scale)),
+        ).with_friction(mode=mode)
+        plant = Plant(params)
+        position = st.floats(-2e-3, 2e-3)
+        speed = st.floats(-0.1, 0.1) | st.sampled_from([0.0, -0.0])
+        state = (data.draw(position), data.draw(speed), data.draw(position), data.draw(speed),
+                 data.draw(position), data.draw(speed), data.draw(st.floats(0.0, 2000.0)))
+        f_cmd = data.draw(st.floats(0.0, 2000.0))
+        profile = sine_motion() if prescribed else None
+        got = plant.rk4_step(state, dt, f_cmd, profile, i0, n)
+        want = state
+        for i in range(i0, i0 + n):
+            want = reference_rk4_step(plant, want, dt, f_cmd, profile, i * dt)
+        # bit for bit, signed zeros included
+        assert list(map(float.hex, got)) == list(map(float.hex, want))
 
     def test_nan_state_raises(self, plant):
         with pytest.raises(FloatingPointError):

@@ -670,8 +670,10 @@ class TestScenarioValidation:
         ({"sim_dt": math.nan}, "sim_dt"),
         ({"sim_dt": math.inf}, "sim_dt"),
         # coarser than the 1 ms control tick; 3.33 steps per tick
-        ({"sim_dt": 2e-3}, "^sim_dt must be a divisor of the 0.001 s control tick, got 0.002$"),
-        ({"sim_dt": 3e-4}, "^sim_dt must be a divisor of the 0.001 s control tick, got 0.0003$"),
+        ({"sim_dt": 2e-3}, "^sim_dt must be a divisor of the 0.001 s control tick into fewer "
+                           r"than 2\*\*23 steps, got 0.002$"),
+        ({"sim_dt": 3e-4}, "^sim_dt must be a divisor of the 0.001 s control tick into fewer "
+                           r"than 2\*\*23 steps, got 0.0003$"),
         ({"duration": math.nan}, "duration"),
         ({"kind": "sine_dwell", "freq_hz": 0.0}, "freq_hz"),
         ({"kind": "sine_dwell", "freq_hz": -1.0}, "freq_hz"),
@@ -711,10 +713,19 @@ class TestScenarioValidation:
         ({"backdrive_cycles": 5.0}, "backdrive_cycles"),
         # 1e-3 / 5e-324 overflows to inf, which no whole number of steps equals
         ({"sim_dt": 5e-324}, "^sim_dt must be a divisor of the 0.001 s control tick"),
+        # 2**23, 1e9 and 1e297 steps per tick: from 2**23 up the whole-number test cannot
+        # tell, and a run would not finish; these are only built, never run
+        ({"sim_dt": 1e-3 / 2**23}, r"^sim_dt must be .* into fewer than 2\*\*23 steps, got "),
+        ({"sim_dt": 1e-12}, r"^sim_dt must be .* into fewer than 2\*\*23 steps, got 1e-12$"),
+        ({"sim_dt": 1e-300}, r"^sim_dt must be .* into fewer than 2\*\*23 steps, got 1e-300$"),
     ])
     def test_bad_numbers_named(self, fields, name):
         with pytest.raises(ScenarioError, match=name):
             Scenario(**fields)
+
+    def test_sim_dt_below_2_23_steps_builds(self):
+        # the divisor test still tells at 2**22 steps per tick; only built, never run
+        assert Scenario(sim_dt=1e-3 / 2**22).sim_dt == 1e-3 / 2**22
 
     # a second valid value of each field that not every kind reads
     ALTERED = {"pre_hold": 0.02, "torque_amplitude": 3.0, "torque_offset": 4.0, "freq_hz": 70.0,
